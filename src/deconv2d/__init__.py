@@ -8,7 +8,7 @@ kernels     convolution kernels (Gaussian, fluorescence microscopy fit, Airy)
 bumpwave    bump/wave interpolation basis and its coefficients
 envelope    radial step-function envelopes built by interval evaluation
 hexgeom     hexagonal partition, distances, far-field bounds
-schur       block norm bounds, Schur chain, numeric certificates, Jacobi SVD
+schur       block norm bounds, Schur chain, numeric certificates, singular values
 certify     segment-based recovery certifier and parameter sweeps
 solver      basis-pursuit solvers and exact-recovery trials
 experiments SVD conditioning, phase diagrams, command line front end

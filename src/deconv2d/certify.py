@@ -16,7 +16,6 @@ bounds; nothing here evaluates Q itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,65 +156,27 @@ def qtri_segment_bounds(seg, partition, envelopes,
     return SegmentBound(a, b, q_ub, q_lb, grad_ub, eig_ub)
 
 
-def regions_integrals(segments, r: float, lo: float = 0.0) -> dict:
-    """Closed-form integrals of the step-constant bound profiles.
+def edge_integrals(segments):
+    """Closed-form integrals of the step-constant bound profiles at the edges.
 
-    ``curvature_integral_ub`` is the convolution-style integral of the
-    eigenvalue bound against (r - s) over [0, r]; ``gradient_integral_ub``
-    integrates the gradient bound over [lo, r].
+    The segments must tile [r_0, r_n] in order.  Returns the edges r_k and,
+    at each edge, the curvature integral I(r_k) = int eig(s) (r_k - s) ds over
+    [r_0, r_k], its slope I'(r_k) = int eig(s) ds, and the gradient integral
+    G(r_k) = int grad(s) ds, all as numpy arrays of length n + 1.  On segment
+    k, I is the quadratic I(r_k) + I'(r_k) x + eig_k x^2 / 2 in x = r - r_k
+    and G is linear, so the edge values determine both everywhere.
     """
-    curv = 0.0
-    grad = 0.0
-    for s in segments:
-        a1, b1 = min(s.a, r), min(s.b, r)
-        if b1 > a1:
-            curv += s.eig_ub * ((r - a1) ** 2 - (r - b1) ** 2) / 2.0
-        a2, b2 = min(max(s.a, lo), r), min(max(s.b, lo), r)
-        if b2 > a2:
-            grad += s.grad_ub * (b2 - a2)
-    return {"curvature_integral_ub": curv, "gradient_integral_ub": grad}
-
-
-def _curvature_negative_on(segments, i: int) -> bool:
-    """Is the curvature integral I(r) < 0 for every r in (a_i, b_i]?
-
-    On one segment I is a quadratic in r; its maximum sits at an endpoint
-    unless the leading coefficient (eig_ub_i / 2) is negative, in which case
-    the interior vertex must be checked too.
-    """
-    s = segments[i]
-
-    def ival(r):
-        return regions_integrals(segments, r)["curvature_integral_ub"]
-
-    if ival(s.a) > 0.0 or not ival(s.b) < 0.0:
-        return False
-    if s.eig_ub < 0.0:
-        # concave on this segment; the vertex sits where I'(r) vanishes,
-        # with I'(r) = integral of the eig bound over [0, r]
-        slope_a = sum(seg.eig_ub * (min(seg.b, s.a) - min(seg.a, s.a))
-                      for seg in segments if min(seg.b, s.a) > min(seg.a, s.a))
-        rv = s.a - slope_a / s.eig_ub
-        if s.a < rv < s.b and not ival(rv) < 0.0:
-            return False
-    return True
-
-
-def _max_extension(segments, last_ok: int, i1: int) -> float:
-    """Farthest u2 for the candidate u1 = segments[i1].b."""
-    u1 = segments[i1].b
-    base = regions_integrals(segments, u1)["curvature_integral_ub"]
-    u2 = u1
-    for i in range(i1 + 1, len(segments)):
-        s = segments[i]
-        g = regions_integrals(segments, s.b, lo=u1)["gradient_integral_ub"]
-        g_a = regions_integrals(segments, s.a, lo=u1)["gradient_integral_ub"]
-        # F is linear on the segment: both endpoint values must be negative
-        if base + g < 0.0 and base + g_a < 0.0:
-            u2 = s.b
-        else:
-            break
-    return u2
+    a = np.array([s.a for s in segments])
+    b = np.array([s.b for s in segments])
+    if np.any(a[1:] != b[:-1]):
+        raise ValueError("segments must tile an interval in order")
+    eig = np.array([s.eig_ub for s in segments])
+    w = b - a
+    slope = np.concatenate(([0.0], np.cumsum(eig * w)))
+    curv = np.concatenate(([0.0], np.cumsum(slope[:-1] * w + eig * w * w / 2)))
+    grad_ub = np.array([s.grad_ub for s in segments])
+    grad = np.concatenate(([0.0], np.cumsum(grad_ub * w)))
+    return np.append(a, b[-1]), curv, slope, grad
 
 
 def find_u1_u2(segments):
@@ -226,24 +187,32 @@ def find_u1_u2(segments):
     extension, so the pair maximizing u2 is returned (ties prefer the larger
     u1).  Returns (u1, u2) on success or (None, stage).
     """
-    n = len(segments)
-    last_ok = -1
-    for i in range(n):
-        if not _curvature_negative_on(segments, i):
-            break
-        last_ok = i
-    if last_ok < 0:
+    r, curv, slope, grad = edge_integrals(segments)
+    eig = np.array([s.eig_ub for s in segments])
+    # I < 0 on (r_k, r_k+1]: at the right edge (the left one is checked with
+    # the previous segment, and I(r_0) = 0) and, on a concave segment, at the
+    # interior vertex where I' vanishes
+    concave = np.where(eig < 0.0, eig, -1.0)
+    vertex = r[:-1] - slope[:-1] / concave
+    top = curv[:-1] - slope[:-1] ** 2 / (2.0 * concave)
+    inside = (eig < 0.0) & (r[:-1] < vertex) & (vertex < r[1:])
+    ok = (curv[1:] < 0.0) & (~inside | (top < 0.0))
+    n_ok = len(ok) if ok.all() else int(np.argmin(ok))
+    if n_ok == 0:
         return None, "no_negative_curvature"
-    best_u1, best_u2 = None, -math.inf
-    for i1 in range(last_ok, -1, -1):
-        u1 = segments[i1].b
-        u2 = _max_extension(segments, last_ok, i1)
-        if u2 > best_u2:
-            best_u1, best_u2 = u1, u2
+    # Candidate u1 = r_e, e = 1..n_ok.  The gradient extension F = I(u1) +
+    # G(r) - G(u1) is linear per segment, so u2 is the last edge before the
+    # first edge beyond u1 where F >= 0.
+    e = np.arange(1, n_ok + 1)
+    beyond = np.arange(len(r)) > e[:, None]
+    stop = beyond & ~(curv[e, None] + (grad - grad[e, None]) < 0.0)
+    u2 = r[np.where(stop.any(axis=1), stop.argmax(axis=1), len(r)) - 1]
+    best = len(e) - 1 - int(np.argmax(u2[::-1]))    # ties: the larger u1
+    best_u1, best_u2 = float(r[e[best]]), float(u2[best])
     if best_u2 <= best_u1:
         # no segment extends; u2 = u1 is still a valid pair provided the
         # value bound already takes over there
-        u1 = segments[last_ok].b
+        u1 = float(r[n_ok])
         if all(s.q_ub < 1.0 for s in segments if s.a >= u1 - 1e-12):
             return u1, u1
         return None, "no_gradient_extension"
@@ -293,9 +262,11 @@ def certify_cell(delta: float, k1: int, config: CertifyConfig) -> CertificateRep
 
     n = config.n_segments
     dists = _unit_distances(n) * delta
+    # the last edge is Delta itself: (i + 1) * delta / n can round past it
+    edges = [i * delta / n for i in range(n)] + [delta]
     segments = [
-        qtri_segment_bounds((i * delta / n, (i + 1) * delta / n), partition,
-                            envelopes, rep, cell_dists=dists[i])
+        qtri_segment_bounds((edges[i], edges[i + 1]), partition, envelopes,
+                            rep, cell_dists=dists[i])
         for i in range(n)
     ]
     u1, u2 = find_u1_u2(segments)

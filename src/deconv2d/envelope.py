@@ -156,14 +156,6 @@ class StepEnvelope:
         return m
 
 
-def envelope_query(env: StepEnvelope, r: float) -> float:
-    return env.query(r)
-
-
-def envelope_seg_max(env: StepEnvelope, a: float, b: float) -> float:
-    return env.seg_max(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Vectorized interval kernel (arrays of lower/upper bounds)
 
@@ -477,10 +469,6 @@ def build_envelopes(spec: EnvelopeGridSpec, kinds=None) -> dict:
                                  values=v, tail=_tail_value(kind, zlo, zhi),
                                  k1=spec.k1, tres=spec.tres, ures=spec.ures)
     return out
-
-
-def build_envelope(spec: EnvelopeGridSpec, kind: str) -> StepEnvelope:
-    return build_envelopes(spec, [kind])[kind]
 
 
 # ---------------------------------------------------------------------------

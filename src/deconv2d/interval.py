@@ -194,32 +194,3 @@ def iv_arith(op: str, a: Interval, b: Interval | None = None) -> Interval:
             raise TypeError(f"{op} needs two operands")
         return binary[op](a, b)
     raise ValueError(f"unknown interval op {op!r}")
-
-
-@dataclass(frozen=True)
-class Interval2:
-    """An axis-aligned rectangle: the product of two intervals."""
-
-    x: Interval
-    y: Interval
-
-    @staticmethod
-    def point(px: float, py: float) -> "Interval2":
-        return Interval2(Interval.point(px), Interval.point(py))
-
-    def __add__(self, other: "Interval2") -> "Interval2":
-        return Interval2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Interval2") -> "Interval2":
-        return Interval2(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "Interval2":
-        return Interval2(-self.x, -self.y)
-
-    def norm_sq(self) -> Interval:
-        """Contains {x^2 + y^2 : (x, y) in the rectangle}."""
-        return self.x.sqr() + self.y.sqr()
-
-
-def iv_norm_sq(p: Interval2) -> Interval:
-    return p.norm_sq()

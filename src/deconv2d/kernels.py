@@ -12,13 +12,12 @@ Three radially symmetric point-spread models are supported:
   K(r) = (2 J1(3.8317 r) / (3.8317 r))^2, normalized so K(0) = 1 and the first
   zero sits at r = 1.
 
-J1 is implemented here (power series below x = 12, Hankel asymptotic beyond)
-so the package has no special-function dependency; accuracy ~1e-10.
+J1 is ``scipy.special.j1``, imported on the first Airy evaluation: loading
+``scipy.special`` adds about a third to the package's import time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,60 +42,6 @@ def gaussian_jet(t):
     x, y = t[..., 0], t[..., 1]
     K = np.exp(-0.5 * (x * x + y * y))
     return (K, -x * K, -y * K, (x * x - 1.0) * K, (y * y - 1.0) * K, x * y * K)
-
-
-# ---------------------------------------------------------------------------
-# Bessel J1
-
-
-def _j1_series(x):
-    """Power series sum for |x| < ~12."""
-    x = np.asarray(x, dtype=float)
-    half = 0.5 * x
-    q = -half * half  # -(x/2)^2
-    term = np.array(half, copy=True)  # k = 0 term: (x/2) / (0! 1!)
-    total = np.array(term, copy=True)
-    for k in range(1, 40):
-        term = term * q / (k * (k + 1))
-        total += term
-    return total
-
-
-def _j1_asymptotic(x):
-    """Hankel expansion for x >= ~12 (mu = 4 nu^2 = 4)."""
-    x = np.asarray(x, dtype=float)
-    mu = 4.0
-    inv8x = 1.0 / (8.0 * x)
-    # c_k = prod_{j=1..k} (mu - (2j-1)^2) / (k! 8^k x^k)
-    P = np.ones_like(x)
-    Q = np.zeros_like(x)
-    c = np.ones_like(x)
-    sign = 1.0
-    for k in range(1, 12):
-        c = c * (mu - (2 * k - 1) ** 2) / k * inv8x
-        if k % 2 == 1:
-            Q = Q + sign * c
-            sign = -sign  # flip after completing each (P, Q) pair
-        else:
-            P = P + sign * c
-    chi = x - 0.75 * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (P * np.cos(chi) - Q * np.sin(chi))
-
-
-def besselj1(x):
-    """First-kind Bessel function of order one, vectorized, ~1e-10 accurate."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    ax = np.abs(x)
-    small = ax < 12.0
-    if np.any(small):
-        out[small] = _j1_series(ax[small])
-    if np.any(~small):
-        out[~small] = _j1_asymptotic(ax[~small])
-    out = np.where(x < 0, -out, out)  # J1 is odd
-    return out[0] if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +89,11 @@ def kernel_eval(model: KernelModel, t):
         return (np.exp(-2.0 * r2 / (_MICRO_W1 ** 2))
                 + _MICRO_A2 * np.exp(-2.0 * (r - _MICRO_R2) ** 2 / (_MICRO_W2 ** 2)))
     if model.kind == "airy":
+        from scipy.special import j1
+
         z = AIRY_SCALE * r
         with np.errstate(invalid="ignore", divide="ignore"):
-            amp = np.where(z > 1e-8, 2.0 * besselj1(np.maximum(z, 1e-300)) / np.maximum(z, 1e-300),
+            amp = np.where(z > 1e-8, 2.0 * j1(np.maximum(z, 1e-300)) / np.maximum(z, 1e-300),
                            1.0 - z * z / 8.0)  # series limit near 0
         return amp * amp
     raise ValueError(f"unknown kernel kind {model.kind!r}")

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .bumpwave import KINDS, SpikeConfig, bw_coefficients, bw_eval, bw_grad
-from .envelope import OutOfValidatedRange, envelope_query, tail_constants, zeta_band
+from .envelope import OutOfValidatedRange, tail_constants, zeta_band
 from .hexgeom import HexPartition, d_U
 
 
@@ -85,7 +85,6 @@ class SchurReport:
     alpha_inf: float
     beta_inf: float
     gamma_inf: float
-    alpha_minus_tau_inf: float
     alpha_lb: float
 
 
@@ -115,26 +114,24 @@ def schur_bounds(nb: NormBounds) -> SchurReport:
     """Run the scalar bound chain; record which conditions fail."""
     nan = math.nan
     if not nb.i_minus_w2y < 1.0:
-        return SchurReport((False, False, False), nan, nan, nan, nan, nan)
+        return SchurReport((False, False, False), nan, nan, nan, nan)
     w2y_inv = 1.0 / (1.0 - nb.i_minus_w2y)
     i_minus_s1 = nb.i_minus_w1x + nb.w2x * w2y_inv * nb.w1y
     if not i_minus_s1 < 1.0:
-        return SchurReport((True, False, False), nan, nan, nan, nan, nan)
+        return SchurReport((True, False, False), nan, nan, nan, nan)
     s1_inv = 1.0 / (1.0 - i_minus_s1)
     s2 = nb.b_x + nb.w2x * w2y_inv * nb.b_y
     i_minus_s3 = (nb.i_minus_b + nb.w1 * s1_inv * s2
                   + nb.w2 * w2y_inv * (nb.w1y * s1_inv * s2 + nb.b_y))
     if not i_minus_s3 < 1.0:
-        return SchurReport((True, True, False), nan, nan, nan, nan, nan)
+        return SchurReport((True, True, False), nan, nan, nan, nan)
     s3_inv = 1.0 / (1.0 - i_minus_s3)
-    amt = s3_inv * i_minus_s3
     return SchurReport(
         conditions_hold=(True, True, True),
         alpha_inf=s3_inv,
         beta_inf=s1_inv * s2 * s3_inv,
         gamma_inf=s1_inv * s2 * s3_inv,
-        alpha_minus_tau_inf=amt,
-        alpha_lb=1.0 - amt,
+        alpha_lb=1.0 - s3_inv * i_minus_s3,
     )
 
 
@@ -213,40 +210,17 @@ def numeric_certificate(T, tau, zeta: float, origin=(0.0, 0.0)) -> NumericCertif
 
 # -- small dense SVD --------------------------------------------------------
 
-def svd_small(M, tol: float = 1e-10, max_sweeps: int = 60) -> np.ndarray:
-    """Singular values by one-sided Jacobi, descending.
+def svd_small(M) -> np.ndarray:
+    """Singular values of a dense 2-D matrix, descending.
 
-    Columns are rotated pairwise until all are numerically orthogonal
-    (relative inner product below ``tol``); the singular values are then the
-    column norms.  Quadratic convergence makes the sweep cap generous.
+    Values at or below the rank tolerance of ``np.linalg.matrix_rank``
+    (sigma_max * max(shape) * eps) are round-off and are returned as 0, so
+    exactly dependent columns give exact zeros.
     """
     A = np.array(M, dtype=float)
     if not np.all(np.isfinite(A)):
         raise NonFinite("matrix contains non-finite entries")
     if A.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    if A.shape[0] < A.shape[1]:
-        A = A.T.copy()
-    n = A.shape[1]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                a = float(A[:, i] @ A[:, i])
-                b = float(A[:, j] @ A[:, j])
-                c = float(A[:, i] @ A[:, j])
-                if abs(c) <= tol * math.sqrt(a * b):
-                    continue
-                off = max(off, abs(c) / math.sqrt(a * b) if a * b > 0 else 0.0)
-                zeta_r = (b - a) / (2.0 * c)
-                t = math.copysign(1.0, zeta_r) / (abs(zeta_r)
-                                                  + math.hypot(1.0, zeta_r))
-                cs = 1.0 / math.hypot(1.0, t)
-                sn = cs * t
-                ai = A[:, i].copy()
-                A[:, i] = cs * ai - sn * A[:, j]
-                A[:, j] = sn * ai + cs * A[:, j]
-        if off == 0.0:
-            break
-    sv = np.sqrt(np.sum(A * A, axis=0))
-    return np.sort(sv)[::-1]
+    sv = np.linalg.svd(A, compute_uv=False)
+    return np.where(sv > sv[:1] * max(A.shape) * np.finfo(float).eps, sv, 0.0)

@@ -9,11 +9,11 @@ from deconv2d.certify import (
     CoefficientBoundExceeded,
     SegmentBound,
     certify_cell,
+    edge_integrals,
     far_field_check,
     find_u1_u2,
     qtri_segment_bounds,
     recovery_sweep,
-    regions_integrals,
 )
 from deconv2d.hexgeom import build_partition
 from deconv2d.schur import (
@@ -49,6 +49,16 @@ def test_certified_working_cell(report):
     assert all(s.q_lb <= s.q_ub for s in report.segments)
 
 
+def test_last_edge_is_delta_on_the_cli_grid(cfg):
+    """Delta = 5.749999999999994 from the CLI's unrounded grid: (i+1)*Delta/n
+    once overshot Delta on the last segment and the cell raised."""
+    delta = float(np.arange(4.0, 6.0 + 1e-12, 0.05)[35])
+    assert delta == 5.749999999999994
+    rep = certify_cell(delta, K1, cfg)
+    assert rep.segments[-1].b == delta
+    assert rep.certified
+
+
 def test_fail_small_delta(cfg):
     r = certify_cell(2.0, K1, cfg)
     assert r.verdict == "failed(schur)"
@@ -78,7 +88,7 @@ def test_segment_bounds_match_direct_distances(cfg, report):
 
 def test_qtri_coefficient_budget(cfg):
     part = build_partition(DELTA)
-    bad = SchurReport((True, True, True), 2.5, 0.1, 0.1, 0.5, 0.5)
+    bad = SchurReport((True, True, True), 2.5, 0.1, 0.1, 0.5)
     with pytest.raises(CoefficientBoundExceeded):
         qtri_segment_bounds((1.0, 1.1), part, cfg.envelopes_by_k1[K1], bad)
 
@@ -86,11 +96,11 @@ def test_qtri_coefficient_budget(cfg):
 def test_regions_constant_curvature():
     segs = [SegmentBound(i / 10, (i + 1) / 10, 0, 0, 0.5, -2.0)
             for i in range(10)]
-    r = 0.7
-    out = regions_integrals(segs, r)
-    assert out["curvature_integral_ub"] == pytest.approx(-2.0 * r * r / 2)
-    out = regions_integrals(segs, 1.0, lo=0.4)
-    assert out["gradient_integral_ub"] == pytest.approx(0.5 * 0.6)
+    r, curv, slope, grad = edge_integrals(segs)
+    assert r[7] == 0.7
+    assert curv[7] == pytest.approx(-2.0 * 0.7 * 0.7 / 2)
+    assert slope[7] == pytest.approx(-2.0 * 0.7)
+    assert grad[10] - grad[4] == pytest.approx(0.5 * 0.6)
 
 
 def test_regions_quadrature_oracle():
@@ -101,19 +111,30 @@ def test_regions_quadrature_oracle():
         grad = rng.uniform(-3, 3, len(edges) - 1)
         segs = [SegmentBound(a, b, 0, 0, g, e)
                 for a, b, g, e in zip(edges[:-1], edges[1:], grad, eig)]
-        r = float(rng.uniform(0.3, 2.0))
-        lo = float(rng.uniform(0.0, r))
-        out = regions_integrals(segs, r, lo=lo)
+        r_k, curv_k, _, grad_k = edge_integrals(segs)
+        assert np.array_equal(r_k, edges)
+        k_lo = int(rng.integers(0, len(edges) - 1))
+        for k in range(1, len(edges)):
+            r = edges[k]
+            # 10^5 nodes: the trapezoid rule smears each step of the profile
+            # over one node spacing, and every edge is checked here
+            s = np.linspace(0, r, 10**5)
+            step_e = eig[np.minimum(np.searchsorted(edges, s, side="right") - 1,
+                                    len(eig) - 1)]
+            curv = np.trapezoid(step_e * (r - s), s)
+            assert abs(curv_k[k] - curv) < 1e-3
+            if k <= k_lo:
+                continue
+            s2 = np.linspace(edges[k_lo], r, 10**5)
+            step_g = grad[np.minimum(np.searchsorted(edges, s2, side="right") - 1,
+                                     len(grad) - 1)]
+            assert abs(grad_k[k] - grad_k[k_lo] - np.trapezoid(step_g, s2)) < 1e-3
 
-        s = np.linspace(0, r, 10**4)
-        step_e = eig[np.minimum(np.searchsorted(edges, s, side="right") - 1,
-                                len(eig) - 1)]
-        curv = np.trapezoid(step_e * (r - s), s)
-        assert abs(out["curvature_integral_ub"] - curv) < 1e-3
-        s2 = np.linspace(lo, r, 10**4)
-        step_g = grad[np.minimum(np.searchsorted(edges, s2, side="right") - 1,
-                                 len(grad) - 1)]
-        assert abs(out["gradient_integral_ub"] - np.trapezoid(step_g, s2)) < 1e-3
+
+def test_edge_integrals_need_a_tiling():
+    segs = [SegmentBound(0.0, 1.0, 0, 0, 0, -1), SegmentBound(1.5, 2.0, 0, 0, 0, -1)]
+    with pytest.raises(ValueError):
+        edge_integrals(segs)
 
 
 def _mk(eigs, grads, q_ub=0.5):
@@ -141,12 +162,65 @@ def test_find_u1_u2_extension():
     assert u1 is not None and u2 > u1
 
 
+def _direct_search(segs):
+    """find_u1_u2 by direct integration at every candidate radius, O(n^3)."""
+    def curv(r):
+        return sum(s.eig_ub * ((r - min(s.a, r)) ** 2 - (r - min(s.b, r)) ** 2)
+                   / 2 for s in segs)
+
+    def grad(lo, r):
+        return sum(s.grad_ub * (min(max(s.b, lo), r) - min(max(s.a, lo), r))
+                   for s in segs)
+
+    last_ok = -1
+    for s in segs:
+        slope = sum(t.eig_ub * (min(t.b, s.a) - min(t.a, s.a)) for t in segs)
+        rv = s.a - slope / s.eig_ub if s.eig_ub < 0 else s.a
+        if (curv(s.a) > 0 or not curv(s.b) < 0
+                or (s.a < rv < s.b and not curv(rv) < 0)):
+            break
+        last_ok += 1
+    if last_ok < 0:
+        return None, "no_negative_curvature"
+    best_u1, best_u2 = None, -math.inf
+    for i1 in range(last_ok, -1, -1):
+        u1 = u2 = segs[i1].b
+        for s in segs[i1 + 1:]:
+            if not curv(u1) + grad(u1, s.b) < 0:
+                break
+            u2 = s.b
+        if u2 > best_u2:
+            best_u1, best_u2 = u1, u2
+    if best_u2 <= best_u1:
+        u1 = segs[last_ok].b
+        if all(s.q_ub < 1.0 for s in segs if s.a >= u1 - 1e-12):
+            return u1, u1
+        return None, "no_gradient_extension"
+    return best_u1, best_u2
+
+
+def test_find_u1_u2_matches_direct_integration():
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(300):
+        n = 12
+        eig = rng.uniform(-3, 1, n) + np.linspace(0, 2, n)
+        grad = rng.uniform(-0.5, 1.5, n)
+        segs = _mk(eig, grad, q_ub=float(rng.choice([0.5, 1.5])))
+        got = find_u1_u2(segs)
+        assert got == _direct_search(segs)
+        outcomes.add(got[1] if got[0] is None else got[0] == got[1])
+    # every exit of the search is reached
+    assert outcomes == {"no_negative_curvature", "no_gradient_extension",
+                        True, False}
+
+
 def test_far_field_trivial():
     z = NormBounds(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     rep = schur_bounds(z)
     assert far_field_check(rep, z)
     big = NormBounds(1.2, 0, 0, 0, 0, 0, 0, 0, 0.2, 0, 0)
-    rep = SchurReport((True, True, True), 1.0, 0.0, 0.0, 0.0, 1.0)
+    rep = SchurReport((True, True, True), 1.0, 0.0, 0.0, 1.0)
     assert not far_field_check(rep, big)
 
 

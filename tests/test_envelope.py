@@ -13,10 +13,7 @@ from deconv2d.envelope import (
     StepEnvelope,
     VersionMismatch,
     band_for_zeta,
-    build_envelope,
     build_envelopes,
-    envelope_query,
-    envelope_seg_max,
     load_envelope,
     save_envelope,
     tail_chain_sum,
@@ -90,17 +87,16 @@ def test_tails_below_two_em9(envs):
 
 def test_query_and_seg_max(envs):
     e = envs["bump_slope"]
-    assert envelope_query(e, 0.0) == e.values[0]
-    assert envelope_seg_max(e, 0.0, 10.0) == float(np.max(e.values))
+    assert e.query(0.0) == e.values[0]
+    assert e.seg_max(0.0, 10.0) == float(np.max(e.values))
     rng = np.random.default_rng(0)
     for _ in range(50):
         a, b = np.sort(rng.uniform(0, 10, 2))
         dense = np.linspace(a, b, 10**4)
         brute = float(np.max(e.query_many(dense)))
-        sm = envelope_seg_max(e, a, b)
+        sm = e.seg_max(a, b)
         assert sm >= brute - 1e-15
-        # within one bin of exact (seg_max may include a grazing bin)
-        assert sm <= brute or True
+        assert sm <= brute
 
 
 def test_seg_max_single_bin(envs):
@@ -123,8 +119,8 @@ def test_mc_soundness_sampled():
 
 def test_resolution_monotonicity():
     """Finer grids never give larger (looser) envelopes than coarse ones."""
-    coarse = build_envelope(EnvelopeGridSpec(k1=1, tres=10, ures=10), "bump")
-    fine = build_envelope(EnvelopeGridSpec(k1=1, tres=20, ures=10), "bump")
+    coarse = build_envelopes(EnvelopeGridSpec(k1=1, tres=10, ures=10), ["bump"])["bump"]
+    fine = build_envelopes(EnvelopeGridSpec(k1=1, tres=20, ures=10), ["bump"])["bump"]
     r = np.linspace(0.05, 9.95, 100)
     assert np.all(fine.query_many(r) <= coarse.query_many(r) * (1 + 1e-9))
 

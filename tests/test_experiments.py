@@ -113,6 +113,19 @@ def test_cli_certify_sweep(tmp_path):
     assert float(by_delta[5.5]["alpha_inf"]) <= 2.0
 
 
+def test_cli_certify_readme_grid(tmp_path):
+    """The README's unrounded 4.0..6.0 grid holds Delta = 5.749999999999994,
+    whose last segment edge once overshot Delta and crashed the command."""
+    desk_envelopes(5)
+    out = tmp_path / "c.csv"
+    rc = cli_main(["certify", "--delta-min", "4.0", "--delta-max", "6.0",
+                   "--zeta-bands", "5", "--envelope-cache", _CACHE_DIR,
+                   "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 41
+
+
 def test_cli_svd_and_demo(tmp_path):
     out = tmp_path / "s.csv"
     assert cli_main(["svd", "--dprime", "2.0", "--zeta", "0.5",

@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from deconv2d.kernels import (
     AIRY_SCALE,
     SIGMA0,
     KernelModel,
-    besselj1,
     gaussian_jet,
     kernel_eval,
 )
@@ -66,15 +64,6 @@ def test_jet_finite_differences():
     assert np.max(np.abs(fdxx - Kxx)) < 1e-4
     assert np.max(np.abs(fdyy - Kyy)) < 1e-4
     assert np.max(np.abs(fdxy - Kxy)) < 1e-4
-
-
-def test_besselj1_against_scipy():
-    x = np.concatenate([np.linspace(0, 30, 40001), [11.99, 12.0, 12.01, 100.0]])
-    ours = besselj1(x)
-    ref = scipy.special.j1(x)
-    assert np.max(np.abs(ours - ref)) < 1e-10
-    # odd function
-    assert besselj1(-3.5) == -besselj1(3.5)
 
 
 def test_kernel_at_zero():
