@@ -7,7 +7,7 @@ interval    outward-rounded interval arithmetic
 kernels     convolution kernels (Gaussian, fluorescence microscopy fit, Airy)
 bumpwave    bump/wave interpolation basis and its coefficients
 envelope    radial step-function envelopes built by interval evaluation
-hexgeom     hexagonal partition, distances, far-field bounds
+hexgeom     hexagonal partition, cell distances as array code
 schur       block norm bounds, Schur chain, numeric certificates, singular values
 certify     segment-based recovery certifier and parameter sweeps
 solver      basis-pursuit solvers and exact-recovery trials

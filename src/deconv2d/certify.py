@@ -74,13 +74,9 @@ _UNIT_DISTS: dict = {}
 
 def _unit_distances(n_segments: int) -> np.ndarray:
     if n_segments not in _UNIT_DISTS:
-        part = build_partition(1.0)
-        out = np.empty((n_segments, len(part.cells)))
-        for i in range(n_segments):
-            a, b = i / n_segments, (i + 1) / n_segments
-            for j, cell in enumerate(part.cells):
-                out[i, j] = segment_cell_distance(a, b, cell)
-        _UNIT_DISTS[n_segments] = out
+        i = np.arange(n_segments)[:, None]
+        _UNIT_DISTS[n_segments] = segment_cell_distance(
+            i / n_segments, (i + 1) / n_segments, build_partition(1.0).vertices)
     return _UNIT_DISTS[n_segments]
 
 
@@ -97,63 +93,68 @@ def _grad_norm(envelopes, prefix: str, r) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def qtri_segment_bounds(seg, partition, envelopes,
-                        schur: SchurReport, cell_dists=None) -> SegmentBound:
-    """Bounds on Q over one segment of the positive axis.
+def qtri_segment_bounds(edges, partition, envelopes,
+                        schur: SchurReport, cell_dists=None) -> tuple:
+    """Bounds on Q over the segments [edges[i], edges[i+1]] of the positive
+    axis, one ``SegmentBound`` per segment.
 
-    ``cell_dists`` optionally supplies the per-cell segment distances (the
+    ``cell_dists`` optionally supplies the (segments x cells) distances (the
     sweep precomputes them at Delta = 1 and dilates); otherwise they are
     computed exactly here.
     """
-    a, b = float(seg[0]), float(seg[1])
-    if not (0 <= a <= b <= partition.delta):
-        raise ValueError(f"segment [{a}, {b}] outside [0, {partition.delta}]")
+    edges = np.asarray(edges, dtype=float)
+    if not (edges.ndim == 1 and len(edges) >= 2 and 0 <= edges[0]
+            and np.all(edges[:-1] <= edges[1:])
+            and edges[-1] <= partition.delta):
+        raise ValueError(f"edges must ascend within [0, {partition.delta}]")
     if not all(schur.conditions_hold):
         raise ValueError("schur conditions must hold")
     _require_coefficient_budget(schur)
+    a, b = edges[:-1], edges[1:]
     if cell_dists is None:
-        cell_dists = np.array([segment_cell_distance(a, b, c)
-                               for c in partition.cells])
+        cell_dists = segment_cell_distance(a[:, None], b[:, None],
+                                           partition.vertices)
     # Two global constraints sharpen the raw segment-to-cell distance: every
     # other spike is farther from t than the origin spike (>= a), and has
     # norm >= Delta while |t| <= b (>= Delta - b).  Without the second clamp
     # the inner-layer cells, which overlap the exclusion disk, would dominate
     # every bound near the spike.
-    d_u = np.maximum(cell_dists, max(a, partition.delta - b))
+    d_u = np.maximum(cell_dists, np.maximum(a, partition.delta - b)[:, None])
     al, be, ga = schur.alpha_inf, schur.beta_inf, schur.gamma_inf
-    ra = np.array([a])
 
-    def q_terms(r):
-        return (al * envelopes["bump"].query_many(r)
-                + be * envelopes["wave1"].query_many(r)
-                + ga * envelopes["wave2"].query_many(r))
-
-    neighbor_q = float(np.sum(q_terms(d_u)))
-    wave_self = float(be * envelopes["wave1"].query_many(ra)[0]
-                      + ga * envelopes["wave2"].query_many(ra)[0])
-    bump_self = float(al * envelopes["bump"].query_many(ra)[0])
+    # np.sum along the contiguous rows (axis=1) adds each row in the same
+    # pairwise order as a 1-D sum of that row, so a segment's bounds do not
+    # depend on how many segments are evaluated together
+    neighbor_q = np.sum(al * envelopes["bump"].query_many(d_u)
+                        + be * envelopes["wave1"].query_many(d_u)
+                        + ga * envelopes["wave2"].query_many(d_u), axis=1)
+    wave_self = (be * envelopes["wave1"].query_many(a)
+                 + ga * envelopes["wave2"].query_many(a))
+    bump_self = al * envelopes["bump"].query_many(a)
     q_ub = bump_self + wave_self + neighbor_q + EPS_SEG
     q_lb = -(wave_self + neighbor_q + EPS_SEG)
 
     omega = envelopes["bump_slope"].seg_max(a, b)
-    grad_self = max(schur.alpha_lb * omega, al * omega)
-    grad_neighbor = float(np.sum(al * _grad_norm(envelopes, "bump", d_u)
-                                 + be * _grad_norm(envelopes, "wave1", d_u)
-                                 + ga * _grad_norm(envelopes, "wave2", d_u)))
-    grad_wave_self = float(be * _grad_norm(envelopes, "wave1", ra)[0]
-                           + ga * _grad_norm(envelopes, "wave2", ra)[0])
+    grad_self = np.maximum(schur.alpha_lb * omega, al * omega)
+    grad_neighbor = np.sum(al * _grad_norm(envelopes, "bump", d_u)
+                           + be * _grad_norm(envelopes, "wave1", d_u)
+                           + ga * _grad_norm(envelopes, "wave2", d_u), axis=1)
+    grad_wave_self = (be * _grad_norm(envelopes, "wave1", a)
+                      + ga * _grad_norm(envelopes, "wave2", a))
     grad_ub = grad_self + grad_wave_self + grad_neighbor + EPS_SEG
 
     eta = envelopes["bump_eig_max"].seg_max(a, b)
-    eig_self = max(schur.alpha_lb * eta, al * eta)
-    eig_neighbor = float(np.sum(al * envelopes["bump_eig"].query_many(d_u)
-                                + be * envelopes["wave1_eig"].query_many(d_u)
-                                + ga * envelopes["wave2_eig"].query_many(d_u)))
-    eig_wave_self = float(be * envelopes["wave1_eig"].query_many(ra)[0]
-                          + ga * envelopes["wave2_eig"].query_many(ra)[0])
+    eig_self = np.maximum(schur.alpha_lb * eta, al * eta)
+    eig_neighbor = np.sum(al * envelopes["bump_eig"].query_many(d_u)
+                          + be * envelopes["wave1_eig"].query_many(d_u)
+                          + ga * envelopes["wave2_eig"].query_many(d_u), axis=1)
+    eig_wave_self = (be * envelopes["wave1_eig"].query_many(a)
+                     + ga * envelopes["wave2_eig"].query_many(a))
     eig_ub = eig_self + eig_wave_self + eig_neighbor + EPS_SEG
 
-    return SegmentBound(a, b, q_ub, q_lb, grad_ub, eig_ub)
+    return tuple(SegmentBound(*f) for f in zip(
+        a.tolist(), b.tolist(), q_ub.tolist(), q_lb.tolist(),
+        grad_ub.tolist(), eig_ub.tolist()))
 
 
 def edge_integrals(segments):
@@ -261,14 +262,10 @@ def certify_cell(delta: float, k1: int, config: CertifyConfig) -> CertificateRep
         return fail("far_field")
 
     n = config.n_segments
-    dists = _unit_distances(n) * delta
     # the last edge is Delta itself: (i + 1) * delta / n can round past it
-    edges = [i * delta / n for i in range(n)] + [delta]
-    segments = [
-        qtri_segment_bounds((edges[i], edges[i + 1]), partition, envelopes,
-                            rep, cell_dists=dists[i])
-        for i in range(n)
-    ]
+    edges = np.append(np.arange(n) * delta / n, delta)
+    segments = qtri_segment_bounds(edges, partition, envelopes, rep,
+                                   cell_dists=_unit_distances(n) * delta)
     u1, u2 = find_u1_u2(segments)
     if u1 is None:
         return fail(u2, segments, ff=True)

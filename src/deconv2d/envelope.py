@@ -141,19 +141,27 @@ class StepEnvelope:
     def query(self, r: float) -> float:
         return float(self.query_many(r))
 
-    def seg_max(self, a: float, b: float) -> float:
-        """Max bin value over bins intersecting [a, b] (+ tail if b > 10)."""
-        if not 0 <= a <= b:
-            raise ValueError(f"bad segment [{a}, {b}]")
+    def seg_max(self, a, b):
+        """Max bin value over bins intersecting [a, b] (+ tail if b > 10).
+
+        Elementwise over arrays of segments; scalar input gives a float.
+        """
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if not np.all((0 <= a) & (a <= b)):
+            raise ValueError("segments need 0 <= a <= b")
         top = self.breakpoints[-1]
-        lo = np.searchsorted(self.breakpoints, a, side="left") - 1
-        lo = min(max(lo, 0), len(self.values) - 1)
-        hi = np.searchsorted(self.breakpoints, min(b, top), side="left") - 1
-        hi = min(max(hi, lo), len(self.values) - 1)
-        m = float(np.max(self.values[lo:hi + 1]))
-        if b > top:
-            m = max(m, self.tail)
-        return m
+        last = len(self.values) - 1
+        lo = np.clip(np.searchsorted(self.breakpoints, a, side="left") - 1,
+                     0, last)
+        hi = np.searchsorted(self.breakpoints, np.minimum(b, top),
+                             side="left") - 1
+        hi = np.minimum(np.maximum(hi, lo), last)
+        bins = np.arange(len(self.values))
+        covered = (bins >= lo[..., None]) & (bins <= hi[..., None])
+        m = np.max(np.where(covered, self.values, -np.inf), axis=-1)
+        m = np.where(b > top, np.maximum(m, self.tail), m)
+        return float(m) if m.ndim == 0 else m
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,9 @@ def _cmd_certificate_demo(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="deconv2d")
-    p.add_argument("--config", help="key = value defaults file")
+    p.add_argument("--config",
+                   help="key = value defaults file; sets optional flags "
+                        "only, required flags must be on the command line")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("envelopes", help="build one band's envelope cache")

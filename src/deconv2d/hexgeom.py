@@ -1,4 +1,4 @@
-"""Hexagonal partition of the plane and the distance machinery built on it.
+"""Hexagonal partition of the plane and the cell distances the certifier uses.
 
 Cells are flat-top regular hexagons of side Delta/2 (diameter Delta, so each
 cell holds at most one spike), centered on the axial lattice
@@ -6,6 +6,10 @@ e1 = (3Delta/4, sqrt(3)Delta/4), e2 = (0, sqrt(3)Delta/2), with one vertex of
 the central cell on the positive x axis.  Layer l is the axial ring at
 distance l; it holds 6l cells and the partition keeps layers 1..8 (216 cells),
 everything further away being controlled by closed-form tail bounds.
+
+The distance functions take stacked cell vertices of shape (..., 6, 2),
+counterclockwise, and broadcast over the leading axes; only the six hexagon
+edges are looped over.
 """
 
 from __future__ import annotations
@@ -22,17 +26,11 @@ class InvalidCase(ValueError):
     pass
 
 
-class EmptyFeasible(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class HexCell:
     center: np.ndarray
     layer: int
     vertices: np.ndarray  # (6, 2)
-    q: int
-    r: int
 
 
 @dataclass(frozen=True)
@@ -40,15 +38,7 @@ class HexPartition:
     delta: float
     cells: tuple
     n8: int
-
-
-def _hex_vertices(center, side):
-    ang = np.arange(6) * (math.pi / 3.0)
-    return center + side * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-
-
-def _ring(q, r):
-    return (abs(q) + abs(r) + abs(q + r)) // 2
+    vertices: np.ndarray  # (n8, 6, 2), the cells' vertices stacked
 
 
 def build_partition(delta: float, layers: int = 8) -> HexPartition:
@@ -57,329 +47,102 @@ def build_partition(delta: float, layers: int = 8) -> HexPartition:
     s = delta / 2.0
     e1 = np.array([1.5 * s, SQ3 * s / 2.0])
     e2 = np.array([0.0, SQ3 * s])
-    cells = []
-    for q in range(-layers, layers + 1):
-        for r in range(-layers, layers + 1):
-            l = _ring(q, r)
-            if 1 <= l <= layers:
-                c = q * e1 + r * e2
-                cells.append(HexCell(c, l, _hex_vertices(c, s), q, r))
-    cells.sort(key=lambda c: (c.layer, math.atan2(c.center[1], c.center[0])))
-    return HexPartition(delta, tuple(cells), len(cells))
+    q, r = (g.ravel() for g in np.mgrid[-layers:layers + 1, -layers:layers + 1])
+    ring = (np.abs(q) + np.abs(r) + np.abs(q + r)) // 2
+    keep = (ring >= 1) & (ring <= layers)
+    q, r, ring = q[keep], r[keep], ring[keep]
+    centers = q[:, None] * e1 + r[:, None] * e2
+    order = np.lexsort((np.arctan2(centers[:, 1], centers[:, 0]), ring))
+    centers, ring = centers[order], ring[order]
+    ang = np.arange(6) * (math.pi / 3.0)
+    vertices = centers[:, None, :] + s * np.stack([np.cos(ang), np.sin(ang)],
+                                                  axis=1)
+    cells = tuple(HexCell(c, int(l), v)
+                  for c, l, v in zip(centers, ring, vertices))
+    return HexPartition(delta, cells, len(cells), vertices)
 
 
-def cell_index_of(partition: HexPartition, p) -> tuple[int, int]:
-    """Axial (q, r) of the cell containing p (cube rounding)."""
-    s = partition.delta / 2.0
-    x, y = float(p[0]), float(p[1])
-    q = x / (1.5 * s)
-    r = y / (SQ3 * s) - q / 2.0
-    # cube round
-    cx, cz = q, r
-    cy = -cx - cz
-    rx, ry, rz = round(cx), round(cy), round(cz)
-    dx, dy, dz = abs(rx - cx), abs(ry - cy), abs(rz - cz)
-    if dx > dy and dx > dz:
-        rx = -ry - rz
-    elif dy > dz:
-        ry = -rx - rz
-    else:
-        rz = -rx - ry
-    return int(rx), int(rz)
+# -- elementary distances, broadcast over points, segments and cells --------
+
+def _edges(vertices):
+    """Start and end points of each hexagon edge: four (..., 6) arrays."""
+    v = np.asarray(vertices, dtype=float)
+    w = np.roll(v, -1, axis=-2)
+    return v[..., 0], v[..., 1], w[..., 0], w[..., 1]
 
 
-def point_in_hex(cell: HexCell, p, delta: float) -> bool:
-    d = np.asarray(p, dtype=float) - cell.center
-    apothem = SQ3 * delta / 4.0
-    for k in range(3):
-        a = math.pi / 6.0 + k * math.pi / 3.0  # edge normals of a flat-top hex
-        if abs(d[0] * math.cos(a) + d[1] * math.sin(a)) > apothem + 1e-12:
-            return False
-    return True
+def _pt_seg_dist(px, py, ax, ay, bx, by):
+    abx, aby = bx - ax, by - ay
+    t = (px - ax) * abx + (py - ay) * aby
+    den = abx * abx + aby * aby
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(den == 0, 0.0, np.clip(t / den, 0.0, 1.0))
+    return np.hypot(px - (ax + t * abx), py - (ay + t * aby))
 
 
-# -- elementary distances ---------------------------------------------------
-
-def _pt_seg_dist(p, a, b):
-    ab = b - a
-    t = float(np.dot(p - a, ab))
-    den = float(np.dot(ab, ab))
-    t = 0.0 if den == 0 else min(max(t / den, 0.0), 1.0)
-    return float(np.hypot(*(p - (a + t * ab))))
+def _orient(ax, ay, bx, by, cx, cy):
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return np.where(np.abs(v) < 1e-14, 0.0, np.sign(v))
 
 
-def _segs_intersect(p1, p2, p3, p4):
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if abs(v) < 1e-14 else (1 if v > 0 else -1)
-
-    o1, o2 = orient(p1, p2, p3), orient(p1, p2, p4)
-    o3, o4 = orient(p3, p4, p1), orient(p3, p4, p2)
-    if o1 != o2 and o3 != o4:
-        return True
-    return False
-
-
-def _seg_seg_dist(p1, p2, p3, p4):
-    if _segs_intersect(p1, p2, p3, p4):
-        return 0.0
-    return min(_pt_seg_dist(p1, p3, p4), _pt_seg_dist(p2, p3, p4),
-               _pt_seg_dist(p3, p1, p2), _pt_seg_dist(p4, p1, p2))
-
-
-def _point_in_polygon(p, vertices):
-    # convex, counterclockwise
-    n = len(vertices)
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) < -1e-12:
-            return False
-    return True
-
-
-def point_polygon_distance(p, vertices) -> float:
-    p = np.asarray(p, dtype=float)
-    if _point_in_polygon(p, vertices):
-        return 0.0
-    n = len(vertices)
-    return min(_pt_seg_dist(p, vertices[i], vertices[(i + 1) % n])
-               for i in range(n))
+def _inside(px, py, edges):
+    """Whether the points lie in the convex counterclockwise polygons."""
+    ax, ay, bx, by = edges
+    ok = True
+    for i in range(ax.shape[-1]):
+        cross = ((bx[..., i] - ax[..., i]) * (py - ay[..., i])
+                 - (by[..., i] - ay[..., i]) * (px - ax[..., i]))
+        ok = ok & (cross >= -1e-12)
+    return ok
 
 
 # -- constrained distances --------------------------------------------------
 
-def d_U(cell: HexCell, delta: float) -> float:
-    """inf{|x| : x in U, |x| >= delta}.
+def d_U(vertices, delta: float) -> np.ndarray:
+    """inf{|x| : x in U, |x| >= delta} for each cell U.
 
     If the whole cell clears the exclusion radius this is the plain distance
     from the origin; if the cell straddles the circle the constraint binds
     and the infimum is delta itself.
     """
-    m = point_polygon_distance(np.zeros(2), cell.vertices)
-    if m >= delta:
-        return m
-    M = float(np.max(np.hypot(cell.vertices[:, 0], cell.vertices[:, 1])))
-    if M >= delta:
-        return delta
-    raise InvalidCase("cell entirely inside the exclusion disk")
+    edges = _edges(vertices)
+    ax, ay, bx, by = edges
+    m = np.inf
+    for i in range(ax.shape[-1]):
+        m = np.minimum(m, _pt_seg_dist(0.0, 0.0, ax[..., i], ay[..., i],
+                                       bx[..., i], by[..., i]))
+    m = np.where(_inside(0.0, 0.0, edges), 0.0, m)
+    M = np.max(np.hypot(ax, ay), axis=-1)
+    if np.any((m < delta) & (M < delta)):
+        raise InvalidCase("cell entirely inside the exclusion disk")
+    return np.where(m >= delta, m, delta)
 
 
-def segment_cell_distance(a: float, b: float, cell: HexCell) -> float:
-    """Exact distance between [a, b] x {0} and the (convex) hexagon."""
-    if not 0 <= a <= b:
-        raise ValueError(f"bad segment [{a}, {b}]")
-    p1 = np.array([a, 0.0])
-    p2 = np.array([b, 0.0])
-    if _point_in_polygon(p1, cell.vertices) or _point_in_polygon(p2, cell.vertices):
-        return 0.0
-    n = len(cell.vertices)
-    return min(_seg_seg_dist(p1, p2, cell.vertices[i], cell.vertices[(i + 1) % n])
-               for i in range(n))
+def segment_cell_distance(a, b, vertices) -> np.ndarray:
+    """Exact distance between [a, b] x {0} and each (convex) hexagon.
 
-
-def layer_distance_bound(l: int, delta: float, z_norm: float) -> float:
-    """(3l - 2) delta / 4 - z_norm: how far any spike in layer l must be from
-    a point z with |z| <= delta."""
-    if l < 2 or delta < 2 or z_norm > delta:
-        raise InvalidCase("preconditions: l >= 2, delta >= 2, |z| <= delta")
-    return (3 * l - 2) * delta / 4.0 - z_norm
-
-
-# -- optional far-field sharpening (local nine-cell layout) -----------------
-#
-# The nine-cell bounds use a local pointy-top layout around the cell of the
-# evaluation point: neighbor centers at multiples of 60 degrees and radius
-# c = sqrt(3) Delta / 2.  U1 = (c, 0), U2 = (-c, 0), U3/U4 upper/lower left,
-# U5/U6 upper/lower right, U7/U8 = (3c/2, +-sqrt(3)c/2), U9 = (2c, 0).  The
-# nearest spike t1 sits on [l1, r1] x {0}; t2 in the strip of U2 with
-# x in [l2, r2].
-
-def norms9_cells(delta: float) -> list[np.ndarray]:
-    c = SQ3 * delta / 2.0
-    centers = [np.array([c, 0.0]), np.array([-c, 0.0]),
-               np.array([-c / 2, SQ3 * c / 2]), np.array([-c / 2, -SQ3 * c / 2]),
-               np.array([c / 2, SQ3 * c / 2]), np.array([c / 2, -SQ3 * c / 2]),
-               np.array([3 * c / 2, SQ3 * c / 2]), np.array([3 * c / 2, -SQ3 * c / 2]),
-               np.array([2 * c, 0.0])]
-    ang = math.pi / 6.0 + np.arange(6) * (math.pi / 3.0)  # pointy-top vertices
-    offs = (delta / 2.0) * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return [ctr + offs for ctr in centers]
-
-
-def norms9_bounds(l1: float, r1: float, l2: float, r2: float,
-                  delta: float) -> np.ndarray:
-    """Closed-form lower bounds on |t_i| for spikes t_i in the nine cells,
-    given the nearest spike t1 in [l1, r1] x {0} and t2's strip [l2, r2]."""
-    if not (delta / 2 <= l1 <= r1 <= delta):
-        raise InvalidCase(f"need delta/2 <= l1 <= r1 <= delta, got {l1}, {r1}")
-    c = SQ3 * delta / 2.0
-    if not (-1.5 * c - 1e-9 <= l2 <= r2 <= -0.5 * c + 1e-9):
-        raise InvalidCase(f"t2 strip [{l2}, {r2}] outside U2's x-extent")
-    b = np.empty(9)
-    b[0] = l1
-    b[1] = max(abs(r2), l1)
-    b[2] = max(l1, math.sqrt(max(0.0, delta**2 - l2**2)))
-    b[3] = l1
-    t56 = max(l1, math.sqrt(max(0.0, delta**2 - r1**2)))
-    b[4] = t56
-    b[5] = t56
-    y1 = SQ3 * delta / 2.0
-    ref = l1 if (l1 + r1) / 2.0 <= y1 else r1
-    y2 = math.sqrt(max(0.0, delta**2 - (y1 - ref) ** 2))
-    b[6] = math.hypot(y1, y2)
-    b[7] = b[6]
-    b[8] = _t9_bound(l1, delta)
-    return b
-
-
-def _t9_bound(l1: float, delta: float) -> float:
-    # intersection of the circle of radius delta around (l1, 0) with the
-    # top-left edge line of U9; fall back to the plain distance to U9 when
-    # the circle misses the edge
-    fallback = 3 * SQ3 * delta / 4.0
-    if l1 <= SQ3 * delta / 2.0:
-        # edge line y2 = y1/sqrt(3) - delta/2
-        A = 4.0 / 3.0
-        B = -(2 * l1 + delta / SQ3)
-        C = l1 * l1 + delta * delta / 4.0 - delta * delta
-        line = lambda y1: y1 / SQ3 - delta / 2.0
-    else:
-        # edge line y2 = -y1/sqrt(3) + 3 delta/2
-        A = 4.0 / 3.0
-        B = -(2 * l1 + SQ3 * delta)
-        C = l1 * l1 + 9 * delta * delta / 4.0 - delta * delta
-        line = lambda y1: -y1 / SQ3 + 1.5 * delta
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return fallback
-    best = math.inf
-    for sgn in (-1.0, 1.0):
-        y1 = (-B + sgn * math.sqrt(disc)) / (2 * A)
-        y2 = line(y1)
-        best = min(best, math.hypot(y1, y2))
-    return best if math.isfinite(best) else fallback
-
-
-# -- constrained minimum norm over polygon minus disks ----------------------
-
-def _poly_min_norm_point(vertices):
-    if _point_in_polygon(np.zeros(2), vertices):
-        return np.zeros(2)
-    best, bp = math.inf, None
-    n = len(vertices)
-    for i in range(n):
-        a, bb = vertices[i], vertices[(i + 1) % n]
-        ab = bb - a
-        t = float(np.dot(-a, ab)) / float(np.dot(ab, ab))
-        t = min(max(t, 0.0), 1.0)
-        p = a + t * ab
-        d = float(np.hypot(*p))
-        if d < best:
-            best, bp = d, p
-    return bp
-
-
-def _circle_polygon_arcs(center, radius, vertices):
-    """Angular intervals (start, end), going ccw, of the circle lying inside
-    the convex polygon."""
-    crossings = []
-    n = len(vertices)
-    for i in range(n):
-        a, bb = vertices[i], vertices[(i + 1) % n]
-        d = bb - a
-        f = a - center
-        A = float(np.dot(d, d))
-        B = 2.0 * float(np.dot(f, d))
-        C = float(np.dot(f, f)) - radius * radius
-        disc = B * B - 4 * A * C
-        if disc <= 0:
-            continue
-        for sgn in (-1.0, 1.0):
-            t = (-B + sgn * math.sqrt(disc)) / (2 * A)
-            if 0.0 <= t <= 1.0:
-                p = a + t * d - center
-                crossings.append(math.atan2(p[1], p[0]) % (2 * math.pi))
-    if not crossings:
-        probe = center + np.array([radius, 0.0])
-        return [(0.0, 2 * math.pi)] if _point_in_polygon(probe, vertices) else []
-    crossings = sorted(set(crossings))
-    arcs = []
-    m = len(crossings)
-    for i in range(m):
-        s, e = crossings[i], crossings[(i + 1) % m] + (2 * math.pi if i == m - 1 else 0)
-        mid = (s + e) / 2.0
-        p = center + radius * np.array([math.cos(mid), math.sin(mid)])
-        if _point_in_polygon(p, vertices):
-            arcs.append((s, e))
-    return arcs
-
-
-def _subtract_arc(arcs, cut):
-    """Remove the (wrapped) open angular interval ``cut`` from each arc."""
-    two_pi = 2 * math.pi
-    start = cut[0] % two_pi
-    length = cut[1] - cut[0]
-    out = []
-    for arc in arcs:
-        segs = [arc]
-        for k in (-1, 0, 1):  # unroll the cut across the wrap
-            c0 = start + two_pi * k
-            c1 = c0 + length
-            nsegs = []
-            for b0, b1 in segs:
-                if c1 <= b0 or c0 >= b1:
-                    nsegs.append((b0, b1))
-                    continue
-                if c0 > b0:
-                    nsegs.append((b0, c0))
-                if c1 < b1:
-                    nsegs.append((c1, b1))
-            segs = nsegs
-        out.extend(segs)
-    return [(a, b) for a, b in out if b - a > 1e-12]
-
-
-def min_norm_outside(vertices, disks) -> float:
-    """inf |v| over the polygon minus a union of open disks.
-
-    Candidates per the convex-minimization case split: the unconstrained
-    polygon minimizer if it survives the exclusions, else minima along the
-    disk boundaries clipped to the polygon and the other exclusions.
+    ``a`` and ``b`` broadcast against the leading axes of ``vertices``: pass
+    column vectors of edges and a (cells, 6, 2) stack for a segment-by-cell
+    table.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    p0 = _poly_min_norm_point(vertices)
-    covered = any(np.hypot(*(p0 - c)) < r - 1e-12 for c, r in disks)
-    if not covered:
-        return float(np.hypot(*p0))
-    best = math.inf
-    for i, (ci, ri) in enumerate(disks):
-        arcs = _circle_polygon_arcs(np.asarray(ci, float), ri, vertices)
-        for j, (cj, rj) in enumerate(disks):
-            if i == j or not arcs:
-                continue
-            d = float(np.hypot(*(np.asarray(cj) - np.asarray(ci))))
-            if d >= ri + rj:
-                continue
-            if d + ri <= rj:
-                arcs = []
-                continue
-            cosphi = (d * d + ri * ri - rj * rj) / (2 * d * ri)
-            phi = math.acos(min(max(cosphi, -1.0), 1.0))
-            ang = math.atan2(cj[1] - ci[1], cj[0] - ci[0])
-            arcs = _subtract_arc(arcs, (ang - phi, ang + phi))
-        ci = np.asarray(ci, dtype=float)
-        nci = float(np.hypot(*ci))
-        for s, e in arcs:
-            cand = [s, e]
-            if nci > 1e-12:
-                th = math.atan2(-ci[1], -ci[0]) % (2 * math.pi)
-                for k in (0, 1):
-                    t = th + 2 * math.pi * k
-                    if s <= t <= e:
-                        cand.append(t)
-            for t in cand:
-                p = ci + ri * np.array([math.cos(t), math.sin(t)])
-                best = min(best, float(np.hypot(*p)))
-    if not math.isfinite(best):
-        raise EmptyFeasible("polygon minus exclusions is empty")
-    return best
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not np.all((0 <= a) & (a <= b)):
+        raise ValueError("segments need 0 <= a <= b")
+    edges = _edges(vertices)
+    ax, ay, bx, by = edges
+    dist = np.inf
+    for i in range(ax.shape[-1]):
+        px, py, qx, qy = ax[..., i], ay[..., i], bx[..., i], by[..., i]
+        crossing = ((_orient(a, 0.0, b, 0.0, px, py)
+                     != _orient(a, 0.0, b, 0.0, qx, qy))
+                    & (_orient(px, py, qx, qy, a, 0.0)
+                       != _orient(px, py, qx, qy, b, 0.0)))
+        near = np.minimum(
+            np.minimum(_pt_seg_dist(a, 0.0, px, py, qx, qy),
+                       _pt_seg_dist(b, 0.0, px, py, qx, qy)),
+            np.minimum(_pt_seg_dist(px, py, a, 0.0, b, 0.0),
+                       _pt_seg_dist(qx, qy, a, 0.0, b, 0.0)))
+        dist = np.minimum(dist, np.where(crossing, 0.0, near))
+    ends_inside = _inside(a, 0.0, edges) | _inside(b, 0.0, edges)
+    return np.where(ends_inside, 0.0, dist)

@@ -101,11 +101,11 @@ def block_norm_bounds(partition: HexPartition, envelopes: dict,
     if partition.delta < 2.0:
         raise OutOfValidatedRange(f"delta {partition.delta} < 2")
     eps = tail_constants(zeta_band(k1)[1])
-    dists = [d_U(c, partition.delta) for c in partition.cells]
+    dists = d_U(partition.vertices, partition.delta)
     vals = {}
     for name, (kind, is_wave) in _BLOCK_ENVELOPES.items():
         env = envelopes[kind]
-        s = float(np.sum(env.query_many(np.asarray(dists))))
+        s = float(np.sum(env.query_many(dists)))
         vals[name] = s + (eps["eps_W"] if is_wave else eps["eps_B"])
     return NormBounds(eps_b=eps["eps_B"], eps_w=eps["eps_W"], **vals)
 

@@ -17,17 +17,10 @@ from conftest import desk_envelopes, mc_envelope_violations
 from deconv2d.bumpwave import SpikeConfig, bw_coefficients, bw_eval, bw_grad
 from deconv2d.certify import CertifyConfig, certify_cell, recovery_sweep
 from deconv2d.envelope import ALL_KINDS, KIND_INFO, tail_chain_sum, zeta_band
-from deconv2d.hexgeom import min_norm_outside, norms9_bounds
 from deconv2d.schur import numeric_certificate, schur_bounds, svd_small
 from deconv2d.solver import recovery_trial
 from deconv2d.experiments import phase_diagram, svd_conditioning
 from test_bumpwave import cross_products, linear_solve_oracle, random_config
-from test_hexgeom import (
-    EmptyFeasible,
-    _brute_min,
-    _convex_hull,
-    norms9_feasible_norm_min,
-)
 from test_schur import random_support
 
 BANDS = (1, 5, 9, 13)
@@ -201,37 +194,3 @@ def test_ac09_kernel_zoo():
         assert bad[-1] < 1.0, (kernel, bad)
         details.append(f"{kernel}: 1.0 at 3u, {bad[-1]:.1f} at {low}u")
     _report("AC-9", time.monotonic() - t0, 600.0, "; ".join(details))
-
-
-def test_ac10_far_field_geometry():
-    t0 = time.monotonic()
-    rng = np.random.default_rng(1010)
-    n_cell = 120_000  # about 10^6 rejection samples per case across 9 cells
-    for case in range(10):
-        delta = rng.uniform(3.0, 5.0)
-        l1 = rng.uniform(delta / 2, delta)
-        r1 = rng.uniform(l1, delta)
-        l2 = rng.uniform(-1.25 * delta, -0.8 * delta)
-        r2 = rng.uniform(l2, -0.78 * delta)
-        b = norms9_bounds(l1, r1, l2, r2, delta)
-        for i in range(9):
-            m = norms9_feasible_norm_min(l1, r1, l2, r2, delta, i,
-                                         n_cell, rng)
-            assert b[i] <= m + 1e-9, (case, i, b[i], m)
-    # exclusion-aware minimum norm vs. its rejection oracle
-    checked = 0
-    while checked < 5:
-        raw = rng.uniform(-1, 1, (12, 2)) + rng.uniform(1.2, 2.5, 2)
-        hull = _convex_hull(raw)
-        disks = [((c[0], c[1]), rng.uniform(0.2, 0.9))
-                 for c in (hull.mean(axis=0) + rng.uniform(-1, 1, (2, 2)))]
-        try:
-            brute = _brute_min(hull, disks, n=10**6,
-                               seed=int(rng.integers(1 << 30)))
-        except EmptyFeasible:
-            continue
-        val = min_norm_outside(hull, disks)
-        assert val <= brute + 1e-9
-        assert abs(val - brute) < 5e-3
-        checked += 1
-    _report("AC-10", time.monotonic() - t0, 120.0, "10 cases + 5 instances")

@@ -77,13 +77,24 @@ def test_segment_bounds_match_direct_distances(cfg, report):
     """The dilated unit-distance cache equals per-segment exact distances."""
     part = build_partition(DELTA)
     envs = cfg.envelopes_by_k1[K1]
-    for i in (0, 37, 99):
-        s = report.segments[i]
-        direct = qtri_segment_bounds((s.a, s.b), part, envs, report.schur)
+    edges = [s.a for s in report.segments] + [report.segments[-1].b]
+    direct = qtri_segment_bounds(edges, part, envs, report.schur)
+    assert len(direct) == len(report.segments) == 100
+    for s, d in zip(report.segments, direct):
+        assert (d.a, d.b) == (s.a, s.b)
         # dilation rounding can push a cell distance across an envelope bin
         # edge, so agreement is close but not bit-exact
         for f in ("q_ub", "q_lb", "grad_ub", "eig_ub"):
-            assert getattr(direct, f) == pytest.approx(getattr(s, f), abs=1e-3)
+            assert getattr(d, f) == pytest.approx(getattr(s, f), abs=1e-3)
+
+
+def test_qtri_rejects_bad_edges(cfg, report):
+    part = build_partition(DELTA)
+    envs = cfg.envelopes_by_k1[K1]
+    for edges in ((-0.1, 1.0), (1.0, DELTA + 0.1), (1.0, 0.5),
+                  (0.0, 2.0, 1.5, 3.0), (0.0, math.nan), (1.0,)):
+        with pytest.raises(ValueError, match="edges"):
+            qtri_segment_bounds(edges, part, envs, report.schur)
 
 
 def test_qtri_coefficient_budget(cfg):

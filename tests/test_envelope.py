@@ -97,6 +97,18 @@ def test_query_and_seg_max(envs):
         sm = e.seg_max(a, b)
         assert sm >= brute - 1e-15
         assert sm <= brute
+    # arrays work elementwise, tail included; a scalar call gives a float
+    ab = np.sort(rng.uniform(0, 12, (200, 2)), axis=1)
+    ab[0] = (3.0, 3.0)
+    many = e.seg_max(ab[:, 0], ab[:, 1])
+    assert many.shape == (200,)
+    assert np.array_equal(many, [e.seg_max(a, b) for a, b in ab])
+    assert type(e.seg_max(1.0, 2.0)) is float
+    assert e.seg_max(11.0, 12.0) == e.tail
+    for a, b in ((-0.1, 1.0), (2.0, 1.0), (np.array([0.0, 2.0]),
+                                           np.array([1.0, 1.0]))):
+        with pytest.raises(ValueError):
+            e.seg_max(a, b)
 
 
 def test_seg_max_single_bin(envs):

@@ -170,3 +170,18 @@ def test_cli_config_precedence(tmp_path):
     bad.write_text("broken line\n")
     assert cli_main(["--config", str(bad), "recover", "--delta", "2",
                      "--zeta", "0.5", "--out", str(out)]) == 1
+
+
+def test_cli_config_cannot_supply_required_flags(tmp_path, capsys):
+    """A config file sets optional flags only: argparse rejects the missing
+    required flag before the file is applied, so the command is a usage
+    error (exit 1) and writes nothing."""
+    cfg = tmp_path / "cfg"
+    cfg.write_text("delta_min = 5.4\n")
+    out = tmp_path / "c.csv"
+    rc = cli_main(["--config", str(cfg), "certify", "--delta-max", "5.6",
+                   "--zeta-bands", "5", "--envelope-cache", _CACHE_DIR,
+                   "--out", str(out)])
+    assert rc == 1
+    assert "--delta-min" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 from deconv2d.hexgeom import (
-    EmptyFeasible,
     InvalidCase,
     build_partition,
-    cell_index_of,
     d_U,
-    layer_distance_bound,
-    min_norm_outside,
-    norms9_bounds,
-    norms9_cells,
-    point_in_hex,
-    point_polygon_distance,
     segment_cell_distance,
 )
 
@@ -26,24 +18,109 @@ def part():
     return build_partition(DELTA)
 
 
+def point_in_poly_vec(pts, vertices):
+    ok = np.ones(len(pts), dtype=bool)
+    n = len(vertices)
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        cr = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
+        ok &= cr >= -1e-12
+    return ok
+
+
+def sample_in_cell(rng, cell, n):
+    """n uniform points of the cell, by rejection from its bounding square."""
+    out = []
+    while len(out) < n:
+        p = cell.center + rng.uniform(-DELTA / 2, DELTA / 2, (n, 2))
+        out.extend(p[point_in_poly_vec(p, cell.vertices)])
+    return np.array(out[:n])
+
+
+# -- scalar per-pair oracle: one point, segment or cell at a time -----------
+
+def _pt_seg(p, a, b):
+    ab = b - a
+    den = float(np.dot(ab, ab))
+    t = 0.0 if den == 0 else min(max(float(np.dot(p - a, ab)) / den, 0.0), 1.0)
+    return float(np.hypot(*(p - (a + t * ab))))
+
+
+def _orient(a, b, c):
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return 0 if abs(v) < 1e-14 else (1 if v > 0 else -1)
+
+
+def _hex_edges(vertices):
+    return [(vertices[i], vertices[(i + 1) % len(vertices)])
+            for i in range(len(vertices))]
+
+
+def _in_poly(p, vertices):
+    return all((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+               >= -1e-12 for a, b in _hex_edges(vertices))
+
+
+def oracle_segment_cell_distance(a, b, vertices):
+    p1, p2 = np.array([a, 0.0]), np.array([b, 0.0])
+    if _in_poly(p1, vertices) or _in_poly(p2, vertices):
+        return 0.0
+    best = math.inf
+    for p3, p4 in _hex_edges(vertices):
+        if (_orient(p1, p2, p3) != _orient(p1, p2, p4)
+                and _orient(p3, p4, p1) != _orient(p3, p4, p2)):
+            return 0.0
+        best = min(best, _pt_seg(p1, p3, p4), _pt_seg(p2, p3, p4),
+                   _pt_seg(p3, p1, p2), _pt_seg(p4, p1, p2))
+    return best
+
+
+def oracle_d_U(vertices, delta):
+    origin = np.zeros(2)
+    if _in_poly(origin, vertices):
+        return delta
+    return max(min(_pt_seg(origin, a, b) for a, b in _hex_edges(vertices)),
+               delta)
+
+
+def test_array_geometry_matches_scalar_oracle():
+    """Separately rounded products in place of the oracle's np.dot (fused
+    where BLAS uses FMA) move a distance by a few ulps at most."""
+    delta = 5.749999999999994      # from the CLI's unrounded Delta grid
+    p = build_partition(delta)
+    rng = np.random.default_rng(4)
+    ab = np.sort(rng.uniform(0, delta, (40, 2)), axis=1)
+    ab[0] = (0.0, delta / 100)     # the first certifier segment
+    ab[1] = (delta / 2, delta / 2)  # a point
+    ab[2] = (0.99 * delta, delta)  # the last one
+    got = segment_cell_distance(ab[:, :1], ab[:, 1:], p.vertices)
+    want = [[oracle_segment_cell_distance(a, b, c.vertices) for c in p.cells]
+            for a, b in ab]
+    assert got.shape == (40, 216)
+    assert 0 < np.count_nonzero(got) < got.size
+    tol = 8 * np.finfo(float).eps
+    np.testing.assert_allclose(got, want, rtol=tol, atol=0)
+    np.testing.assert_allclose(
+        d_U(p.vertices, delta),
+        [oracle_d_U(c.vertices, delta) for c in p.cells], rtol=tol, atol=0)
+
+
 def test_layer_counts(part):
     counts = {}
     for c in part.cells:
         counts[c.layer] = counts.get(c.layer, 0) + 1
     assert counts == {l: 6 * l for l in range(1, 9)}
     assert part.n8 == 216
+    assert part.vertices.shape == (216, 6, 2)
+    assert all(np.array_equal(c.vertices, v)
+               for c, v in zip(part.cells, part.vertices))
 
 
 def test_cell_diameter(part):
     rng = np.random.default_rng(0)
     for c in part.cells[:20]:
         # random pairs inside the hexagon stay within delta
-        pts = []
-        while len(pts) < 50:
-            p = c.center + rng.uniform(-DELTA / 2, DELTA / 2, 2)
-            if point_in_hex(c, p, DELTA):
-                pts.append(p)
-        pts = np.array(pts)
+        pts = sample_in_cell(rng, c, 50)
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         assert d.max() < DELTA + 1e-9
     for c in part.cells:
@@ -60,28 +137,29 @@ def test_dilation():
 
 
 def test_tiling_unique_cover(part):
-    """Random points map to exactly one cell of the full tiling."""
+    """Random points lie in at most one cell of the tiling; only the central
+    hexagon, which the partition leaves out, is uncovered."""
     rng = np.random.default_rng(1)
-    by_qr = {(c.q, c.r): c for c in part.cells}
-    hits = 0
-    for _ in range(10**4):
-        p = rng.uniform(-2.2 * DELTA, 2.2 * DELTA, 2)
-        q, r = cell_index_of(part, p)
-        inside = [c for c in part.cells
-                  if abs(c.center[0] - p[0]) < DELTA and
-                  abs(c.center[1] - p[1]) < DELTA and
-                  point_in_hex(c, p, DELTA * (1 - 1e-9))]
-        if (q, r) in by_qr:
-            assert point_in_hex(by_qr[(q, r)], p, DELTA)
-            assert all((c.q, c.r) == (q, r) for c in inside)
-            hits += 1
-    assert hits > 5000
+    pts = rng.uniform(-2.2 * DELTA, 2.2 * DELTA, (10**4, 2))
+    hits = np.zeros(len(pts), dtype=int)
+    for c in part.cells:
+        shrunk = c.center + (1 - 1e-9) * (c.vertices - c.center)
+        hits += point_in_poly_vec(pts, shrunk)
+    assert hits.max() <= 1
+    assert np.count_nonzero(hits == 1) > 5000
 
 
 def test_d_U_layer1_clamps(part):
     for c in part.cells:
         if c.layer == 1:
-            assert d_U(c, DELTA) == DELTA
+            assert d_U(c.vertices, DELTA) == DELTA
+
+
+def test_d_U_inside_exclusion_disk():
+    with pytest.raises(InvalidCase):
+        d_U(build_partition(1.0).vertices, 10.0)
+    with pytest.raises(InvalidCase):
+        d_U(build_partition(1.0).cells[0].vertices, 10.0)
 
 
 def test_d_U_brute_force(part):
@@ -90,28 +168,23 @@ def test_d_U_brute_force(part):
         if c.layer not in (1, 3, 8):
             continue
         # brute-force the constrained min norm by dense sampling
-        samp = []
-        while len(samp) < 4000:
-            p = c.center + rng.uniform(-DELTA / 2, DELTA / 2, (4000, 2))
-            ok = [point_in_hex(c, x, DELTA) for x in p]
-            samp.extend(p[np.array(ok)])
-        samp = np.array(samp)
+        samp = sample_in_cell(rng, c, 4000)
         norms = np.hypot(samp[:, 0], samp[:, 1])
         norms = norms[norms >= DELTA]
-        val = d_U(c, DELTA)
+        val = d_U(c.vertices, DELTA)
         if len(norms):
             assert val <= norms.min() + 1e-9
             assert val >= norms.min() - 0.05 * DELTA  # oracle resolution
     # layer-3 nearest cell obeys the layer bound
     l3 = min((c for c in part.cells if c.layer == 3),
              key=lambda c: np.hypot(*c.center))
-    assert d_U(l3, DELTA) >= (3 * 3 - 2) * DELTA / 4 - 1e-9
+    assert d_U(l3.vertices, DELTA) >= (3 * 3 - 2) * DELTA / 4 - 1e-9
 
 
 def test_d_U_scales():
     pa, pb = build_partition(3.0), build_partition(6.0)
-    for a, b in zip(pa.cells, pb.cells):
-        assert abs(2 * d_U(a, 3.0) - d_U(b, 6.0)) < 1e-9
+    assert np.all(np.abs(2 * d_U(pa.vertices, 3.0) - d_U(pb.vertices, 6.0))
+                  < 1e-9)
 
 
 def test_segment_cell_distance(part):
@@ -122,19 +195,22 @@ def test_segment_cell_distance(part):
     c0 = min(on_axis, key=lambda c: c.center[0])
     a = c0.center[0] - 0.1
     b = c0.center[0] + 0.1
-    assert segment_cell_distance(a, b, c0) == 0.0
+    assert segment_cell_distance(a, b, c0.vertices) == 0.0
+    # both ends outside, passing through: the axis meets the partition's
+    # cells only at vertices and along edges, so take a pointy-top hexagon
+    ang = math.pi / 6 + np.arange(6) * (math.pi / 3)
+    pointy = np.stack([3 + np.cos(ang), np.sin(ang)], axis=1)
+    assert segment_cell_distance(1.0, 5.0, pointy) == 0.0
+    assert oracle_segment_cell_distance(1.0, 5.0, pointy) == 0.0
+    assert segment_cell_distance(0.5, 1.5, pointy) == pytest.approx(
+        1.5 - math.cos(math.pi / 6))
     # oracle: dense point pairs
     for c in part.cells[::17]:
         a, b = sorted(rng.uniform(0, DELTA, 2))
-        d = segment_cell_distance(a, b, c)
+        d = segment_cell_distance(a, b, c.vertices)
         xs = np.linspace(a, b, 200)
         seg = np.stack([xs, np.zeros_like(xs)], axis=1)
-        pts = []
-        while len(pts) < 2000:
-            p = c.center + rng.uniform(-DELTA / 2, DELTA / 2, (2000, 2))
-            ok = [point_in_hex(c, x, DELTA) for x in p]
-            pts.extend(p[np.array(ok)])
-        pts = np.array(pts[:2000])
+        pts = sample_in_cell(rng, c, 2000)
         brute = np.min(np.linalg.norm(seg[:, None] - pts[None], axis=-1))
         assert d <= brute + 1e-9
         assert d >= brute - 0.1 * DELTA
@@ -142,143 +218,14 @@ def test_segment_cell_distance(part):
     for c in part.cells[::13]:
         mirror = next(cc for cc in part.cells
                       if np.allclose(cc.center, [c.center[0], -c.center[1]]))
-        assert abs(segment_cell_distance(0.3, 1.7, c)
-                   - segment_cell_distance(0.3, 1.7, mirror)) < 1e-12
+        assert abs(segment_cell_distance(0.3, 1.7, c.vertices)
+                   - segment_cell_distance(0.3, 1.7, mirror.vertices)) < 1e-12
 
 
-def test_layer_distance_bound():
-    assert layer_distance_bound(9, 2.0, 2.0) == 10.5
-    assert layer_distance_bound(2, 4.0, 0.0) == 4.0
-    for l in range(2, 20):
-        assert (layer_distance_bound(l + 1, 3.0, 1.0)
-                - layer_distance_bound(l, 3.0, 1.0)) == pytest.approx(9 / 4)
-    with pytest.raises(InvalidCase):
-        layer_distance_bound(1, 2.0, 0.0)
-
-
-def test_norms9_examples():
-    d = 4.0
-    b = norms9_bounds(d / 2, d / 2, -1.2 * d, -0.5 * d, d)
-    assert abs(b[4] - math.sqrt(3) * d / 2) < 1e-12
-    b = norms9_bounds(0.6 * d, d, -1.2 * d, -0.5 * d, d)
-    assert b[4] == 0.6 * d  # degenerate arc: sqrt term vanishes
-    with pytest.raises(InvalidCase):
-        norms9_bounds(0.3 * d, 0.5 * d, -d, -0.6 * d, d)
-
-
-def point_in_poly_vec(pts, vertices):
-    ok = np.ones(len(pts), dtype=bool)
-    n = len(vertices)
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        cr = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-        ok &= cr >= -1e-12
-    return ok
-
-
-def sample_in_poly(rng, vertices, n):
-    lo = vertices.min(axis=0)
-    hi = vertices.max(axis=0)
-    out = []
-    while len(out) < n:
-        p = rng.uniform(lo, hi, (2 * n, 2))
-        out.extend(p[point_in_poly_vec(p, vertices)])
-    return np.array(out[:n])
-
-
-def norms9_feasible_norm_min(l1, r1, l2, r2, delta, i, n, rng):
-    """Min |t_i| over rejection-sampled feasible (t1, t2, t_i) triples."""
-    cells = norms9_cells(delta)
-    t1 = np.stack([rng.uniform(l1, r1, n), np.zeros(n)], axis=1)
-    u2 = sample_in_poly(rng, cells[1], n)
-    ok2 = (u2[:, 0] >= l2) & (u2[:, 0] <= r2) & (u2[:, 1] >= 0)
-    ok2 &= np.linalg.norm(u2 - t1, axis=1) >= delta
-    ok2 &= np.linalg.norm(u2, axis=1) >= np.linalg.norm(t1, axis=1)
-    if i == 1:
-        n2 = np.linalg.norm(u2[ok2], axis=1)
-        return n2.min() if len(n2) else math.inf
-    ti = sample_in_poly(rng, cells[i], n)
-    ok = np.linalg.norm(ti - t1, axis=1) >= delta
-    ok &= np.linalg.norm(ti, axis=1) >= np.linalg.norm(t1, axis=1)
-    if i == 2:  # t3 additionally respects t2
-        ok &= ok2 & (np.linalg.norm(ti - u2, axis=1) >= delta)
-    ni = np.linalg.norm(ti[ok], axis=1)
-    return ni.min() if len(ni) else math.inf
-
-
-def test_norms9_soundness_sampled():
-    """Reduced-size rejection audit (full 10^6-sample version in acceptance)."""
-    rng = np.random.default_rng(12)
-    for case in range(3):
-        delta = rng.uniform(3.0, 5.0)
-        l1 = rng.uniform(delta / 2, delta)
-        r1 = rng.uniform(l1, delta)
-        l2 = rng.uniform(-1.25 * delta, -0.8 * delta)
-        r2 = rng.uniform(l2, -0.78 * delta)
-        b = norms9_bounds(l1, r1, l2, r2, delta)
-        for i in range(9):
-            m = norms9_feasible_norm_min(l1, r1, l2, r2, delta, i, 40000, rng)
-            assert b[i] <= m + 1e-9, (case, i, b[i], m)
-
-
-def test_min_norm_outside_no_exclusions():
-    sq = np.array([[1.0, -1.0], [2.0, -1.0], [2.0, 1.0], [1.0, 1.0]])
-    assert abs(min_norm_outside(sq, []) - 1.0) < 1e-12
-    assert abs(min_norm_outside(sq, []) - point_polygon_distance((0, 0), sq)) < 1e-12
-
-
-def test_min_norm_outside_boundary_case():
-    sq = np.array([[1.0, -1.0], [3.0, -1.0], [3.0, 1.0], [1.0, 1.0]])
-    # disk centered at the nearest point pushes the optimum onto its boundary
-    v = min_norm_outside(sq, [((1.0, 0.0), 0.5)])
-    brute = _brute_min(sq, [((1.0, 0.0), 0.5)])
-    assert abs(v - brute) < 2e-3
-
-
-def _brute_min(vertices, disks, n=10**6, seed=9):
-    rng = np.random.default_rng(seed)
-    pts = sample_in_poly(rng, np.asarray(vertices, float), n)
-    keep = np.ones(len(pts), dtype=bool)
-    for c, r in disks:
-        keep &= np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) >= r
-    if not keep.any():
-        raise EmptyFeasible("brute force found nothing")
-    return float(np.min(np.hypot(pts[keep, 0], pts[keep, 1])))
-
-
-def test_min_norm_outside_random_instances():
-    rng = np.random.default_rng(21)
-    for _ in range(8):
-        # convex polygon: hull of random points shifted off the origin
-        raw = rng.uniform(-1, 1, (12, 2)) + rng.uniform(1.2, 2.5, 2)
-        hull = _convex_hull(raw)
-        disks = []
-        for _ in range(rng.integers(1, 4)):
-            c = hull.mean(axis=0) + rng.uniform(-1, 1, 2)
-            disks.append(((c[0], c[1]), rng.uniform(0.2, 0.9)))
-        try:
-            brute = _brute_min(hull, disks, n=2 * 10**5)
-        except EmptyFeasible:
-            continue
-        val = min_norm_outside(hull, disks)
-        assert val <= brute + 1e-9
-        assert abs(val - brute) < 5e-3
-
-
-def _convex_hull(pts):
-    pts = sorted(map(tuple, pts))
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return np.array(lower[:-1] + upper[:-1])
+def test_segment_cell_distance_rejects_bad_segments(part):
+    for a, b in ((-0.1, 1.0), (1.0, 0.5), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            segment_cell_distance(a, b, part.vertices)
+    with pytest.raises(ValueError):
+        segment_cell_distance(np.array([[0.0], [2.0]]), np.array([[1.0], [1.5]]),
+                              part.vertices)
