@@ -116,26 +116,3 @@ def bw_grad(cfg: SpikeConfig, coeffs: BumpWaveCoeffs, kind: str, t):
     c = coeffs.column(kind)
     d, g = _gaussians(cfg, t)
     return np.sum(c[..., :, None] * d * g[..., :, None], axis=-2)
-
-
-def bw_hessian(cfg: SpikeConfig, coeffs: BumpWaveCoeffs, kind: str, t):
-    """Exact 2x2 Hessian at t, for use as an oracle against the bound below."""
-    c = coeffs.column(kind)
-    d, g = _gaussians(cfg, t)
-    H = np.zeros(np.shape(t)[:-1] + (2, 2))
-    eye = np.eye(2)
-    for i in range(3):
-        di = d[..., i, :]
-        outer = di[..., :, None] * di[..., None, :]
-        H += c[i] * (outer - eye) * g[..., i, None, None]
-    return H
-
-
-def bw_hessian_quadform_bound(cfg: SpikeConfig, coeffs: BumpWaveCoeffs,
-                              kind: str, t):
-    """Upper bound on |v^T H v| over unit v: per-Gaussian eigenvalue sum
-    sum_i |c_i| max(|s_i - t|^2 - 1, 1) e^{-|s_i - t|^2/2}."""
-    c = coeffs.column(kind)
-    d, g = _gaussians(cfg, t)
-    n2 = np.sum(d * d, axis=-1)
-    return np.sum(np.abs(c) * np.maximum(n2 - 1.0, 1.0) * g, axis=-1)

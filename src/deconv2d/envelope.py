@@ -18,7 +18,7 @@ near the spike must be) negative; they carry no floor.
 
 Construction: the closed-form coefficient and sample expressions are evaluated
 with scalar outward-rounded intervals per u-cell, then combined with a
-vectorized (lo, hi)-array interval kernel over all t-cells at once, and
+vectorized (lo, hi)-array interval kernel in fixed-size t-cell chunks, and
 max-reduced into radial bins.  The vectorized kernel mirrors
 ``deconv2d.interval`` op for op and the two are cross-checked in the tests.
 
@@ -35,9 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interval import Interval, exp_outward
+from .interval import Interval, exp_outward, next_down, next_up
 
 FLOOR = 2e-9
+#: t-cells per kernel pass.  Small enough that every temporary of the array
+#: kernel (64 KB per float array) is reused from the heap rather than mapped
+#: fresh and page-faulted in on each operation.
+_CHUNK_CELLS = 8192
 
 #: all fourteen envelope kinds; (base, expr, monotone)
 KIND_INFO = {
@@ -167,20 +171,12 @@ class StepEnvelope:
 # ---------------------------------------------------------------------------
 # Vectorized interval kernel (arrays of lower/upper bounds)
 
-def _vd(x):
-    return np.nextafter(x, -np.inf)
-
-
-def _vu(x):
-    return np.nextafter(x, np.inf)
-
-
 def v_add(a, b):
-    return _vd(a[0] + b[0]), _vu(a[1] + b[1])
+    return next_down(a[0] + b[0]), next_up(a[1] + b[1])
 
 
 def v_sub(a, b):
-    return _vd(a[0] - b[1]), _vu(a[1] - b[0])
+    return next_down(a[0] - b[1]), next_up(a[1] - b[0])
 
 
 def v_mul(a, b):
@@ -188,7 +184,7 @@ def v_mul(a, b):
     p3, p4 = a[1] * b[0], a[1] * b[1]
     lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
     hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return _vd(lo), _vu(hi)
+    return next_down(lo), next_up(hi)
 
 
 def v_sqr(a):
@@ -197,8 +193,8 @@ def v_sqr(a):
     m = np.minimum(lo_abs, hi_abs)
     M = np.maximum(lo_abs, hi_abs)
     straddle = (a[0] <= 0) & (a[1] >= 0)
-    lo = np.where(straddle, 0.0, _vd(m * m))
-    return lo, _vu(M * M)
+    lo = np.where(straddle, 0.0, next_down(m * m))
+    return lo, next_up(M * M)
 
 
 def v_exp_neg_half(n2):
@@ -213,7 +209,8 @@ def v_exp_neg_half(n2):
 
 def v_sqrt(a):
     lo = np.sqrt(np.maximum(a[0], 0.0))
-    return np.maximum(_vd(lo), 0.0), _vu(np.sqrt(np.maximum(a[1], 0.0)))
+    hi = np.sqrt(np.maximum(a[1], 0.0))
+    return np.maximum(next_down(lo), 0.0), next_up(hi)
 
 
 def _si(iv: Interval):
@@ -223,6 +220,18 @@ def _si(iv: Interval):
 
 # ---------------------------------------------------------------------------
 # t-cell grid (shared by all kinds and u-cells at one resolution)
+
+@dataclass(frozen=True)
+class _TCells:
+    """A run of t-cells: interval coordinates and the bins each one feeds."""
+
+    tx: tuple
+    ty: tuple
+    bmax_idx: np.ndarray
+    #: non-monotone kinds: (cells whose span reaches offset o, their bin
+    #: at offset o) for o = 0, 1, ...
+    span_bins: tuple
+
 
 class _TCellGrid:
     _cache: dict[int, "_TCellGrid"] = {}
@@ -239,12 +248,12 @@ class _TCellGrid:
         # outer/inner radius of each cell
         mx = np.maximum(np.abs(self.xl), np.abs(self.xh))
         my = np.maximum(np.abs(self.yl), np.abs(self.yh))
-        self.rmax = _vu(np.hypot(mx, my))
+        self.rmax = next_up(np.hypot(mx, my))
         dx = np.where((self.xl <= 0) & (self.xh >= 0), 0.0,
                       np.minimum(np.abs(self.xl), np.abs(self.xh)))
         dy = np.where((self.yl <= 0) & (self.yh >= 0), 0.0,
                       np.minimum(np.abs(self.yl), np.abs(self.yh)))
-        self.rmin = np.maximum(_vd(np.hypot(dx, dy)), 0.0)
+        self.rmin = np.maximum(next_down(np.hypot(dx, dy)), 0.0)
         m = 10 * tres
         self.nbins = m
         # monotone kinds: cell feeds bins 1..floor(rmax/delta)+1
@@ -254,10 +263,22 @@ class _TCellGrid:
         blo = np.ceil(self.rmin * tres - 1e-9).astype(int)
         self.blo_idx = np.maximum(blo - 1, 0)
         self.bhi_idx = np.minimum(np.floor(self.rmax * tres).astype(int), m - 1)
-        self.max_span = int(np.max(self.bhi_idx - self.blo_idx))
-        # interval pairs for the cell coordinates
-        self.tx = (self.xl, self.xh)
-        self.ty = (self.yl, self.yh)
+
+    def chunks(self, size: int) -> list[_TCells]:
+        """The grid cut into runs of at most ``size`` consecutive cells."""
+        out = []
+        for start in range(0, len(self.xl), size):
+            sl = slice(start, start + size)
+            blo = self.blo_idx[sl]
+            span = self.bhi_idx[sl] - blo
+            reach = [span >= off for off in range(int(np.max(span)) + 1)]
+            span_bins = tuple((mask, blo[mask] + off)
+                              for off, mask in enumerate(reach))
+            out.append(_TCells(tx=(self.xl[sl], self.xh[sl]),
+                               ty=(self.yl[sl], self.yh[sl]),
+                               bmax_idx=self.bmax_idx[sl],
+                               span_bins=span_bins))
+        return out
 
     @classmethod
     def get(cls, tres: int) -> "_TCellGrid":
@@ -309,11 +330,11 @@ def _u_cell_coeffs(zlo: float, zhi: float, j: int, k: int, ures: int):
 # ---------------------------------------------------------------------------
 # per-cell kind evaluation
 
-def _eval_kind_values(expr, coeffs, samples, grid, per_sample):
+def _eval_kind_values(expr, coeffs, samples, cells, per_sample):
     """Per-t-cell envelope contribution array for one expression kind.
 
     ``per_sample`` holds, for each of the three Gaussians, the precomputed
-    interval arrays (dx, dy, n2, E) over all t-cells.
+    interval arrays (dx, dy, n2, E) over the t-cells ``cells``.
     """
     zero = (np.zeros(1), np.zeros(1))
     f = None
@@ -331,26 +352,27 @@ def _eval_kind_values(expr, coeffs, samples, grid, per_sample):
             term = v_mul(ci, v_mul(dy, E))
         elif expr == "eig_abs":
             a = _si(abs(c))
-            m = (np.maximum(_vd(n2[0] - 1.0), 1.0), np.maximum(_vu(n2[1] - 1.0), 1.0))
+            m = (np.maximum(next_down(n2[0] - 1.0), 1.0),
+                 np.maximum(next_up(n2[1] - 1.0), 1.0))
             term = v_mul(a, v_mul(m, E))
         elif expr == "eig_max":
-            m = (_vd(n2[0] - 1.0), _vu(n2[1] - 1.0))
+            m = (next_down(n2[0] - 1.0), next_up(n2[1] - 1.0))
             term = v_mul(ci, v_mul(m, E))
         elif expr == "slope":
             # (s_i . t)/|t| - |t|, with a robust fallback when the t-cell
             # touches the origin (the ratio is then only bounded by |s_i|)
             sx, sy = samples[i]
-            tn2 = v_add(v_sqr(grid.tx), v_sqr(grid.ty))
+            tn2 = v_add(v_sqr(cells.tx), v_sqr(cells.ty))
             tn = v_sqrt(tn2)
-            dot = v_add(v_mul(_si(sx), grid.tx), v_mul(_si(sy), grid.ty))
+            dot = v_add(v_mul(_si(sx), cells.tx), v_mul(_si(sy), cells.ty))
             snorm = (sx.sqr() + sy.sqr()).sqrt().hi
             safe = tn[0] > 0.0
             denom_lo = np.where(safe, tn[0], 1.0)
             # [a,b] / [c,d] with 0 < c <= d: sign-cased endpoint quotients
             rlo = np.where(dot[0] >= 0, dot[0] / tn[1], dot[0] / denom_lo)
             rhi = np.where(dot[1] >= 0, dot[1] / denom_lo, dot[1] / tn[1])
-            ratio = (np.where(safe, _vd(rlo), -snorm),
-                     np.where(safe, _vu(rhi), snorm))
+            ratio = (np.where(safe, next_down(rlo), -snorm),
+                     np.where(safe, next_up(rhi), snorm))
             g = v_sub(ratio, tn)
             term = v_mul(ci, v_mul(g, E))
         else:
@@ -363,11 +385,11 @@ def _eval_kind_values(expr, coeffs, samples, grid, per_sample):
     return np.maximum(np.abs(f[0]), np.abs(f[1]))  # |f| upper bound
 
 
-def _per_sample_arrays(samples, grid):
+def _per_sample_arrays(samples, cells):
     out = []
     for sx, sy in samples:
-        dx = v_sub(_si(sx), grid.tx)
-        dy = v_sub(_si(sy), grid.ty)
+        dx = v_sub(_si(sx), cells.tx)
+        dy = v_sub(_si(sy), cells.ty)
         n2 = v_add(v_sqr(dx), v_sqr(dy))
         E = v_exp_neg_half(n2)
         out.append((dx, dy, n2, E))
@@ -438,21 +460,21 @@ def build_envelopes(spec: EnvelopeGridSpec, kinds=None) -> dict:
         _, _, mono = KIND_INFO[k]
         bins[k] = np.zeros(m) if mono else np.full(m, -np.inf)
 
+    chunks = grid.chunks(_CHUNK_CELLS)
+
     def accumulate(kind_list, j, k):
         coeffs_all, samples = _u_cell_coeffs(zlo, zhi, j, k, spec.ures)
-        per_sample = _per_sample_arrays(samples, grid)
-        for kind in kind_list:
-            base, expr, mono = KIND_INFO[kind]
-            vals = _eval_kind_values(expr, coeffs_all[base], samples, grid,
-                                     per_sample)
-            if mono:
-                np.maximum.at(bins[kind], grid.bmax_idx, vals)
-            else:
-                span = grid.bhi_idx - grid.blo_idx
-                for off in range(grid.max_span + 1):
-                    mask = span >= off
-                    np.maximum.at(bins[kind], grid.blo_idx[mask] + off,
-                                  vals[mask])
+        for cells in chunks:
+            per_sample = _per_sample_arrays(samples, cells)
+            for kind in kind_list:
+                base, expr, mono = KIND_INFO[kind]
+                vals = _eval_kind_values(expr, coeffs_all[base], samples,
+                                         cells, per_sample)
+                if mono:
+                    np.maximum.at(bins[kind], cells.bmax_idx, vals)
+                else:
+                    for mask, idx in cells.span_bins:
+                        np.maximum.at(bins[kind], idx, vals[mask])
 
     if normal:
         for j in range(1, half + 1):

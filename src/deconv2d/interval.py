@@ -10,9 +10,15 @@ Rounding policy
 ---------------
 Directed rounding is emulated by post-operation one-ulp nudging: after each
 elementary operation the lower endpoint is moved one float down and the upper
-one float up (``math.nextafter``).  This is portable and strictly
-conservative; the envelopes downstream tolerate the slack because they are
-upper bounds by construction.
+one float up.  This is portable and strictly conservative; the envelopes
+downstream tolerate the slack because they are upper bounds by construction.
+Scalars step with ``math.nextafter``.  Arrays step with ``next_up`` /
+``next_down``, which add +-1 to the int64 view of each float (the sign of the
+pattern picks the direction, and -0.0 is first folded onto +0.0).  That is
+bit-identical to ``np.nextafter`` toward +-inf, without a libm call per
+element: +inf (-inf for ``next_down``) and every NaN pass through unchanged,
+the largest finite float steps to infinity and the least subnormal to a
+signed zero.
 
 ``exp`` is the one elementary function whose result is not correctly rounded.
 Both interval routes -- ``Interval.exp`` here and the vectorized kernel in
@@ -53,6 +59,28 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
+def next_up(x):
+    """The next float above each element of ``x``: ``np.nextafter(x, inf)``.
+
+    Takes floats or arrays and returns numpy types (a numpy scalar for
+    scalar or 0-d input).  The work is done on a 1-d view so that no numpy
+    scalar arithmetic (which warns on int64 overflow) is involved.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    r = flat + 0.0  # folds -0.0 onto +0.0
+    b = r.view(np.int64)
+    b += (b >> 63) | 1  # away from zero when positive, toward it when negative
+    # +inf would step to NaN and a NaN payload to another NaN, -inf or -0.0
+    np.copyto(r, flat, where=~(flat < _INF))
+    return r.reshape(x.shape)[()]
+
+
+def next_down(x):
+    """The next float below each element of ``x``: ``np.nextafter(x, -inf)``."""
+    return -next_up(-np.asarray(x, dtype=float))
+
+
 def exp_outward(lo, hi):
     """Outward-rounded enclosure (lo', hi') of exp over [lo, hi].
 
@@ -65,7 +93,7 @@ def exp_outward(lo, hi):
     with np.errstate(over="ignore"):
         elo, ehi = np.exp(lo), np.exp(hi)
     for _ in range(2):
-        elo, ehi = np.nextafter(elo, -_INF), np.nextafter(ehi, _INF)
+        elo, ehi = next_down(elo), next_up(ehi)
     return np.maximum(elo, 0.0), ehi
 
 
@@ -90,18 +118,10 @@ class Interval:
     def point(x: float) -> "Interval":
         return Interval(x, x)
 
-    @staticmethod
-    def hull(*xs: float) -> "Interval":
-        return Interval(min(xs), max(xs))
-
     # -- predicates --------------------------------------------------------
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
     def _widened(self) -> "Interval":
         return Interval(_down(self.lo), _up(self.hi))
@@ -161,36 +181,6 @@ class Interval:
             return -self
         return Interval(0.0, max(-self.lo, self.hi))
 
-    def imax(self, other: "Interval") -> "Interval":
-        # Exact endpoint max: no widening needed.
-        return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
-
-    def imin(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
-
     def scale(self, c: float) -> "Interval":
         """Multiplication by a scalar constant."""
         return self * Interval.point(c)
-
-
-def iv_arith(op: str, a: Interval, b: Interval | None = None) -> Interval:
-    """Dispatch an elementary interval operation by name.
-
-    ``op`` is one of {add, sub, mul, neg, div, sqr, sqrt, exp, abs, max, min};
-    binary ops require ``b``.
-    """
-    unary = {"neg": Interval.__neg__, "sqr": Interval.sqr,
-             "sqrt": Interval.sqrt, "exp": Interval.exp,
-             "abs": Interval.__abs__}
-    binary = {"add": Interval.__add__, "sub": Interval.__sub__,
-              "mul": Interval.__mul__, "div": Interval.__truediv__,
-              "max": Interval.imax, "min": Interval.imin}
-    if op in unary:
-        if b is not None:
-            raise TypeError(f"{op} is unary")
-        return unary[op](a)
-    if op in binary:
-        if b is None:
-            raise TypeError(f"{op} needs two operands")
-        return binary[op](a, b)
-    raise ValueError(f"unknown interval op {op!r}")

@@ -8,9 +8,36 @@ from deconv2d.bumpwave import (
     bw_coefficients,
     bw_eval,
     bw_grad,
-    bw_hessian,
-    bw_hessian_quadform_bound,
 )
+
+
+def _gaussians(cfg, t):
+    """Offsets s_i - t and e^{-|s_i - t|^2/2} for the three samples."""
+    d = cfg.samples - np.asarray(t, dtype=float)[..., None, :]
+    return d, np.exp(-0.5 * np.sum(d * d, axis=-1))
+
+
+def bw_hessian(cfg, coeffs, kind, t):
+    """Exact 2x2 Hessian at t: the oracle for the bound below."""
+    c = coeffs.column(kind)
+    d, g = _gaussians(cfg, t)
+    H = np.zeros(np.shape(t)[:-1] + (2, 2))
+    eye = np.eye(2)
+    for i in range(3):
+        di = d[..., i, :]
+        outer = di[..., :, None] * di[..., None, :]
+        H += c[i] * (outer - eye) * g[..., i, None, None]
+    return H
+
+
+def bw_hessian_quadform_bound(cfg, coeffs, kind, t):
+    """Upper bound on |v^T H v| over unit v: per-Gaussian eigenvalue sum
+    sum_i |c_i| max(|s_i - t|^2 - 1, 1) e^{-|s_i - t|^2/2}, the pointwise
+    form of the envelopes' eig_abs kinds."""
+    c = coeffs.column(kind)
+    d, g = _gaussians(cfg, t)
+    n2 = np.sum(d * d, axis=-1)
+    return np.sum(np.abs(c) * np.maximum(n2 - 1.0, 1.0) * g, axis=-1)
 
 
 def random_config(rng, zeta=None):

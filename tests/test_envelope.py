@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_envelopes, mc_envelope_violations
+from deconv2d import envelope
 from deconv2d.envelope import (
     ALL_KINDS,
     FormatError,
@@ -61,6 +62,20 @@ def test_vectorized_matches_scalar_interval():
         assert sl[i] == s.lo and sh[i] == s.hi
         e = Interval(-0.5 * s.hi, -0.5 * s.lo).exp()  # halving is exact
         assert el[i] == e.lo and eh[i] == e.hi
+
+
+def test_build_independent_of_chunk_size(monkeypatch):
+    """The t-grid is evaluated in chunks; a chunk size that does not divide
+    the grid, with the signed kinds' bin spans crossing chunk boundaries,
+    gives the same bits as one chunk holding the whole grid."""
+    spec = EnvelopeGridSpec(k1=1, tres=2, ures=2)
+    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 7)
+    chunked = build_envelopes(spec)
+    monkeypatch.setattr(envelope, "_CHUNK_CELLS", (20 * spec.tres) ** 2)
+    whole = build_envelopes(spec)
+    for kind in ALL_KINDS:
+        assert (chunked[kind].values.tobytes()
+                == whole[kind].values.tobytes()), kind
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
-"""Soundness fuzzing for the scalar interval arithmetic."""
+"""Soundness fuzzing for the scalar interval arithmetic, and the array ulp
+step against np.nextafter."""
 
 import math
 import random
@@ -13,7 +14,8 @@ from deconv2d.interval import (
     DomainError,
     Interval,
     exp_outward,
-    iv_arith,
+    next_down,
+    next_up,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -28,6 +30,27 @@ def intervals(draw):
     a = draw(finite)
     b = draw(finite)
     return ivs(a, b)
+
+
+def imax(a, b):
+    """Interval max: exact endpoint max, no widening needed."""
+    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+
+
+def imin(a, b):
+    return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+
+
+UNARY = {"neg": Interval.__neg__, "sqr": Interval.sqr, "sqrt": Interval.sqrt,
+         "exp": Interval.exp, "abs": Interval.__abs__}
+BINARY = {"add": Interval.__add__, "sub": Interval.__sub__,
+          "mul": Interval.__mul__, "div": Interval.__truediv__,
+          "max": imax, "min": imin}
+
+
+def iv_arith(op, a, b=None):
+    """Apply the interval operation named ``op`` (unary when ``b`` is None)."""
+    return UNARY[op](a) if b is None else BINARY[op](a, b)
 
 
 def sample_in(rng, iv):
@@ -188,3 +211,71 @@ def test_widening_never_shrinks():
 def test_neg_is_exact_involution():
     a = ivs(-3.5, 1.25)
     assert -(-a) == a
+
+
+DBL_MAX = np.finfo(float).max
+TINY = np.finfo(float).tiny  # least normal
+EDGES = np.concatenate([
+    np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+              DBL_MAX, -DBL_MAX, TINY, -TINY]),
+    # NaN payloads that a bare +-1 on the int64 view turns into -0.0 / -inf
+    np.array([0x7FFF_FFFF_FFFF_FFFF, -0x000F_FFFF_FFFF_FFFF], dtype=np.int64)
+    .view(float),
+])
+
+
+def _nextafter(x, to):
+    """The reference step; quiet about stepping to inf."""
+    with np.errstate(over="ignore"):
+        return np.nextafter(x, to)
+
+
+def _same_bits(got, want):
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64),
+                               want[~nan].view(np.int64)))
+
+
+def test_ulp_step_matches_nextafter_bitwise():
+    """next_up / next_down equal np.nextafter toward +-inf bit for bit on
+    10^6 random bit patterns (every class of float, NaN payloads included)
+    and on the pinned edge cases."""
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                        10**6, dtype=np.int64, endpoint=True)
+    x = np.concatenate([bits.view(float), EDGES])
+    assert np.isnan(x).sum() > 100  # the random patterns reach NaN too
+    # signalling NaNs raise the invalid flag in both routes
+    with np.errstate(invalid="ignore"):
+        want_up = _nextafter(x, math.inf)
+        assert _same_bits(next_up(x), want_up)
+        assert _same_bits(next_down(x), _nextafter(x, -math.inf))
+        assert _same_bits(next_up(x.reshape(2, -1)), want_up.reshape(2, -1))
+
+
+def test_ulp_step_edge_cases():
+    with np.errstate(invalid="ignore"):
+        up, down = next_up(EDGES), next_down(EDGES)
+    assert up[0] == up[1] == 5e-324 and down[0] == down[1] == -5e-324
+    assert up[2] == math.inf and down[3] == -math.inf
+    assert down[2] == DBL_MAX and up[3] == -DBL_MAX
+    assert up[5] == 0.0 and math.copysign(1.0, up[5]) == -1.0
+    assert down[4] == 0.0 and math.copysign(1.0, down[4]) == 1.0
+    assert up[6] == math.inf and down[7] == -math.inf
+    assert down[8] == np.nextafter(TINY, 0.0) and up[9] == -down[8]
+    assert np.all(np.isnan(up[10:])) and np.all(np.isnan(down[10:]))
+
+
+def test_ulp_step_scalars():
+    """Python floats and 0-d arrays give numpy scalars, with no overflow
+    warning from the int64 step."""
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("error")
+        for x in [1.0, -0.0, -1.5, math.inf, *EDGES.tolist()]:
+            for arg in (x, np.array(x), np.float64(x)):
+                for ours, to in ((next_up, math.inf), (next_down, -math.inf)):
+                    got = ours(arg)
+                    assert isinstance(got, np.float64) and np.ndim(got) == 0
+                    assert _same_bits(np.array([got]),
+                                      np.array([_nextafter(x, to)]))
