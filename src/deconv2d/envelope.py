@@ -16,11 +16,13 @@ directional derivative of the bump and the signed largest-eigenvalue sum of
 the bump -- bound the supremum over the circle |t| = r only and may be (and
 near the spike must be) negative; they carry no floor.
 
-Construction: the closed-form coefficient and sample expressions are evaluated
-with scalar outward-rounded intervals per u-cell, then combined with a
-vectorized (lo, hi)-array interval kernel in fixed-size t-cell chunks, and
-max-reduced into radial bins.  The vectorized kernel mirrors
-``deconv2d.interval`` op for op and the two are cross-checked in the tests.
+Construction: everything is evaluated with the outward-rounded (lo, hi)-array
+ops of ``deconv2d.interval``.  The closed-form coefficient and sample
+expressions are evaluated for all u-cells of a box in one batched pass.  Then,
+per u-cell, the t-grid is swept in fixed-size chunks: each sample's products
+with its Gaussian (E, dx E, dy E, m E, g E) are formed once and shared by every
+kind that reads them, and each kind's coefficient sum is max-reduced into
+radial bins.
 
 Beyond r = 10 everything is controlled by closed-form tail bounds
 (g(r) = 6 r^2 exp(-r^2/2 + sqrt(2) zeta r), waves carry an extra 1/zeta), so
@@ -35,9 +37,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interval import Interval, exp_outward, next_down, next_up
+from .interval import (
+    exp_outward,
+    next_down,
+    next_up,
+    v_abs,
+    v_add,
+    v_div,
+    v_exp_neg_half,
+    v_mul,
+    v_neg,
+    v_sqr,
+    v_sqrt,
+    v_sub,
+)
 
 FLOOR = 2e-9
+#: cap on t-cells x u-cells per build.  The published resolution
+#: (tres = ures = 40) needs 500 * 40**4 = 1.28e9 cells; 46 and above are
+#: refused.
+MAX_CELLS = 2 * 10**9
 #: t-cells per kernel pass.  Small enough that every temporary of the array
 #: kernel (64 KB per float array) is reused from the heap rather than mapped
 #: fresh and page-faulted in on each operation.
@@ -70,7 +89,7 @@ class OutOfValidatedRange(ValueError):
 
 
 class ResourceBudgetExceeded(RuntimeError):
-    """Cell count beyond the configured cap."""
+    """Cell count beyond ``MAX_CELLS``."""
 
 
 class FormatError(ValueError):
@@ -107,7 +126,6 @@ class EnvelopeGridSpec:
     k1: int
     tres: int = 10
     ures: int = 10
-    max_cells: int = 10**8
 
     def __post_init__(self):
         zeta_band(self.k1)  # validates k1
@@ -166,56 +184,6 @@ class StepEnvelope:
         m = np.max(np.where(covered, self.values, -np.inf), axis=-1)
         m = np.where(b > top, np.maximum(m, self.tail), m)
         return float(m) if m.ndim == 0 else m
-
-
-# ---------------------------------------------------------------------------
-# Vectorized interval kernel (arrays of lower/upper bounds)
-
-def v_add(a, b):
-    return next_down(a[0] + b[0]), next_up(a[1] + b[1])
-
-
-def v_sub(a, b):
-    return next_down(a[0] - b[1]), next_up(a[1] - b[0])
-
-
-def v_mul(a, b):
-    p1, p2 = a[0] * b[0], a[0] * b[1]
-    p3, p4 = a[1] * b[0], a[1] * b[1]
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return next_down(lo), next_up(hi)
-
-
-def v_sqr(a):
-    lo_abs = np.abs(a[0])
-    hi_abs = np.abs(a[1])
-    m = np.minimum(lo_abs, hi_abs)
-    M = np.maximum(lo_abs, hi_abs)
-    straddle = (a[0] <= 0) & (a[1] >= 0)
-    lo = np.where(straddle, 0.0, next_down(m * m))
-    return lo, next_up(M * M)
-
-
-def v_exp_neg_half(n2):
-    """exp(-n2/2) for a nonnegative interval array n2.
-
-    Halving is exact; the exp is ``interval.exp_outward``, the one outward-
-    rounded exp that ``Interval.exp`` also uses (np.exp with < 1 ulp error,
-    widened by two ulps per endpoint).
-    """
-    return exp_outward(-0.5 * n2[1], -0.5 * n2[0])
-
-
-def v_sqrt(a):
-    lo = np.sqrt(np.maximum(a[0], 0.0))
-    hi = np.sqrt(np.maximum(a[1], 0.0))
-    return np.maximum(next_down(lo), 0.0), next_up(hi)
-
-
-def _si(iv: Interval):
-    """Scalar Interval -> broadcastable (lo, hi) pair."""
-    return iv.lo, iv.hi
 
 
 # ---------------------------------------------------------------------------
@@ -288,112 +256,108 @@ class _TCellGrid:
 
 
 # ---------------------------------------------------------------------------
-# coefficient intervals per u-cell
+# coefficient intervals, batched over u-cells
 
-def _frac_interval(j: int, denom: int) -> Interval:
-    return Interval(math.nextafter((j - 1) / denom, -math.inf),
-                    math.nextafter(j / denom, math.inf))
+def _u_cells(zlo: float, zhi: float, j, k, ures: int):
+    """Coefficient intervals and sample rectangles of the u-cells (j, k):
+    u in [zeta (j-1)/ures, zeta j/ures] x [same with k].
 
-
-def _u_cell_coeffs(zlo: float, zhi: float, j: int, k: int, ures: int):
-    """Scalar coefficient intervals and sample rectangles for the u-cell
-    (j, k): u in [zeta (j-1)/ures, zeta j/ures] x [same with k].
-
-    Spike at the origin; samples s1 = -u, s2 = (zeta - u1, -u2),
+    ``j`` and ``k`` are integer arrays; every interval array returned has
+    their shape.  Spike at the origin; samples s1 = -u, s2 = (zeta - u1, -u2),
     s3 = (-u1, zeta - u2).  Coefficients use the closed forms with the
-    cross-product sum replaced by zeta^2 exactly (valid for this orientation).
+    cross-product sum replaced by zeta^2 exactly (valid for this
+    orientation).  The wave coefficients that vanish identically are None.
     """
-    Z = Interval(zlo, zhi)
-    one = Interval.point(1.0)
+    Z = (zlo, zhi)
+    one = (1.0, 1.0)
     # u = (f1, f2) * zeta: every u/zeta ratio is the bare fraction, which
     # keeps the repeated zeta occurrences correlated.  Naive division here
     # widens the coefficients enough to flip the sign of the eigenvalue
     # bound near the spike for the narrow low-zeta bands.
-    f1 = _frac_interval(j, ures)
-    f2 = _frac_interval(k, ures)
-    g2, g3 = one - f1, one - f2
-    zsq = Z.sqr()
-    eu = ((f1.sqr() + f2.sqr()) * zsq).scale(0.5).exp()
-    e2 = ((g2.sqr() + f2.sqr()) * zsq).scale(0.5).exp()
-    e3 = ((f1.sqr() + g3.sqr()) * zsq).scale(0.5).exp()
-    inv = one / Z
+    f1 = (next_down((j - 1) / ures), next_up(j / ures))
+    f2 = (next_down((k - 1) / ures), next_up(k / ures))
+    g2, g3 = v_sub(one, f1), v_sub(one, f2)
+    zsq = v_sqr(Z)
+    sq1, sq2, sqg2, sqg3 = v_sqr(f1), v_sqr(f2), v_sqr(g2), v_sqr(g3)
+
+    def gauss(a2, b2):
+        # exp((a^2 + b^2) zeta^2 / 2); the halving is a rounded multiply
+        return exp_outward(*v_mul(v_mul(v_add(a2, b2), zsq), (0.5, 0.5)))
+
+    eu, e2, e3 = gauss(sq1, sq2), gauss(sqg2, sq2), gauss(sq1, sqg3)
+    inv = v_div(one, Z)
+    w = v_neg(v_mul(inv, eu))
     coeffs = {
-        "B": ((one - f1 - f2) * eu, f1 * e2, f2 * e3),
-        "W1": (-(inv * eu), inv * e2, Interval.point(0.0)),
-        "W2": (-(inv * eu), Interval.point(0.0), inv * e3),
+        "B": (v_mul(v_sub(g2, f2), eu), v_mul(f1, e2), v_mul(f2, e3)),
+        "W1": (w, v_mul(inv, e2), None),
+        "W2": (w, None, v_mul(inv, e3)),
     }
-    ux, uy = f1 * Z, f2 * Z
-    samples = ((-ux, -uy), (g2 * Z, -uy), (-ux, g3 * Z))
+    ux, uy = v_neg(v_mul(f1, Z)), v_neg(v_mul(f2, Z))
+    samples = ((ux, uy), (v_mul(g2, Z), uy), (ux, v_mul(g3, Z)))
     return coeffs, samples
+
+
+def _pick(iv, u: int):
+    """Element ``u`` of an interval array (None stays None)."""
+    return None if iv is None else (iv[0][u], iv[1][u])
 
 
 # ---------------------------------------------------------------------------
 # per-cell kind evaluation
 
-def _eval_kind_values(expr, coeffs, samples, cells, per_sample):
-    """Per-t-cell envelope contribution array for one expression kind.
+def _sample_arrays(sample, cells):
+    """dx, dy, n2 = |s - t|^2 and E = exp(-n2/2) of one sample s over the
+    t-cells ``cells``."""
+    sx, sy = sample
+    dx = v_sub(sx, cells.tx)
+    dy = v_sub(sy, cells.ty)
+    n2 = v_add(v_sqr(dx), v_sqr(dy))
+    return dx, dy, n2, v_exp_neg_half(n2)
 
-    ``per_sample`` holds, for each of the three Gaussians, the precomputed
-    interval arrays (dx, dy, n2, E) over the t-cells ``cells``.
-    """
-    zero = (np.zeros(1), np.zeros(1))
+
+def _shape(expr, sample, snorm, arrays, cells):
+    """E times the factor that ``expr`` reads: 1, dx, dy, m = n2 - 1
+    (clamped at 1 for eig_abs) or the radial slope g.  ``snorm`` bounds
+    |s| above."""
+    dx, dy, n2, E = arrays
+    if expr == "val":
+        return E
+    if expr == "dx":
+        factor = dx
+    elif expr == "dy":
+        factor = dy
+    elif expr == "eig_abs":
+        factor = (np.maximum(next_down(n2[0] - 1.0), 1.0),
+                  np.maximum(next_up(n2[1] - 1.0), 1.0))
+    elif expr == "eig_max":
+        factor = (next_down(n2[0] - 1.0), next_up(n2[1] - 1.0))
+    elif expr == "slope":
+        # (s . t)/|t| - |t|, with a robust fallback when the t-cell
+        # touches the origin (the ratio is then only bounded by |s|)
+        sx, sy = sample
+        tn = v_sqrt(v_add(v_sqr(cells.tx), v_sqr(cells.ty)))
+        dot = v_add(v_mul(sx, cells.tx), v_mul(sy, cells.ty))
+        safe = tn[0] > 0.0
+        ratio = v_div(dot, (np.where(safe, tn[0], 1.0), tn[1]))
+        ratio = (np.where(safe, ratio[0], -snorm),
+                 np.where(safe, ratio[1], snorm))
+        factor = v_sub(ratio, tn)
+    else:
+        raise ValueError(expr)
+    return v_mul(factor, E)
+
+
+def _kind_values(expr, coeffs, shapes) -> np.ndarray:
+    """Per-t-cell envelope contribution of one kind: the sum of coefficient
+    times shape over the samples with a nonzero coefficient."""
     f = None
-    for i in range(3):
-        c = coeffs[i]
-        if c.lo == 0.0 and c.hi == 0.0:
-            continue
-        dx, dy, n2, E = per_sample[i]
-        ci = _si(c)
-        if expr == "val":
-            term = v_mul(ci, E)
-        elif expr == "dx":
-            term = v_mul(ci, v_mul(dx, E))
-        elif expr == "dy":
-            term = v_mul(ci, v_mul(dy, E))
-        elif expr == "eig_abs":
-            a = _si(abs(c))
-            m = (np.maximum(next_down(n2[0] - 1.0), 1.0),
-                 np.maximum(next_up(n2[1] - 1.0), 1.0))
-            term = v_mul(a, v_mul(m, E))
-        elif expr == "eig_max":
-            m = (next_down(n2[0] - 1.0), next_up(n2[1] - 1.0))
-            term = v_mul(ci, v_mul(m, E))
-        elif expr == "slope":
-            # (s_i . t)/|t| - |t|, with a robust fallback when the t-cell
-            # touches the origin (the ratio is then only bounded by |s_i|)
-            sx, sy = samples[i]
-            tn2 = v_add(v_sqr(cells.tx), v_sqr(cells.ty))
-            tn = v_sqrt(tn2)
-            dot = v_add(v_mul(_si(sx), cells.tx), v_mul(_si(sy), cells.ty))
-            snorm = (sx.sqr() + sy.sqr()).sqrt().hi
-            safe = tn[0] > 0.0
-            denom_lo = np.where(safe, tn[0], 1.0)
-            # [a,b] / [c,d] with 0 < c <= d: sign-cased endpoint quotients
-            rlo = np.where(dot[0] >= 0, dot[0] / tn[1], dot[0] / denom_lo)
-            rhi = np.where(dot[1] >= 0, dot[1] / denom_lo, dot[1] / tn[1])
-            ratio = (np.where(safe, next_down(rlo), -snorm),
-                     np.where(safe, next_up(rhi), snorm))
-            g = v_sub(ratio, tn)
-            term = v_mul(ci, v_mul(g, E))
-        else:
-            raise ValueError(expr)
-        f = term if f is None else v_add(f, term)
-    if f is None:
-        f = zero
+    for c, shape in zip(coeffs, shapes):
+        if c is not None:
+            term = v_mul(c, shape)
+            f = term if f is None else v_add(f, term)
     if expr in ("slope", "eig_max"):
         return f[1]  # signed upper bound
     return np.maximum(np.abs(f[0]), np.abs(f[1]))  # |f| upper bound
-
-
-def _per_sample_arrays(samples, cells):
-    out = []
-    for sx, sy in samples:
-        dx = v_sub(_si(sx), cells.tx)
-        dy = v_sub(_si(sy), cells.ty)
-        n2 = v_add(v_sqr(dx), v_sqr(dy))
-        E = v_exp_neg_half(n2)
-        out.append((dx, dy, n2, E))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +406,14 @@ def build_envelopes(spec: EnvelopeGridSpec, kinds=None) -> dict:
     for k in kinds:
         if k not in KIND_INFO:
             raise ValueError(f"unknown envelope kind {k!r}")
-    grid = _TCellGrid.get(spec.tres)
     half = spec.ures // 2
     n_ucells = half * half
     if any(k in EXTENDED_U_KINDS for k in kinds):
         n_ucells += spec.ures * spec.ures
-    if len(grid.xl) * n_ucells > spec.max_cells:
-        raise ResourceBudgetExceeded(
-            f"{len(grid.xl) * n_ucells} cells > cap {spec.max_cells}")
+    n_cells = (20 * spec.tres) ** 2 * n_ucells  # t-grid: [-10, 10]^2
+    if n_cells > MAX_CELLS:
+        raise ResourceBudgetExceeded(f"{n_cells} cells > cap {MAX_CELLS}")
+    grid = _TCellGrid.get(spec.tres)
     zlo, zhi = spec.zeta
     m = grid.nbins
 
@@ -462,28 +426,39 @@ def build_envelopes(spec: EnvelopeGridSpec, kinds=None) -> dict:
 
     chunks = grid.chunks(_CHUNK_CELLS)
 
-    def accumulate(kind_list, j, k):
-        coeffs_all, samples = _u_cell_coeffs(zlo, zhi, j, k, spec.ures)
-        for cells in chunks:
-            per_sample = _per_sample_arrays(samples, cells)
-            for kind in kind_list:
-                base, expr, mono = KIND_INFO[kind]
-                vals = _eval_kind_values(expr, coeffs_all[base], samples,
-                                         cells, per_sample)
-                if mono:
-                    np.maximum.at(bins[kind], cells.bmax_idx, vals)
-                else:
-                    for mask, idx in cells.span_bins:
-                        np.maximum.at(bins[kind], idx, vals[mask])
+    def accumulate(kind_list, lo):
+        j, k = (g.ravel() for g in np.mgrid[lo:half + 1, lo:half + 1])
+        coeffs, samples = _u_cells(zlo, zhi, j, k, spec.ures)
+        snorms = [v_sqrt(v_add(v_sqr(sx), v_sqr(sy)))[1] for sx, sy in samples]
+        kind_coeffs, groups = {}, {}
+        for kind in kind_list:
+            base, expr, _ = KIND_INFO[kind]
+            kind_coeffs[kind] = tuple(
+                v_abs(c) if expr == "eig_abs" and c is not None else c
+                for c in coeffs[base])
+            groups.setdefault(expr, []).append(kind)
+        for u in range(len(j)):
+            cell_samples = [(_pick(sx, u), _pick(sy, u)) for sx, sy in samples]
+            cell_coeffs = {kind: [_pick(c, u) for c in cs]
+                           for kind, cs in kind_coeffs.items()}
+            for cells in chunks:
+                arrays = [_sample_arrays(s, cells) for s in cell_samples]
+                for expr, group in groups.items():
+                    # one shape per sample, shared by every kind of the group
+                    shapes = [_shape(expr, cell_samples[i], snorms[i][u],
+                                     arrays[i], cells) for i in range(3)]
+                    for kind in group:
+                        vals = _kind_values(expr, cell_coeffs[kind], shapes)
+                        if KIND_INFO[kind][2]:
+                            np.maximum.at(bins[kind], cells.bmax_idx, vals)
+                        else:
+                            for mask, idx in cells.span_bins:
+                                np.maximum.at(bins[kind], idx, vals[mask])
 
     if normal:
-        for j in range(1, half + 1):
-            for k in range(1, half + 1):
-                accumulate(normal, j, k)
+        accumulate(normal, 1)
     if extended:
-        for j in range(-(half - 1), half + 1):
-            for k in range(-(half - 1), half + 1):
-                accumulate(extended, j, k)
+        accumulate(extended, 1 - half)
 
     edges = np.arange(m + 1) / spec.tres
     out = {}

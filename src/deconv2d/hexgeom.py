@@ -27,18 +27,14 @@ class InvalidCase(ValueError):
 
 
 @dataclass(frozen=True)
-class HexCell:
-    center: np.ndarray
-    layer: int
-    vertices: np.ndarray  # (6, 2)
-
-
-@dataclass(frozen=True)
 class HexPartition:
+    """The n8 cells by layer, then by angle of the center."""
+
     delta: float
-    cells: tuple
     n8: int
-    vertices: np.ndarray  # (n8, 6, 2), the cells' vertices stacked
+    centers: np.ndarray   # (n8, 2)
+    layers: np.ndarray    # (n8,), the axial ring of each cell
+    vertices: np.ndarray  # (n8, 6, 2), counterclockwise
 
 
 def build_partition(delta: float, layers: int = 8) -> HexPartition:
@@ -57,9 +53,7 @@ def build_partition(delta: float, layers: int = 8) -> HexPartition:
     ang = np.arange(6) * (math.pi / 3.0)
     vertices = centers[:, None, :] + s * np.stack([np.cos(ang), np.sin(ang)],
                                                   axis=1)
-    cells = tuple(HexCell(c, int(l), v)
-                  for c, l, v in zip(centers, ring, vertices))
-    return HexPartition(delta, cells, len(cells), vertices)
+    return HexPartition(delta, len(centers), centers, ring, vertices)
 
 
 # -- elementary distances, broadcast over points, segments and cells --------

@@ -1,33 +1,35 @@
-"""Outward-rounded interval arithmetic.
+"""Outward-rounded interval arithmetic on arrays.
 
 Every rigorous bound in this package is a supremum of a nonlinear expression
 over a box of parameters, evaluated by replacing each real operation with its
-interval extension.  The contract is containment soundness: for intervals
-``a``, ``b`` and any x in a, y in b, ``op(x, y)`` lies inside ``op(a, b)`` as
-an exact float comparison.
+interval extension.  An interval array is a pair ``(lo, hi)`` of float arrays
+(or scalars) that broadcast against each other.  The contract is containment
+soundness: for interval arrays ``a``, ``b`` and any x in a, y in b,
+``op(x, y)`` lies inside ``op(a, b)`` elementwise, as an exact float
+comparison.
 
 Rounding policy
 ---------------
-Directed rounding is emulated by post-operation one-ulp nudging: after each
-elementary operation the lower endpoint is moved one float down and the upper
-one float up.  This is portable and strictly conservative; the envelopes
-downstream tolerate the slack because they are upper bounds by construction.
-Scalars step with ``math.nextafter``.  Arrays step with ``next_up`` /
-``next_down``, which add +-1 to the int64 view of each float (the sign of the
-pattern picks the direction, and -0.0 is first folded onto +0.0).  That is
-bit-identical to ``np.nextafter`` toward +-inf, without a libm call per
-element: +inf (-inf for ``next_down``) and every NaN pass through unchanged,
-the largest finite float steps to infinity and the least subnormal to a
-signed zero.
+This module is the only one that rounds.  Directed rounding is emulated by
+post-operation one-ulp nudging: after each elementary operation the lower
+endpoint is moved one float down and the upper one float up.  This is
+portable and strictly conservative; the envelopes downstream tolerate the
+slack because they are upper bounds by construction.  The step is
+``next_up`` / ``next_down``, which add +-1 to the int64 view of each float
+(the sign of the pattern picks the direction, and -0.0 is first folded onto
++0.0).  That is bit-identical to ``np.nextafter`` toward +-inf, without a
+libm call per element: +inf (-inf for ``next_down``) and every NaN pass
+through unchanged, the largest finite float steps to infinity and the least
+subnormal to a signed zero.  Negation, ``v_abs`` and halving are exact and
+are not widened.
 
 ``exp`` is the one elementary function whose result is not correctly rounded.
-Both interval routes -- ``Interval.exp`` here and the vectorized kernel in
-``envelope`` -- call the single helper ``exp_outward``.  It evaluates
-``np.exp`` (whichever SIMD loop numpy dispatches to on the running CPU; it is
-the same loop for scalars and arrays) and widens each endpoint by two ulps.
-That covers an ``np.exp`` error below one ulp on top of our own rounding step;
-the bound is checked against a 200-bit mpmath reference in
-``tests/test_interval.py``.
+Every exp goes through ``exp_outward``.  It evaluates ``np.exp`` (whichever
+SIMD loop numpy dispatches to on the running CPU) and widens each endpoint by
+two ulps.  That covers an ``np.exp`` error below one ulp on top of our own
+rounding step; the bound is checked against a 200-bit mpmath reference in
+``tests/test_interval.py``, where a scalar interval class serves as the
+containment oracle for these array operations.
 
 Only the operations the envelope formulas need are provided; this is not a
 general-purpose interval library.
@@ -35,28 +37,9 @@ general-purpose interval library.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-_INF = math.inf
-
-
-class DivisionByZeroInterval(ZeroDivisionError):
-    """Raised when dividing by an interval that contains zero."""
-
-
-class DomainError(ValueError):
-    """Raised when an operation's domain excludes the whole input interval."""
-
-
-def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+_INF = np.inf
 
 
 def next_up(x):
@@ -97,90 +80,60 @@ def exp_outward(lo, hi):
     return np.maximum(elo, 0.0), ehi
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A closed real interval [lo, hi] with lo <= hi.
+def v_add(a, b):
+    return next_down(a[0] + b[0]), next_up(a[1] + b[1])
 
-    Endpoints are floats; ``hi`` may be +inf transiently (overflow of an
-    intermediate) but ``lo`` is always finite for the expressions we build.
+
+def v_sub(a, b):
+    return next_down(a[0] - b[1]), next_up(a[1] - b[0])
+
+
+def v_neg(a):
+    return -a[1], -a[0]
+
+
+def v_mul(a, b):
+    p1, p2 = a[0] * b[0], a[0] * b[1]
+    p3, p4 = a[1] * b[0], a[1] * b[1]
+    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    return next_down(lo), next_up(hi)
+
+
+def v_div(a, b):
+    """a / b for a divisor interval b with 0 < b[0] <= b[1].
+
+    Division is monotone in each argument, so each endpoint is one quotient
+    picked by the sign of the dividend's endpoint.
     """
+    lo = np.where(a[0] >= 0, a[0] / b[1], a[0] / b[0])
+    hi = np.where(a[1] >= 0, a[1] / b[0], a[1] / b[1])
+    return next_down(lo), next_up(hi)
 
-    lo: float
-    hi: float
 
-    def __post_init__(self) -> None:
-        if not self.lo <= self.hi:
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+def v_abs(a):
+    lo_abs = np.abs(a[0])
+    hi_abs = np.abs(a[1])
+    straddle = (a[0] <= 0) & (a[1] >= 0)
+    return (np.where(straddle, 0.0, np.minimum(lo_abs, hi_abs)),
+            np.maximum(lo_abs, hi_abs))
 
-    # -- constructors ------------------------------------------------------
 
-    @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(x, x)
+def v_sqr(a):
+    """x^2; tighter than v_mul(a, a) when 0 is inside (lower endpoint 0)."""
+    m, M = v_abs(a)
+    return np.where(m > 0, next_down(m * m), 0.0), next_up(M * M)
 
-    # -- predicates --------------------------------------------------------
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
+def v_sqrt(a):
+    lo = np.sqrt(np.maximum(a[0], 0.0))
+    hi = np.sqrt(np.maximum(a[1], 0.0))
+    return np.maximum(next_down(lo), 0.0), next_up(hi)
 
-    def _widened(self) -> "Interval":
-        return Interval(_down(self.lo), _up(self.hi))
 
-    # -- arithmetic --------------------------------------------------------
+def v_exp_neg_half(n2):
+    """exp(-n2/2) for a nonnegative interval array n2.
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)._widened()
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)._widened()
-
-    def __neg__(self) -> "Interval":
-        # Negation of floats is exact: no widening.
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        ps = (self.lo * other.lo, self.lo * other.hi,
-              self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(ps), max(ps))._widened()
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        if other.lo <= 0.0 <= other.hi:
-            raise DivisionByZeroInterval(
-                f"divisor interval [{other.lo}, {other.hi}] contains 0")
-        qs = (self.lo / other.lo, self.lo / other.hi,
-              self.hi / other.lo, self.hi / other.hi)
-        return Interval(min(qs), max(qs))._widened()
-
-    def sqr(self) -> "Interval":
-        """x^2 over the interval; tighter than self*self when 0 is inside."""
-        a, b = abs(self.lo), abs(self.hi)
-        m, M = min(a, b), max(a, b)
-        hi = M * M  # plain multiply (pow() can differ by an ulp)
-        lo = 0.0 if self.lo <= 0.0 <= self.hi else m * m
-        return Interval(lo, _up(hi)) if lo == 0.0 else Interval(_down(lo), _up(hi))
-
-    def sqrt(self) -> "Interval":
-        """Square root; a lower endpoint that is negative rounding noise is
-        clamped to 0.  Raises DomainError when the whole interval is negative.
-        """
-        if self.hi < 0.0:
-            raise DomainError(f"sqrt of negative interval [{self.lo}, {self.hi}]")
-        lo = 0.0 if self.lo <= 0.0 else max(0.0, _down(math.sqrt(self.lo)))
-        return Interval(lo, _up(math.sqrt(self.hi)))
-
-    def exp(self) -> "Interval":
-        # The same np.exp as the vectorized kernel (see exp_outward), so both
-        # routes give bit-identical endpoints.
-        lo, hi = exp_outward(self.lo, self.hi)
-        return Interval(float(lo), float(hi))
-
-    def __abs__(self) -> "Interval":
-        if self.lo >= 0.0:
-            return self
-        if self.hi <= 0.0:
-            return -self
-        return Interval(0.0, max(-self.lo, self.hi))
-
-    def scale(self, c: float) -> "Interval":
-        """Multiplication by a scalar constant."""
-        return self * Interval.point(c)
+    Halving is exact; the exp is ``exp_outward``.
+    """
+    return exp_outward(-0.5 * n2[1], -0.5 * n2[0])

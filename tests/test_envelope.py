@@ -19,14 +19,23 @@ from deconv2d.envelope import (
     save_envelope,
     tail_chain_sum,
     tail_constants,
-    v_add,
-    v_exp_neg_half,
-    v_mul,
-    v_sqr,
-    v_sub,
     zeta_band,
 )
-from deconv2d.interval import Interval
+from deconv2d.interval import (
+    v_abs,
+    v_add,
+    v_div,
+    v_exp_neg_half,
+    v_mul,
+    v_neg,
+    v_sqr,
+    v_sqrt,
+    v_sub,
+)
+from test_interval import Interval
+
+DESK_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "perfbench", "data", "envelopes_desk.npz")
 
 
 def test_zeta_bands():
@@ -40,28 +49,116 @@ def test_zeta_bands():
 
 
 def test_vectorized_matches_scalar_interval():
-    """Dual route: the array interval kernel vs the scalar Interval class."""
+    """The array interval ops vs the scalar Interval oracle, bit for bit."""
     rng = np.random.default_rng(42)
     lo = rng.uniform(-5, 5, 500)
     a = (lo, lo + rng.uniform(0, 3, 500))
     lo2 = rng.uniform(-5, 5, 500)
     b = (lo2, lo2 + rng.uniform(0, 3, 500))
-    for name, vec, sca in (
-        ("add", v_add, lambda x, y: x + y),
-        ("sub", v_sub, lambda x, y: x - y),
-        ("mul", v_mul, lambda x, y: x * y),
+    lo3 = rng.uniform(1e-3, 5, 500)
+    pos = (lo3, lo3 + rng.uniform(0, 3, 500))  # divisors: 0 < lo <= hi
+    nonneg = (np.where(rng.random(500) < 0.1, -1e-17, pos[0]), pos[1])
+
+    def scalar(pair, i):
+        return Interval(pair[0][i], pair[1][i])
+
+    for name, vec, sca, y in (
+        ("add", v_add, lambda x, y: x + y, b),
+        ("sub", v_sub, lambda x, y: x - y, b),
+        ("mul", v_mul, lambda x, y: x * y, b),
+        ("div", v_div, lambda x, y: x / y, pos),
     ):
-        vl, vh = vec(a, b)
+        vl, vh = vec(a, y)
         for i in range(500):
-            s = sca(Interval(a[0][i], a[1][i]), Interval(b[0][i], b[1][i]))
+            s = sca(scalar(a, i), scalar(y, i))
+            assert vl[i] == s.lo and vh[i] == s.hi, name
+    for name, vec, sca, x in (
+        ("sqr", v_sqr, Interval.sqr, a),
+        ("sqrt", v_sqrt, Interval.sqrt, nonneg),
+        ("abs", v_abs, abs, a),
+        ("neg", v_neg, lambda x: -x, a),
+    ):
+        vl, vh = vec(x)
+        for i in range(500):
+            s = sca(scalar(x, i))
             assert vl[i] == s.lo and vh[i] == s.hi, name
     sl, sh = v_sqr(a)
-    el, eh = v_exp_neg_half(v_sqr(a))
+    el, eh = v_exp_neg_half((sl, sh))
     for i in range(500):
-        s = Interval(a[0][i], a[1][i]).sqr()
-        assert sl[i] == s.lo and sh[i] == s.hi
-        e = Interval(-0.5 * s.hi, -0.5 * s.lo).exp()  # halving is exact
+        e = Interval(-0.5 * sh[i], -0.5 * sl[i]).exp()  # halving is exact
         assert el[i] == e.lo and eh[i] == e.hi
+
+
+def _frac_interval(j: int, denom: int) -> Interval:
+    return Interval(math.nextafter((j - 1) / denom, -math.inf),
+                    math.nextafter(j / denom, math.inf))
+
+
+def _u_cell_coeffs(zlo: float, zhi: float, j: int, k: int, ures: int):
+    """Scalar oracle for one u-cell's coefficient intervals and sample
+    rectangles, one Interval operation at a time."""
+    Z = Interval(zlo, zhi)
+    one = Interval.point(1.0)
+    f1 = _frac_interval(j, ures)
+    f2 = _frac_interval(k, ures)
+    g2, g3 = one - f1, one - f2
+    zsq = Z.sqr()
+    eu = ((f1.sqr() + f2.sqr()) * zsq).scale(0.5).exp()
+    e2 = ((g2.sqr() + f2.sqr()) * zsq).scale(0.5).exp()
+    e3 = ((f1.sqr() + g3.sqr()) * zsq).scale(0.5).exp()
+    inv = one / Z
+    coeffs = {
+        "B": ((one - f1 - f2) * eu, f1 * e2, f2 * e3),
+        "W1": (-(inv * eu), inv * e2, None),
+        "W2": (-(inv * eu), None, inv * e3),
+    }
+    ux, uy = f1 * Z, f2 * Z
+    samples = ((-ux, -uy), (g2 * Z, -uy), (-ux, g3 * Z))
+    return coeffs, samples
+
+
+@pytest.mark.parametrize("k1", [1, 16])
+@pytest.mark.parametrize("lo", [1, -4], ids=["normal", "extended"])
+def test_batched_u_cells_match_scalar_oracle(k1, lo):
+    """Every u-cell of the desk u-box (lo = 1) and of the extended box
+    (lo = 1 - ures/2): batched coefficients, their absolute values and
+    the sample rectangles equal the scalar oracle bit for bit."""
+    ures = 10
+    zlo, zhi = zeta_band(k1)
+    j, k = (g.ravel() for g in np.mgrid[lo:ures // 2 + 1, lo:ures // 2 + 1])
+    coeffs, samples = envelope._u_cells(zlo, zhi, j, k, ures)
+
+    def same(pair, iv, u):
+        return pair[0][u] == iv.lo and pair[1][u] == iv.hi
+
+    for u in range(len(j)):
+        want_c, want_s = _u_cell_coeffs(zlo, zhi, int(j[u]), int(k[u]), ures)
+        for base, want in want_c.items():
+            for got, iv in zip(coeffs[base], want):
+                assert (got is None) == (iv is None), (base, u)
+                if iv is not None:
+                    assert same(got, iv, u), (base, u)
+                    assert same(v_abs(got), abs(iv), u), (base, u)
+        for got, want in zip(samples, want_s):
+            assert same(got[0], want[0], u) and same(got[1], want[1], u), u
+
+
+def test_desk_build_matches_benchmark_reference():
+    """A fresh desk build of band 1 equals the benchmark's recorded desk
+    envelopes bit for bit (values, breakpoints and tail of all 14 kinds);
+    the cached envelopes the other tests load would not show a change of
+    the builder."""
+    envs = build_envelopes(EnvelopeGridSpec(k1=1))
+    with np.load(DESK_REFERENCE, allow_pickle=False) as ref:
+        assert set(envs) == set(ALL_KINDS)
+        for kind, e in envs.items():
+            key = f"1.{kind}."
+            assert e.values.tobytes() == ref[key + "values"].tobytes(), kind
+            assert (e.breakpoints.tobytes()
+                    == ref[key + "breakpoints"].tobytes()), kind
+            assert (np.float64(e.tail).tobytes()
+                    == ref[key + "tail"].tobytes()), kind
+            assert e.monotone == bool(ref[key + "monotone"]), kind
 
 
 def test_build_independent_of_chunk_size(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import _CACHE_DIR, desk_envelopes
+from deconv2d import envelope
 from deconv2d.experiments import (
     cli_main,
     parse_config,
@@ -93,6 +94,29 @@ def test_cli_envelopes_file_count(tmp_path):
     files = sorted(os.listdir(out))
     assert len(files) == 14
     assert all(f.startswith("k05_") and f.endswith(".env") for f in files)
+
+
+def test_cli_envelopes_resolution_cap(tmp_path, capsys, monkeypatch):
+    """Resolution 46 needs 500 * 46**4 cells, more than the cap: the CLI
+    refuses it before a t-grid of that resolution is built.  The paper
+    resolution (40) passes the cap and reaches the grid."""
+    out = tmp_path / "env"
+    rc = cli_main(["envelopes", "--k1", "1", "--resolution", "46",
+                   "--out", str(out)])
+    assert rc == 2
+    assert (f"{500 * 46**4} cells > cap {envelope.MAX_CELLS}"
+            in capsys.readouterr().err)
+    assert 46 not in envelope._TCellGrid._cache
+    assert not out.exists()
+
+    def reached(tres):
+        raise RuntimeError(f"grid at {tres}")
+
+    monkeypatch.setattr(envelope._TCellGrid, "get", reached)
+    rc = cli_main(["envelopes", "--k1", "1", "--resolution", "paper",
+                   "--out", str(out)])
+    assert rc == 2
+    assert "error: grid at 40" in capsys.readouterr().err
 
 
 def test_cli_certify_sweep(tmp_path):

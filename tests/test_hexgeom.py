@@ -28,12 +28,12 @@ def point_in_poly_vec(pts, vertices):
     return ok
 
 
-def sample_in_cell(rng, cell, n):
+def sample_in_cell(rng, center, vertices, n):
     """n uniform points of the cell, by rejection from its bounding square."""
     out = []
     while len(out) < n:
-        p = cell.center + rng.uniform(-DELTA / 2, DELTA / 2, (n, 2))
-        out.extend(p[point_in_poly_vec(p, cell.vertices)])
+        p = center + rng.uniform(-DELTA / 2, DELTA / 2, (n, 2))
+        out.extend(p[point_in_poly_vec(p, vertices)])
     return np.array(out[:n])
 
 
@@ -94,7 +94,7 @@ def test_array_geometry_matches_scalar_oracle():
     ab[1] = (delta / 2, delta / 2)  # a point
     ab[2] = (0.99 * delta, delta)  # the last one
     got = segment_cell_distance(ab[:, :1], ab[:, 1:], p.vertices)
-    want = [[oracle_segment_cell_distance(a, b, c.vertices) for c in p.cells]
+    want = [[oracle_segment_cell_distance(a, b, v) for v in p.vertices]
             for a, b in ab]
     assert got.shape == (40, 216)
     assert 0 < np.count_nonzero(got) < got.size
@@ -102,38 +102,40 @@ def test_array_geometry_matches_scalar_oracle():
     np.testing.assert_allclose(got, want, rtol=tol, atol=0)
     np.testing.assert_allclose(
         d_U(p.vertices, delta),
-        [oracle_d_U(c.vertices, delta) for c in p.cells], rtol=tol, atol=0)
+        [oracle_d_U(v, delta) for v in p.vertices], rtol=tol, atol=0)
 
 
 def test_layer_counts(part):
-    counts = {}
-    for c in part.cells:
-        counts[c.layer] = counts.get(c.layer, 0) + 1
-    assert counts == {l: 6 * l for l in range(1, 9)}
+    layers, counts = np.unique(part.layers, return_counts=True)
+    assert dict(zip(layers.tolist(), counts.tolist())) == {
+        l: 6 * l for l in range(1, 9)}
+    assert np.all(np.diff(part.layers) >= 0)
     assert part.n8 == 216
+    assert part.centers.shape == (216, 2) and part.layers.shape == (216,)
     assert part.vertices.shape == (216, 6, 2)
-    assert all(np.array_equal(c.vertices, v)
-               for c, v in zip(part.cells, part.vertices))
+    # a regular hexagon's vertices average to its center
+    np.testing.assert_allclose(part.vertices.mean(axis=1), part.centers,
+                               atol=1e-12)
 
 
 def test_cell_diameter(part):
     rng = np.random.default_rng(0)
-    for c in part.cells[:20]:
+    for c, v in zip(part.centers[:20], part.vertices[:20]):
         # random pairs inside the hexagon stay within delta
-        pts = sample_in_cell(rng, c, 50)
+        pts = sample_in_cell(rng, c, v, 50)
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         assert d.max() < DELTA + 1e-9
-    for c in part.cells:
-        vd = np.linalg.norm(c.vertices[:, None] - c.vertices[None, :], axis=-1)
+    for v in part.vertices:
+        vd = np.linalg.norm(v[:, None] - v[None, :], axis=-1)
         assert abs(vd.max() - DELTA) < 1e-12
 
 
 def test_dilation():
     p1 = build_partition(1.0)
     p2 = build_partition(2.0)
-    for a, b in zip(p1.cells, p2.cells):
-        assert np.allclose(2 * a.center, b.center)
-        assert np.allclose(2 * a.vertices, b.vertices)
+    assert np.allclose(2 * p1.centers, p2.centers)
+    assert np.allclose(2 * p1.vertices, p2.vertices)
+    assert np.array_equal(p1.layers, p2.layers)
 
 
 def test_tiling_unique_cover(part):
@@ -142,43 +144,43 @@ def test_tiling_unique_cover(part):
     rng = np.random.default_rng(1)
     pts = rng.uniform(-2.2 * DELTA, 2.2 * DELTA, (10**4, 2))
     hits = np.zeros(len(pts), dtype=int)
-    for c in part.cells:
-        shrunk = c.center + (1 - 1e-9) * (c.vertices - c.center)
+    for c, v in zip(part.centers, part.vertices):
+        shrunk = c + (1 - 1e-9) * (v - c)
         hits += point_in_poly_vec(pts, shrunk)
     assert hits.max() <= 1
     assert np.count_nonzero(hits == 1) > 5000
 
 
 def test_d_U_layer1_clamps(part):
-    for c in part.cells:
-        if c.layer == 1:
-            assert d_U(c.vertices, DELTA) == DELTA
+    layer1 = part.vertices[part.layers == 1]
+    assert len(layer1) == 6
+    for v in layer1:
+        assert d_U(v, DELTA) == DELTA
 
 
 def test_d_U_inside_exclusion_disk():
     with pytest.raises(InvalidCase):
         d_U(build_partition(1.0).vertices, 10.0)
     with pytest.raises(InvalidCase):
-        d_U(build_partition(1.0).cells[0].vertices, 10.0)
+        d_U(build_partition(1.0).vertices[0], 10.0)
 
 
 def test_d_U_brute_force(part):
     rng = np.random.default_rng(2)
-    for c in part.cells:
-        if c.layer not in (1, 3, 8):
-            continue
+    keep = np.isin(part.layers, (1, 3, 8))
+    for c, v in zip(part.centers[keep], part.vertices[keep]):
         # brute-force the constrained min norm by dense sampling
-        samp = sample_in_cell(rng, c, 4000)
+        samp = sample_in_cell(rng, c, v, 4000)
         norms = np.hypot(samp[:, 0], samp[:, 1])
         norms = norms[norms >= DELTA]
-        val = d_U(c.vertices, DELTA)
+        val = d_U(v, DELTA)
         if len(norms):
             assert val <= norms.min() + 1e-9
             assert val >= norms.min() - 0.05 * DELTA  # oracle resolution
     # layer-3 nearest cell obeys the layer bound
-    l3 = min((c for c in part.cells if c.layer == 3),
-             key=lambda c: np.hypot(*c.center))
-    assert d_U(l3.vertices, DELTA) >= (3 * 3 - 2) * DELTA / 4 - 1e-9
+    l3 = np.flatnonzero(part.layers == 3)
+    l3 = l3[np.argmin(np.hypot(*part.centers[l3].T))]
+    assert d_U(part.vertices[l3], DELTA) >= (3 * 3 - 2) * DELTA / 4 - 1e-9
 
 
 def test_d_U_scales():
@@ -190,12 +192,12 @@ def test_d_U_scales():
 def test_segment_cell_distance(part):
     rng = np.random.default_rng(3)
     # inside: a segment through a cell crossing the x axis
-    on_axis = [c for c in part.cells if abs(c.center[1]) < 1e-9
-               and c.center[0] > 0]
-    c0 = min(on_axis, key=lambda c: c.center[0])
-    a = c0.center[0] - 0.1
-    b = c0.center[0] + 0.1
-    assert segment_cell_distance(a, b, c0.vertices) == 0.0
+    cx, cy = part.centers.T
+    on_axis = np.flatnonzero((np.abs(cy) < 1e-9) & (cx > 0))
+    c0 = on_axis[np.argmin(cx[on_axis])]
+    a = cx[c0] - 0.1
+    b = cx[c0] + 0.1
+    assert segment_cell_distance(a, b, part.vertices[c0]) == 0.0
     # both ends outside, passing through: the axis meets the partition's
     # cells only at vertices and along edges, so take a pointy-top hexagon
     ang = math.pi / 6 + np.arange(6) * (math.pi / 3)
@@ -205,21 +207,22 @@ def test_segment_cell_distance(part):
     assert segment_cell_distance(0.5, 1.5, pointy) == pytest.approx(
         1.5 - math.cos(math.pi / 6))
     # oracle: dense point pairs
-    for c in part.cells[::17]:
+    for c, v in zip(part.centers[::17], part.vertices[::17]):
         a, b = sorted(rng.uniform(0, DELTA, 2))
-        d = segment_cell_distance(a, b, c.vertices)
+        d = segment_cell_distance(a, b, v)
         xs = np.linspace(a, b, 200)
         seg = np.stack([xs, np.zeros_like(xs)], axis=1)
-        pts = sample_in_cell(rng, c, 2000)
+        pts = sample_in_cell(rng, c, v, 2000)
         brute = np.min(np.linalg.norm(seg[:, None] - pts[None], axis=-1))
         assert d <= brute + 1e-9
         assert d >= brute - 0.1 * DELTA
     # symmetry across the x axis
-    for c in part.cells[::13]:
-        mirror = next(cc for cc in part.cells
-                      if np.allclose(cc.center, [c.center[0], -c.center[1]]))
-        assert abs(segment_cell_distance(0.3, 1.7, c.vertices)
-                   - segment_cell_distance(0.3, 1.7, mirror.vertices)) < 1e-12
+    for i in range(0, part.n8, 13):
+        mirror = next(m for m in range(part.n8) if np.allclose(
+            part.centers[m], part.centers[i] * [1.0, -1.0]))
+        assert abs(segment_cell_distance(0.3, 1.7, part.vertices[i])
+                   - segment_cell_distance(0.3, 1.7, part.vertices[mirror])
+                   ) < 1e-12
 
 
 def test_segment_cell_distance_rejects_bad_segments(part):

@@ -10,7 +10,6 @@ from deconv2d.solver import (
     SpikeSignal,
     assemble_operator,
     basis_pursuit,
-    basis_pursuit_denoise,
     candidate_grid,
     hex_arrangement,
     operator_norm,
@@ -140,42 +139,6 @@ def test_basis_pursuit_not_converged_best_iterate():
     with pytest.raises(NotConverged) as exc:
         basis_pursuit(K, np.array([1.0, -1.0]), max_iters=300)
     assert exc.value.best.shape == (1,)
-
-
-def test_denoise_zero_when_ball_contains_origin():
-    g, K = _grid_and_operator([[0.0, 0.0], [4.0, 0.0]])
-    y = 0.4 * K[:, 0]
-    xi = float(np.linalg.norm(y)) + 0.1
-    assert np.array_equal(basis_pursuit_denoise(K, y, xi), np.zeros(2))
-    with pytest.raises(ValueError):
-        basis_pursuit_denoise(K, y, 0.0)
-
-
-def test_denoise_small_xi_matches_equality():
-    g, K = _grid_and_operator([[0.0, 0.0], [4.5, 0.5], [-1.0, 4.0]])
-    y = K @ np.array([1.0, -0.7, 0.3])
-    a_eq = basis_pursuit(K, y)
-    a_dn = basis_pursuit_denoise(K, y, 1e-8)
-    assert np.linalg.norm(a_dn - a_eq) < 1e-4
-    assert np.linalg.norm(K @ a_dn - y) <= 1e-8 + 1e-8
-
-
-def test_denoise_gaussian_noise_support_recovery():
-    rng = np.random.default_rng(42)
-    pos = hex_arrangement(5, 3.0)
-    g, K = _grid_and_operator(pos)
-    a_true = rng.standard_normal(5)
-    a_true[np.abs(a_true) < 0.3] = 0.5  # keep amplitudes off the noise floor
-    y0 = K @ a_true
-    snr = 10 ** (40 / 20)
-    z = rng.standard_normal(len(y0))
-    z *= np.linalg.norm(y0) / (snr * np.linalg.norm(z))
-    y = y0 + z
-    xi = float(np.linalg.norm(z)) * 1.05
-    a = basis_pursuit_denoise(K, y, xi)
-    ls = np.linalg.lstsq(K, y, rcond=None)[0]
-    assert np.linalg.norm(a - ls) < 10 * xi
-    assert np.all(np.sign(a) == np.sign(a_true))
 
 
 def test_hex_arrangement_geometry():
