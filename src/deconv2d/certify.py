@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import load_envelope_set
+from .envelope import EnvelopeSet, load_envelope_set
 from .hexgeom import build_partition, segment_cell_distance
 from .schur import NormBounds, SchurReport, block_norm_bounds, schur_bounds
 
@@ -87,13 +87,7 @@ def _require_coefficient_budget(schur: SchurReport) -> None:
             f"alpha_inf={schur.alpha_inf}, beta_inf={schur.beta_inf}")
 
 
-def _grad_norm(envelopes, prefix: str, r) -> np.ndarray:
-    dx = envelopes[prefix + "_dx"].query_many(r)
-    dy = envelopes[prefix + "_dy"].query_many(r)
-    return np.sqrt(dx * dx + dy * dy)
-
-
-def qtri_segment_bounds(edges, partition, envelopes,
+def qtri_segment_bounds(edges, partition, table: EnvelopeSet,
                         schur: SchurReport, cell_dists=None) -> tuple:
     """Bounds on Q over the segments [edges[i], edges[i+1]] of the positive
     axis, one ``SegmentBound`` per segment.
@@ -122,34 +116,37 @@ def qtri_segment_bounds(edges, partition, envelopes,
     d_u = np.maximum(cell_dists, np.maximum(a, partition.delta - b)[:, None])
     al, be, ga = schur.alpha_inf, schur.beta_inf, schur.gamma_inf
 
-    # np.sum along the contiguous rows (axis=1) adds each row in the same
-    # pairwise order as a 1-D sum of that row, so a segment's bounds do not
-    # depend on how many segments are evaluated together
-    neighbor_q = np.sum(al * envelopes["bump"].query_many(d_u)
-                        + be * envelopes["wave1"].query_many(d_u)
-                        + ga * envelopes["wave2"].query_many(d_u), axis=1)
-    wave_self = (be * envelopes["wave1"].query_many(a)
-                 + ga * envelopes["wave2"].query_many(a))
-    bump_self = al * envelopes["bump"].query_many(a)
+    # Every combination of kinds is formed on the per-bin tables and then
+    # read at the bins of d_u or a: elementwise the same arithmetic as
+    # reading each kind first.  np.sum along the contiguous rows (axis=1)
+    # adds each row in the same pairwise order as a 1-D sum of that row, so
+    # a segment's bounds do not depend on how many segments are evaluated
+    # together.
+    T = table.tables
+    near, at = table.bins(d_u), table.bins(a)
+    gnorm = {p: np.sqrt(T[p + "_dx"] * T[p + "_dx"]
+                        + T[p + "_dy"] * T[p + "_dy"])
+             for p in ("bump", "wave1", "wave2")}
+
+    neighbor_q = np.sum((al * T["bump"] + be * T["wave1"]
+                         + ga * T["wave2"])[near], axis=1)
+    wave_self = (be * T["wave1"] + ga * T["wave2"])[at]
+    bump_self = al * T["bump"][at]
     q_ub = bump_self + wave_self + neighbor_q + EPS_SEG
     q_lb = -(wave_self + neighbor_q + EPS_SEG)
 
-    omega = envelopes["bump_slope"].seg_max(a, b)
+    omega = table.envelopes["bump_slope"].seg_max(a, b)
     grad_self = np.maximum(schur.alpha_lb * omega, al * omega)
-    grad_neighbor = np.sum(al * _grad_norm(envelopes, "bump", d_u)
-                           + be * _grad_norm(envelopes, "wave1", d_u)
-                           + ga * _grad_norm(envelopes, "wave2", d_u), axis=1)
-    grad_wave_self = (be * _grad_norm(envelopes, "wave1", a)
-                      + ga * _grad_norm(envelopes, "wave2", a))
+    grad_neighbor = np.sum((al * gnorm["bump"] + be * gnorm["wave1"]
+                            + ga * gnorm["wave2"])[near], axis=1)
+    grad_wave_self = (be * gnorm["wave1"] + ga * gnorm["wave2"])[at]
     grad_ub = grad_self + grad_wave_self + grad_neighbor + EPS_SEG
 
-    eta = envelopes["bump_eig_max"].seg_max(a, b)
+    eta = table.envelopes["bump_eig_max"].seg_max(a, b)
     eig_self = np.maximum(schur.alpha_lb * eta, al * eta)
-    eig_neighbor = np.sum(al * envelopes["bump_eig"].query_many(d_u)
-                          + be * envelopes["wave1_eig"].query_many(d_u)
-                          + ga * envelopes["wave2_eig"].query_many(d_u), axis=1)
-    eig_wave_self = (be * envelopes["wave1_eig"].query_many(a)
-                     + ga * envelopes["wave2_eig"].query_many(a))
+    eig_neighbor = np.sum((al * T["bump_eig"] + be * T["wave1_eig"]
+                           + ga * T["wave2_eig"])[near], axis=1)
+    eig_wave_self = (be * T["wave1_eig"] + ga * T["wave2_eig"])[at]
     eig_ub = eig_self + eig_wave_self + eig_neighbor + EPS_SEG
 
     return tuple(SegmentBound(*f) for f in zip(
@@ -230,10 +227,18 @@ def far_field_check(schur: SchurReport, nb: NormBounds) -> bool:
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    """Everything certify_cell needs besides (delta, k1)."""
+    """Everything certify_cell needs besides (delta, k1).
+
+    ``tables`` holds one ``EnvelopeSet`` per band, built from
+    ``envelopes_by_k1`` once.
+    """
 
     envelopes_by_k1: dict           # k1 -> {kind: StepEnvelope}
     n_segments: int = N_SEGMENTS
+
+    def __post_init__(self):
+        object.__setattr__(self, "tables", {
+            k1: EnvelopeSet(envs) for k1, envs in self.envelopes_by_k1.items()})
 
     @staticmethod
     def from_cache(directory: str, k1_set) -> "CertifyConfig":
@@ -242,9 +247,9 @@ class CertifyConfig:
 
 
 def certify_cell(delta: float, k1: int, config: CertifyConfig) -> CertificateReport:
-    envelopes = config.envelopes_by_k1[k1]
+    table = config.tables[k1]
     partition = build_partition(delta)
-    nb = block_norm_bounds(partition, envelopes, k1)
+    nb = block_norm_bounds(partition, table, k1)
     rep = schur_bounds(nb)
 
     def fail(stage, segments=(), u1=None, u2=None, ff=False):
@@ -264,7 +269,7 @@ def certify_cell(delta: float, k1: int, config: CertifyConfig) -> CertificateRep
     n = config.n_segments
     # the last edge is Delta itself: (i + 1) * delta / n can round past it
     edges = np.append(np.arange(n) * delta / n, delta)
-    segments = qtri_segment_bounds(edges, partition, envelopes, rep,
+    segments = qtri_segment_bounds(edges, partition, table, rep,
                                    cell_dists=_unit_distances(n) * delta)
     u1, u2 = find_u1_u2(segments)
     if u1 is None:

@@ -139,6 +139,15 @@ class EnvelopeGridSpec:
         return zeta_band(self.k1)
 
 
+def bin_index(breakpoints, r) -> np.ndarray:
+    """Bin of each radius over the m + 1 edges ``breakpoints``: i for r in
+    (r_i, r_i+1] (bin 0 also takes r <= r_0), and m, the tail, for r > r_m."""
+    r = np.asarray(r, dtype=float)
+    m = len(breakpoints) - 1
+    idx = np.clip(np.searchsorted(breakpoints, r, side="left") - 1, 0, m - 1)
+    return np.where(r > breakpoints[-1], m, idx)
+
+
 @dataclass
 class StepEnvelope:
     """A computed envelope: bins on [0, 10] plus a tail value for r > 10."""
@@ -153,18 +162,19 @@ class StepEnvelope:
     ures: int
     floor: float = FLOOR
 
+    @property
+    def table(self) -> np.ndarray:
+        """The m bin values with the tail appended as bin m."""
+        return np.append(self.values, self.tail)
+
     def query_many(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        idx = np.searchsorted(self.breakpoints, r, side="left") - 1
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        out = self.values[idx]
-        return np.where(r > self.breakpoints[-1], self.tail, out)
+        return self.table[bin_index(self.breakpoints, r)]
 
     def query(self, r: float) -> float:
         return float(self.query_many(r))
 
     def seg_max(self, a, b):
-        """Max bin value over bins intersecting [a, b] (+ tail if b > 10).
+        """Max bin value over bins intersecting [a, b] (the tail if b > 10).
 
         Elementwise over arrays of segments; scalar input gives a float.
         """
@@ -172,18 +182,40 @@ class StepEnvelope:
         b = np.asarray(b, dtype=float)
         if not np.all((0 <= a) & (a <= b)):
             raise ValueError("segments need 0 <= a <= b")
-        top = self.breakpoints[-1]
-        last = len(self.values) - 1
-        lo = np.clip(np.searchsorted(self.breakpoints, a, side="left") - 1,
-                     0, last)
-        hi = np.searchsorted(self.breakpoints, np.minimum(b, top),
-                             side="left") - 1
-        hi = np.minimum(np.maximum(hi, lo), last)
-        bins = np.arange(len(self.values))
-        covered = (bins >= lo[..., None]) & (bins <= hi[..., None])
-        m = np.max(np.where(covered, self.values, -np.inf), axis=-1)
-        m = np.where(b > top, np.maximum(m, self.tail), m)
+        table = self.table
+        bins = np.arange(len(table))
+        covered = ((bins >= bin_index(self.breakpoints, a)[..., None])
+                   & (bins <= bin_index(self.breakpoints, b)[..., None]))
+        m = np.max(np.where(covered, table, -np.inf), axis=-1)
         return float(m) if m.ndim == 0 else m
+
+
+class EnvelopeSet:
+    """The envelopes of one band, read through their shared breakpoints.
+
+    ``bins(r)`` is computed once per distance array and serves every kind:
+    ``tables[kind]`` holds the kind's m bin values with its tail as bin m,
+    so a combination of kinds can be formed on the (m + 1)-long tables and
+    then gathered at the bins in one indexing step.
+    """
+
+    def __init__(self, envelopes: dict):
+        self.envelopes = dict(envelopes)
+        if not self.envelopes:
+            raise ValueError("an envelope set needs at least one envelope")
+        first = next(iter(self.envelopes.values()))
+        key = (first.k1, first.tres, first.ures)
+        for env in self.envelopes.values():
+            if ((env.k1, env.tres, env.ures) != key
+                    or not np.array_equal(env.breakpoints, first.breakpoints)):
+                raise ValueError(
+                    f"envelope {env.kind!r} does not share the breakpoints, "
+                    f"k1, tres and ures of {first.kind!r}")
+        self.breakpoints = first.breakpoints
+        self.tables = {kind: env.table for kind, env in self.envelopes.items()}
+
+    def bins(self, r) -> np.ndarray:
+        return bin_index(self.breakpoints, r)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +580,20 @@ def save_envelope_set(dirpath: str, envs: dict) -> list[str]:
 
 
 def load_envelope_set(dirpath: str, k1: int, kinds=ALL_KINDS) -> dict:
+    """The envelopes of band ``k1`` saved by ``save_envelope_set``.  A file
+    whose header names another band or kind, or a monotonicity its kind
+    does not have, raises ``FormatError``."""
     out = {}
     for kind in kinds:
-        out[kind] = load_envelope(os.path.join(dirpath, f"k{k1:02d}_{kind}.env"))
+        if kind not in KIND_INFO:
+            raise ValueError(f"unknown envelope kind {kind!r}")
+        path = os.path.join(dirpath, f"k{k1:02d}_{kind}.env")
+        env = load_envelope(path)
+        monotone = KIND_INFO[kind][2]
+        if (env.k1, env.kind, env.monotone) != (k1, kind, monotone):
+            raise FormatError(
+                f"{path}: header has k1={env.k1} kind={env.kind} "
+                f"monotone={int(env.monotone)}, expected k1={k1} kind={kind} "
+                f"monotone={int(monotone)}")
+        out[kind] = env
     return out

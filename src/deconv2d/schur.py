@@ -23,7 +23,12 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .bumpwave import KINDS, SpikeConfig, bw_coefficients, bw_eval, bw_grad
-from .envelope import OutOfValidatedRange, tail_constants, zeta_band
+from .envelope import (
+    EnvelopeSet,
+    OutOfValidatedRange,
+    tail_constants,
+    zeta_band,
+)
 from .hexgeom import HexPartition, d_U
 
 
@@ -88,7 +93,7 @@ class SchurReport:
     alpha_lb: float
 
 
-def block_norm_bounds(partition: HexPartition, envelopes: dict,
+def block_norm_bounds(partition: HexPartition, table: EnvelopeSet,
                       k1: int) -> NormBounds:
     """Sum each block's envelope at every cell's constrained distance.
 
@@ -101,11 +106,10 @@ def block_norm_bounds(partition: HexPartition, envelopes: dict,
     if partition.delta < 2.0:
         raise OutOfValidatedRange(f"delta {partition.delta} < 2")
     eps = tail_constants(zeta_band(k1)[1])
-    dists = d_U(partition.vertices, partition.delta)
+    cells = table.bins(d_U(partition.vertices, partition.delta))
     vals = {}
     for name, (kind, is_wave) in _BLOCK_ENVELOPES.items():
-        env = envelopes[kind]
-        s = float(np.sum(env.query_many(dists)))
+        s = float(np.sum(table.tables[kind][cells]))
         vals[name] = s + (eps["eps_W"] if is_wave else eps["eps_B"])
     return NormBounds(eps_b=eps["eps_B"], eps_w=eps["eps_W"], **vals)
 

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from deconv2d.certify import (
     qtri_segment_bounds,
     recovery_sweep,
 )
+from deconv2d.envelope import StepEnvelope
 from deconv2d.hexgeom import build_partition
 from deconv2d.schur import (
     NormBounds,
@@ -27,6 +30,8 @@ from deconv2d.schur import (
 K1 = 5
 ZETA = 0.32
 DELTA = 5.5
+BENCH_DATA = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                          "data")
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +78,41 @@ def test_determinism(cfg, report):
     assert certify_cell(DELTA, K1, cfg) == report
 
 
+def test_benchmark_grid_matches_reference():
+    """Verdict, u1 and u2 of every cell of the benchmark's certify sweep
+    (bands 1/5/9/13 x the unrounded `deconv2d certify --delta-min 4.0
+    --delta-max 6.0` grid) against the recorded reference, on the recorded
+    desk envelopes.  Cells recorded as errors have no verdict to compare."""
+    envs = {}
+    with np.load(os.path.join(BENCH_DATA, "envelopes_desk.npz"),
+                 allow_pickle=False) as npz:
+        for key in npz.files:
+            k1, kind, field = key.split(".")
+            envs.setdefault(int(k1), {}).setdefault(kind, {})[field] = npz[key]
+    config = CertifyConfig({k1: {kind: StepEnvelope(
+        kind=kind, monotone=bool(e["monotone"]), breakpoints=e["breakpoints"],
+        values=e["values"], tail=float(e["tail"]), k1=k1, tres=10, ures=10)
+        for kind, e in kinds.items()} for k1, kinds in envs.items()})
+    with open(os.path.join(BENCH_DATA, "reference.json")) as fh:
+        reference = json.load(fh)["certify"]
+    grid = np.arange(4.0, 6.0 + 1e-12, 0.05)
+    compared = 0
+    for key, ref in reference.items():
+        if "error" in ref:
+            continue
+        k1, i = (int(x) for x in key.split(":"))
+        assert float(grid[i]) == ref["delta"], key
+        rep = certify_cell(grid[i], k1, config)
+        assert (rep.verdict, rep.u1, rep.u2) == (
+            ref["verdict"], ref["u1"], ref["u2"]), key
+        compared += 1
+    assert compared == 160
+
+
 def test_segment_bounds_match_direct_distances(cfg, report):
     """The dilated unit-distance cache equals per-segment exact distances."""
     part = build_partition(DELTA)
-    envs = cfg.envelopes_by_k1[K1]
+    envs = cfg.tables[K1]
     edges = [s.a for s in report.segments] + [report.segments[-1].b]
     direct = qtri_segment_bounds(edges, part, envs, report.schur)
     assert len(direct) == len(report.segments) == 100
@@ -90,7 +126,7 @@ def test_segment_bounds_match_direct_distances(cfg, report):
 
 def test_qtri_rejects_bad_edges(cfg, report):
     part = build_partition(DELTA)
-    envs = cfg.envelopes_by_k1[K1]
+    envs = cfg.tables[K1]
     for edges in ((-0.1, 1.0), (1.0, DELTA + 0.1), (1.0, 0.5),
                   (0.0, 2.0, 1.5, 3.0), (0.0, math.nan), (1.0,)):
         with pytest.raises(ValueError, match="edges"):
@@ -101,7 +137,7 @@ def test_qtri_coefficient_budget(cfg):
     part = build_partition(DELTA)
     bad = SchurReport((True, True, True), 2.5, 0.1, 0.1, 0.5)
     with pytest.raises(CoefficientBoundExceeded):
-        qtri_segment_bounds((1.0, 1.1), part, cfg.envelopes_by_k1[K1], bad)
+        qtri_segment_bounds((1.0, 1.1), part, cfg.tables[K1], bad)
 
 
 def test_regions_constant_curvature():

@@ -16,7 +16,9 @@ from deconv2d.envelope import (
     band_for_zeta,
     build_envelopes,
     load_envelope,
+    load_envelope_set,
     save_envelope,
+    save_envelope_set,
     tail_chain_sum,
     tail_constants,
     zeta_band,
@@ -290,3 +292,29 @@ def test_cache_errors(tmp_path, envs):
     (tmp_path / "empty.env").write_text("")
     with pytest.raises(FormatError):
         load_envelope(str(tmp_path / "empty.env"))
+
+
+def test_cache_set_refuses_another_band_or_kind(tmp_path):
+    """A file renamed to another band, or copied to another kind's name,
+    must not be loaded as that band or kind."""
+    save_envelope_set(str(tmp_path), desk_envelopes(13))
+    for p in tmp_path.glob("k13_*.env"):
+        p.rename(tmp_path / p.name.replace("k13_", "k01_"))
+    with pytest.raises(FormatError, match="k1=13"):
+        load_envelope_set(str(tmp_path), 1)
+
+    save_envelope_set(str(tmp_path), desk_envelopes(1))
+    assert load_envelope_set(str(tmp_path), 1)["bump"].k1 == 1
+    bump = (tmp_path / "k01_bump.env").read_text()
+    (tmp_path / "k01_bump_eig.env").write_text(bump)
+    with pytest.raises(FormatError, match="kind=bump "):
+        load_envelope_set(str(tmp_path), 1)
+
+    save_envelope_set(str(tmp_path), desk_envelopes(1))
+    signed = (tmp_path / "k01_bump_slope.env").read_text()
+    (tmp_path / "k01_bump_slope.env").write_text(
+        signed.replace("monotone=0", "monotone=1", 1))
+    with pytest.raises(FormatError, match="monotone=1"):
+        load_envelope_set(str(tmp_path), 1)
+    with pytest.raises(ValueError, match="unknown envelope kind"):
+        load_envelope_set(str(tmp_path), 1, kinds=("bump", "nope"))

@@ -1,0 +1,201 @@
+"""The shared bin lookup of ``EnvelopeSet`` against per-kind lookups.
+
+The oracle below is the per-kind formulation of the certifier's sums: every
+kind is looked up on its own with ``searchsorted`` and the tail applied with
+``np.where``, and the sums are formed from the looked-up values.  The table
+route must give the same bits.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import desk_envelopes
+from deconv2d.certify import (
+    EPS_SEG,
+    N_SEGMENTS,
+    SegmentBound,
+    _unit_distances,
+    qtri_segment_bounds,
+)
+from deconv2d.envelope import (
+    ALL_KINDS,
+    EnvelopeSet,
+    StepEnvelope,
+    tail_constants,
+    zeta_band,
+)
+from deconv2d.hexgeom import build_partition, d_U
+from deconv2d.schur import (
+    _BLOCK_ENVELOPES,
+    NormBounds,
+    block_norm_bounds,
+    schur_bounds,
+)
+
+BANDS = (1, 13)
+DELTAS = (4.0, 4.65, 5.0, 5.5, 5.749999999999994, 6.0, 7.3)
+
+
+# -- oracle: per-kind lookups -------------------------------------------------
+
+def oracle_query(env, r):
+    r = np.asarray(r, dtype=float)
+    idx = np.searchsorted(env.breakpoints, r, side="left") - 1
+    idx = np.clip(idx, 0, len(env.values) - 1)
+    return np.where(r > env.breakpoints[-1], env.tail, env.values[idx])
+
+
+def oracle_seg_max(env, a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    top = env.breakpoints[-1]
+    last = len(env.values) - 1
+    lo = np.clip(np.searchsorted(env.breakpoints, a, side="left") - 1, 0, last)
+    hi = np.searchsorted(env.breakpoints, np.minimum(b, top), side="left") - 1
+    hi = np.minimum(np.maximum(hi, lo), last)
+    bins = np.arange(len(env.values))
+    covered = (bins >= lo[..., None]) & (bins <= hi[..., None])
+    m = np.max(np.where(covered, env.values, -np.inf), axis=-1)
+    return np.where(b > top, np.maximum(m, env.tail), m)
+
+
+def oracle_grad_norm(envs, prefix, r):
+    dx = oracle_query(envs[prefix + "_dx"], r)
+    dy = oracle_query(envs[prefix + "_dy"], r)
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def oracle_segment_bounds(edges, partition, envs, schur, cell_dists):
+    a, b = edges[:-1], edges[1:]
+    d_u = np.maximum(cell_dists, np.maximum(a, partition.delta - b)[:, None])
+    al, be, ga = schur.alpha_inf, schur.beta_inf, schur.gamma_inf
+    q = lambda kind, r: oracle_query(envs[kind], r)  # noqa: E731
+    g = lambda prefix, r: oracle_grad_norm(envs, prefix, r)  # noqa: E731
+
+    neighbor_q = np.sum(al * q("bump", d_u) + be * q("wave1", d_u)
+                        + ga * q("wave2", d_u), axis=1)
+    wave_self = be * q("wave1", a) + ga * q("wave2", a)
+    bump_self = al * q("bump", a)
+    q_ub = bump_self + wave_self + neighbor_q + EPS_SEG
+    q_lb = -(wave_self + neighbor_q + EPS_SEG)
+
+    omega = oracle_seg_max(envs["bump_slope"], a, b)
+    grad_self = np.maximum(schur.alpha_lb * omega, al * omega)
+    grad_neighbor = np.sum(al * g("bump", d_u) + be * g("wave1", d_u)
+                           + ga * g("wave2", d_u), axis=1)
+    grad_wave_self = be * g("wave1", a) + ga * g("wave2", a)
+    grad_ub = grad_self + grad_wave_self + grad_neighbor + EPS_SEG
+
+    eta = oracle_seg_max(envs["bump_eig_max"], a, b)
+    eig_self = np.maximum(schur.alpha_lb * eta, al * eta)
+    eig_neighbor = np.sum(al * q("bump_eig", d_u) + be * q("wave1_eig", d_u)
+                          + ga * q("wave2_eig", d_u), axis=1)
+    eig_wave_self = be * q("wave1_eig", a) + ga * q("wave2_eig", a)
+    eig_ub = eig_self + eig_wave_self + eig_neighbor + EPS_SEG
+
+    return tuple(SegmentBound(*f) for f in zip(
+        a.tolist(), b.tolist(), q_ub.tolist(), q_lb.tolist(),
+        grad_ub.tolist(), eig_ub.tolist()))
+
+
+def oracle_block_norm_bounds(partition, envs, k1):
+    eps = tail_constants(zeta_band(k1)[1])
+    dists = d_U(partition.vertices, partition.delta)
+    vals = {}
+    for name, (kind, is_wave) in _BLOCK_ENVELOPES.items():
+        s = float(np.sum(oracle_query(envs[kind], dists)))
+        vals[name] = s + (eps["eps_W"] if is_wave else eps["eps_B"])
+    return NormBounds(eps_b=eps["eps_B"], eps_w=eps["eps_W"], **vals)
+
+
+# -- tests --------------------------------------------------------------------
+
+def _radii(breakpoints, rng):
+    """Every breakpoint, one ulp either side of each, the tail beyond 10 and
+    random radii on [0, 12]."""
+    bp = np.asarray(breakpoints)
+    return np.concatenate([
+        bp, np.nextafter(bp, -np.inf)[1:], np.nextafter(bp, np.inf),
+        [10.5, 11.0, 1e3, np.inf], rng.uniform(0, 12, 2000)])
+
+
+@pytest.mark.parametrize("k1", BANDS)
+def test_lookup_matches_per_kind_oracle(k1):
+    envs = desk_envelopes(k1)
+    table = EnvelopeSet(envs)
+    r = _radii(table.breakpoints, np.random.default_rng(k1))
+    grid = r.reshape(2, -1)  # 2-D, like the segment-by-cell distances
+    bins, grid_bins = table.bins(r), table.bins(grid)
+    assert np.all(bins[r > 10.0] == len(table.breakpoints) - 1)
+    for kind in ALL_KINDS:
+        want = oracle_query(envs[kind], r)
+        assert table.tables[kind][bins].tobytes() == want.tobytes(), kind
+        assert envs[kind].query_many(r).tobytes() == want.tobytes(), kind
+        assert (table.tables[kind][grid_bins].tobytes()
+                == oracle_query(envs[kind], grid).tobytes()), kind
+        assert envs[kind].query(10.0) == envs[kind].values[-1]
+        assert envs[kind].query(np.nextafter(10.0, 11.0)) == envs[kind].tail
+
+
+@pytest.mark.parametrize("k1", BANDS)
+def test_seg_max_matches_per_kind_oracle(k1):
+    envs = desk_envelopes(k1)
+    rng = np.random.default_rng(100 + k1)
+    bp = envs["bump"].breakpoints
+    ab = np.sort(np.concatenate([
+        rng.uniform(0, 10, (500, 2)),
+        rng.uniform(0, 12, (200, 2)),
+        rng.choice(bp, (200, 2))]), axis=1)
+    ab = ab[ab[:, 0] <= 10.0]  # segments starting past 10 read only the tail
+    for kind in ("bump_slope", "bump_eig_max", "bump"):
+        env = envs[kind]
+        got = env.seg_max(ab[:, 0], ab[:, 1])
+        want = oracle_seg_max(env, ab[:, 0], ab[:, 1])
+        assert got.tobytes() == want.tobytes(), kind
+    assert envs["bump_slope"].seg_max(10.5, 11.0) == envs["bump_slope"].tail
+
+
+@pytest.mark.parametrize("k1", BANDS)
+def test_certifier_sums_match_per_kind_oracle(k1):
+    envs = desk_envelopes(k1)
+    table = EnvelopeSet(envs)
+    n = N_SEGMENTS
+    segment_cells = 0
+    for delta in DELTAS:
+        partition = build_partition(delta)
+        nb = block_norm_bounds(partition, table, k1)
+        assert repr(nb) == repr(oracle_block_norm_bounds(partition, envs, k1))
+        rep = schur_bounds(nb)
+        if not (all(rep.conditions_hold) and rep.alpha_inf <= 2.0
+                and rep.beta_inf <= 1.0 and rep.gamma_inf <= 1.0):
+            continue
+        segment_cells += 1
+        edges = np.append(np.arange(n) * delta / n, delta)
+        cell_dists = _unit_distances(n) * delta
+        got = qtri_segment_bounds(edges, partition, table, rep,
+                                  cell_dists=cell_dists)
+        want = oracle_segment_bounds(edges, partition, envs, rep, cell_dists)
+        assert repr(got) == repr(want), delta
+    assert segment_cells >= 4
+
+
+def _envelope(**kw):
+    base = dict(kind="bump", monotone=True, breakpoints=np.arange(11) / 2.0,
+                values=np.linspace(1.0, 0.1, 10), tail=1e-12, k1=1, tres=2,
+                ures=2)
+    base.update(kw)
+    return StepEnvelope(**base)
+
+
+def test_envelope_set_needs_one_grid():
+    ok = {"bump": _envelope(), "wave1": _envelope(kind="wave1")}
+    assert EnvelopeSet(ok).tables["wave1"][-1] == 1e-12
+    for change in (dict(breakpoints=np.arange(11) / 2.0 + 1e-9),
+                   dict(breakpoints=np.arange(21) / 2.0,
+                        values=np.linspace(1.0, 0.1, 20)),
+                   dict(tres=4), dict(ures=4), dict(k1=2)):
+        mixed = {"bump": _envelope(), "wave1": _envelope(kind="wave1", **change)}
+        with pytest.raises(ValueError, match="does not share"):
+            EnvelopeSet(mixed)
+    with pytest.raises(ValueError):
+        EnvelopeSet({})

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import desk_envelopes
 from deconv2d.bumpwave import SpikeConfig, bw_coefficients, bw_eval, bw_grad
-from deconv2d.envelope import OutOfValidatedRange
+from deconv2d.envelope import EnvelopeSet, OutOfValidatedRange
 from deconv2d.hexgeom import build_partition
 from deconv2d.schur import (
     NonFinite,
@@ -24,7 +24,7 @@ ZETA = 0.32
 
 @pytest.fixture(scope="module")
 def envs():
-    return desk_envelopes(K1)
+    return EnvelopeSet(desk_envelopes(K1))
 
 
 @pytest.fixture(scope="module")
