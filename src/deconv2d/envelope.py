@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,14 +108,6 @@ def zeta_band(k1: int) -> tuple[float, float]:
     return 0.1 + 0.8 * (k1 - 1) / 16, 0.1 + 0.8 * k1 / 16
 
 
-def band_for_zeta(zeta: float) -> int:
-    """Index of the band containing zeta (right-closed bands)."""
-    if not 0.1 < zeta <= 0.9:
-        raise OutOfValidatedRange(f"zeta {zeta} outside (0.1, 0.9]")
-    k1 = int(math.ceil((zeta - 0.1) / 0.05))
-    return min(max(k1, 1), 16)
-
-
 @dataclass(frozen=True)
 class EnvelopeGridSpec:
     """Resolution profile for one envelope build.
@@ -160,7 +153,6 @@ class StepEnvelope:
     k1: int
     tres: int
     ures: int
-    floor: float = FLOOR
 
     @property
     def table(self) -> np.ndarray:
@@ -511,89 +503,68 @@ def build_envelopes(spec: EnvelopeGridSpec, kinds=None) -> dict:
 # ---------------------------------------------------------------------------
 # cache IO
 
-_CACHE_MAGIC = "ENVCACHE"
-_CACHE_VERSION = "v1"
+CACHE_VERSION = 2
 
 
-def save_envelope(env: StepEnvelope, path: str) -> None:
-    lines = [f"{_CACHE_MAGIC} {_CACHE_VERSION} k1={env.k1} kind={env.kind} "
-             f"monotone={1 if env.monotone else 0} tres={env.tres} "
-             f"ures={env.ures}"]
-    for i, v in enumerate(env.values):
-        lines.append(f"{float(env.breakpoints[i])!r} "
-                     f"{float(env.breakpoints[i + 1])!r} {float(v)!r}")
-    lines.append(f"tail {float(env.tail)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _cache_path(dirpath: str, k1: int) -> str:
+    return os.path.join(dirpath, f"k{k1:02d}.npz")
 
 
-def load_envelope(path: str) -> StepEnvelope:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    head = lines[0].split()
-    if len(head) < 2 or head[0] != _CACHE_MAGIC:
-        raise FormatError(f"{path}: bad header {lines[0]!r}")
-    if head[1] != _CACHE_VERSION:
-        raise VersionMismatch(f"{path}: version {head[1]!r}")
-    meta = {}
-    for tok in head[2:]:
-        if "=" not in tok:
-            raise FormatError(f"{path}: bad header token {tok!r}")
-        k, v = tok.split("=", 1)
-        meta[k] = v
-    try:
-        k1 = int(meta["k1"])
-        kind = meta["kind"]
-        monotone = bool(int(meta["monotone"]))
-        tres = int(meta["tres"])
-        ures = int(meta["ures"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: incomplete header") from exc
-    if lines[-1].split()[0] != "tail":
-        raise FormatError(f"{path}: missing tail line")
-    try:
-        tail = float(lines[-1].split()[1])
-        rows = [tuple(float(x) for x in ln.split()) for ln in lines[1:-1]]
-    except (ValueError, IndexError) as exc:
-        raise FormatError(f"{path}: malformed data line") from exc
-    if not rows or any(len(r) != 3 for r in rows):
-        raise FormatError(f"{path}: malformed data rows")
-    edges = np.array([r[0] for r in rows] + [rows[-1][1]])
-    for i, r in enumerate(rows[:-1]):
-        if r[1] != rows[i + 1][0]:
-            raise FormatError(f"{path}: non-contiguous bins at row {i}")
-    values = np.array([r[2] for r in rows])
-    return StepEnvelope(kind=kind, monotone=monotone, breakpoints=edges,
-                        values=values, tail=tail, k1=k1, tres=tres, ures=ures)
-
-
-def save_envelope_set(dirpath: str, envs: dict) -> list[str]:
+def save_envelope_set(dirpath: str, envs: dict) -> str:
+    """Write one band's envelopes to ``dirpath/k{k1:02d}.npz`` and return
+    the path.  The file holds ``version``, ``k1``, ``tres``, ``ures``, the
+    shared ``breakpoints`` and each kind's ``<kind>.values`` and
+    ``<kind>.tail``; monotonicity is a property of the kind (``KIND_INFO``)
+    and is not stored."""
+    table = EnvelopeSet(envs)  # refuses envelopes that share no breakpoints
+    first = next(iter(table.envelopes.values()))
+    arrays = {"version": CACHE_VERSION, "k1": first.k1, "tres": first.tres,
+              "ures": first.ures, "breakpoints": table.breakpoints}
+    for kind, env in table.envelopes.items():
+        arrays[f"{kind}.values"] = env.values
+        arrays[f"{kind}.tail"] = env.tail
     os.makedirs(dirpath, exist_ok=True)
-    paths = []
-    for kind, env in envs.items():
-        p = os.path.join(dirpath, f"k{env.k1:02d}_{kind}.env")
-        save_envelope(env, p)
-        paths.append(p)
-    return paths
+    path = _cache_path(dirpath, first.k1)
+    np.savez(path, **arrays)
+    return path
 
 
-def load_envelope_set(dirpath: str, k1: int, kinds=ALL_KINDS) -> dict:
-    """The envelopes of band ``k1`` saved by ``save_envelope_set``.  A file
-    whose header names another band or kind, or a monotonicity its kind
-    does not have, raises ``FormatError``."""
+def load_envelope_set(dirpath: str, k1: int) -> dict:
+    """All fourteen envelopes of band ``k1`` saved by ``save_envelope_set``.
+
+    A file that is not a readable npz, holds another band, lacks a kind or
+    has values that do not fill its bins raises ``FormatError``; another
+    schema version raises ``VersionMismatch``.
+    """
+    path = _cache_path(dirpath, k1)
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            data = {key: npz[key] for key in npz.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not an envelope cache ({exc})") from exc
+
+    def field(key):
+        if key not in data:
+            raise FormatError(f"{path}: no {key!r}")
+        return data[key]
+
+    version = field("version")
+    if version.item() != CACHE_VERSION:
+        raise VersionMismatch(f"{path}: version {version.item()!r}, "
+                              f"expected {CACHE_VERSION}")
+    stored_k1 = int(field("k1"))
+    if stored_k1 != k1:
+        raise FormatError(f"{path}: holds band {stored_k1}, expected {k1}")
+    breakpoints = field("breakpoints")
+    tres, ures = int(field("tres")), int(field("ures"))
     out = {}
-    for kind in kinds:
-        if kind not in KIND_INFO:
-            raise ValueError(f"unknown envelope kind {kind!r}")
-        path = os.path.join(dirpath, f"k{k1:02d}_{kind}.env")
-        env = load_envelope(path)
-        monotone = KIND_INFO[kind][2]
-        if (env.k1, env.kind, env.monotone) != (k1, kind, monotone):
-            raise FormatError(
-                f"{path}: header has k1={env.k1} kind={env.kind} "
-                f"monotone={int(env.monotone)}, expected k1={k1} kind={kind} "
-                f"monotone={int(monotone)}")
-        out[kind] = env
+    for kind, (_, _, monotone) in KIND_INFO.items():
+        values = field(f"{kind}.values")
+        if values.shape != (len(breakpoints) - 1,):
+            raise FormatError(f"{path}: {kind} has {values.shape} values "
+                              f"for {len(breakpoints)} breakpoints")
+        out[kind] = StepEnvelope(kind=kind, monotone=monotone,
+                                 breakpoints=breakpoints, values=values,
+                                 tail=float(field(f"{kind}.tail")), k1=k1,
+                                 tres=tres, ures=ures)
     return out

@@ -140,8 +140,7 @@ def _certify_config(k1_set, resolution: str, cache: str | None) -> CertifyConfig
 
 def _cmd_envelopes(args) -> int:
     envs = build_envelopes(_resolution_spec(args.k1, args.resolution))
-    paths = save_envelope_set(args.out, envs)
-    print(f"wrote {len(paths)} envelope files to {args.out}")
+    print(f"wrote {save_envelope_set(args.out, envs)}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Convolution kernels and the Gaussian derivative jet.
+"""Convolution kernels.
 
 Three radially symmetric point-spread models are supported:
 
@@ -30,18 +30,6 @@ _MICRO_W2 = 1.10
 SIGMA0 = _MICRO_W1 / 2.0  # from 2 sigma0^2 = 1.72^2 / 2
 
 AIRY_SCALE = 3.8317  # first positive zero of J1; puts K's first zero at r = 1
-
-
-def gaussian_jet(t):
-    """Value, gradient, and Hessian entries of K(t) = exp(-|t|^2/2).
-
-    Returns (K, Kx, Ky, Kxx, Kyy, Kxy).  Accepts a 2-vector or an (..., 2)
-    array (vectorized over leading axes).
-    """
-    t = np.asarray(t, dtype=float)
-    x, y = t[..., 0], t[..., 1]
-    K = np.exp(-0.5 * (x * x + y * y))
-    return (K, -x * K, -y * K, (x * x - 1.0) * K, (y * y - 1.0) * K, x * y * K)
 
 
 # ---------------------------------------------------------------------------

@@ -59,15 +59,6 @@ class SpikeSignal:
         if not np.all(np.isfinite(self.amplitudes)):
             raise ValueError("amplitudes must be finite")
 
-    @property
-    def min_separation(self) -> float:
-        """Min pairwise distance between spike locations (inf if < 2)."""
-        p = self.positions
-        if len(p) < 2:
-            return math.inf
-        d = np.linalg.norm(p[:, None] - p[None], axis=-1)
-        return float(np.min(d[np.triu_indices(len(p), k=1)]))
-
 
 @dataclass(frozen=True)
 class SampleGrid:

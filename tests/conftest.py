@@ -1,3 +1,4 @@
+import functools
 import os
 
 import numpy as np
@@ -8,27 +9,39 @@ from deconv2d.envelope import (
     EXTENDED_U_KINDS,
     KIND_INFO,
     EnvelopeGridSpec,
-    build_envelopes,
-    load_envelope_set,
-    save_envelope_set,
+    StepEnvelope,
     zeta_band,
 )
 
-_CACHE_DIR = os.path.join(os.path.dirname(__file__), ".envcache")
-_MEM: dict[int, dict] = {}
+DESK_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "perfbench", "data", "envelopes_desk.npz")
+
+
+@functools.cache
+def desk_reference() -> dict:
+    """k1 -> {kind: StepEnvelope}: the benchmark's desk-resolution envelopes
+    of bands 1/5/9/13, read (never written) from ``DESK_REFERENCE``, whose
+    keys are ``"<k1>.<kind>.<field>"``."""
+    fields: dict = {}
+    with np.load(DESK_REFERENCE, allow_pickle=False) as npz:
+        for key in npz.files:
+            k1, kind, name = key.split(".")
+            band = fields.setdefault(int(k1), {})
+            band.setdefault(kind, {})[name] = npz[key]
+    out = {}
+    for k1, kinds in fields.items():
+        spec = EnvelopeGridSpec(k1=k1)
+        out[k1] = {kind: StepEnvelope(
+            kind=kind, monotone=bool(f["monotone"]),
+            breakpoints=f["breakpoints"], values=f["values"],
+            tail=float(f["tail"]), k1=k1, tres=spec.tres, ures=spec.ures)
+            for kind, f in kinds.items()}
+    return out
 
 
 def desk_envelopes(k1: int) -> dict:
-    """Desk-resolution envelopes for one band, cached in memory and on disk."""
-    if k1 in _MEM:
-        return _MEM[k1]
-    try:
-        envs = load_envelope_set(_CACHE_DIR, k1)
-    except (OSError, ValueError):
-        envs = build_envelopes(EnvelopeGridSpec(k1=k1))
-        save_envelope_set(_CACHE_DIR, envs)
-    _MEM[k1] = envs
-    return envs
+    """Desk-resolution envelopes of band k1 from the benchmark reference."""
+    return desk_reference()[k1]
 
 
 @pytest.fixture(scope="session")

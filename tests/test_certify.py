@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import desk_envelopes
+from conftest import desk_envelopes, desk_reference
 from deconv2d.certify import (
     CertifyConfig,
     CoefficientBoundExceeded,
@@ -17,7 +17,6 @@ from deconv2d.certify import (
     qtri_segment_bounds,
     recovery_sweep,
 )
-from deconv2d.envelope import StepEnvelope
 from deconv2d.hexgeom import build_partition
 from deconv2d.schur import (
     NormBounds,
@@ -83,16 +82,7 @@ def test_benchmark_grid_matches_reference():
     (bands 1/5/9/13 x the unrounded `deconv2d certify --delta-min 4.0
     --delta-max 6.0` grid) against the recorded reference, on the recorded
     desk envelopes.  Cells recorded as errors have no verdict to compare."""
-    envs = {}
-    with np.load(os.path.join(BENCH_DATA, "envelopes_desk.npz"),
-                 allow_pickle=False) as npz:
-        for key in npz.files:
-            k1, kind, field = key.split(".")
-            envs.setdefault(int(k1), {}).setdefault(kind, {})[field] = npz[key]
-    config = CertifyConfig({k1: {kind: StepEnvelope(
-        kind=kind, monotone=bool(e["monotone"]), breakpoints=e["breakpoints"],
-        values=e["values"], tail=float(e["tail"]), k1=k1, tres=10, ures=10)
-        for kind, e in kinds.items()} for k1, kinds in envs.items()})
+    config = CertifyConfig(desk_reference())
     with open(os.path.join(BENCH_DATA, "reference.json")) as fh:
         reference = json.load(fh)["certify"]
     grid = np.arange(4.0, 6.0 + 1e-12, 0.05)

@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,13 +12,9 @@ from deconv2d.envelope import (
     FormatError,
     EnvelopeGridSpec,
     OutOfValidatedRange,
-    StepEnvelope,
     VersionMismatch,
-    band_for_zeta,
     build_envelopes,
-    load_envelope,
     load_envelope_set,
-    save_envelope,
     save_envelope_set,
     tail_chain_sum,
     tail_constants,
@@ -36,8 +33,7 @@ from deconv2d.interval import (
 )
 from test_interval import Interval
 
-DESK_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir,
-                              "perfbench", "data", "envelopes_desk.npz")
+BANDS = (1, 5, 9, 13)
 
 
 def test_zeta_bands():
@@ -45,7 +41,6 @@ def test_zeta_bands():
     assert lo == 0.1 and abs(hi - 0.15) < 1e-15
     lo, hi = zeta_band(16)
     assert abs(lo - 0.85) < 1e-15 and abs(hi - 0.9) < 1e-15
-    assert band_for_zeta(0.32) == 5
     with pytest.raises(ValueError):
         zeta_band(0)
 
@@ -145,22 +140,22 @@ def test_batched_u_cells_match_scalar_oracle(k1, lo):
             assert same(got[0], want[0], u) and same(got[1], want[1], u), u
 
 
-def test_desk_build_matches_benchmark_reference():
-    """A fresh desk build of band 1 equals the benchmark's recorded desk
-    envelopes bit for bit (values, breakpoints and tail of all 14 kinds);
-    the cached envelopes the other tests load would not show a change of
-    the builder."""
-    envs = build_envelopes(EnvelopeGridSpec(k1=1))
-    with np.load(DESK_REFERENCE, allow_pickle=False) as ref:
-        assert set(envs) == set(ALL_KINDS)
-        for kind, e in envs.items():
-            key = f"1.{kind}."
-            assert e.values.tobytes() == ref[key + "values"].tobytes(), kind
-            assert (e.breakpoints.tobytes()
-                    == ref[key + "breakpoints"].tobytes()), kind
-            assert (np.float64(e.tail).tobytes()
-                    == ref[key + "tail"].tobytes()), kind
-            assert e.monotone == bool(ref[key + "monotone"]), kind
+@pytest.mark.parametrize("k1", BANDS)
+def test_desk_build_matches_benchmark_reference(k1):
+    """A fresh desk build equals the benchmark's recorded desk envelopes bit
+    for bit (values, breakpoints, tail and monotonicity of all 14 kinds).
+    The other tests certify on that reference, so this is what detects a
+    reference out of step with the builder."""
+    envs = build_envelopes(EnvelopeGridSpec(k1=k1))
+    ref = desk_envelopes(k1)
+    assert set(envs) == set(ref) == set(ALL_KINDS)
+    for kind, e in envs.items():
+        r = ref[kind]
+        assert e.values.tobytes() == r.values.tobytes(), kind
+        assert e.breakpoints.tobytes() == r.breakpoints.tobytes(), kind
+        assert (np.float64(e.tail).tobytes()
+                == np.float64(r.tail).tobytes()), kind
+        assert e.monotone == r.monotone, kind
 
 
 def test_build_independent_of_chunk_size(monkeypatch):
@@ -190,7 +185,7 @@ def test_monotone_non_increasing(envs):
     for e in envs.values():
         if e.monotone:
             assert np.all(np.diff(e.values) <= 0), e.kind
-            assert np.all(e.values >= e.floor)
+            assert np.all(e.values >= envelope.FLOOR)
 
 
 def test_tails_below_two_em9(envs):
@@ -266,55 +261,58 @@ def test_tail_chain_direct_summation():
     assert 0 < s < 2e-11
 
 
-def test_cache_round_trip(tmp_path, envs):
-    for kind in ("bump", "bump_eig_max"):
-        p = tmp_path / f"{kind}.env"
-        save_envelope(envs[kind], str(p))
-        back = load_envelope(str(p))
-        assert back.kind == kind and back.monotone == envs[kind].monotone
-        assert np.array_equal(back.values, envs[kind].values)
-        assert np.array_equal(back.breakpoints, envs[kind].breakpoints)
-        assert back.tail == envs[kind].tail
-        assert (back.k1, back.tres, back.ures) == (5, 10, 10)
+def test_cache_round_trip(tmp_path):
+    """All 14 kinds of bands 1/5/9/13 come back bit for bit, with band and
+    resolutions."""
+    for k1 in BANDS:
+        envs = desk_envelopes(k1)
+        path = save_envelope_set(str(tmp_path), envs)
+        assert path == str(tmp_path / f"k{k1:02d}.npz")
+        back = load_envelope_set(str(tmp_path), k1)
+        assert set(back) == set(ALL_KINDS)
+        for kind, e in envs.items():
+            b = back[kind]
+            assert b.kind == kind and b.monotone == e.monotone, (k1, kind)
+            assert b.values.tobytes() == e.values.tobytes(), (k1, kind)
+            assert (b.breakpoints.tobytes()
+                    == e.breakpoints.tobytes()), (k1, kind)
+            assert (np.float64(b.tail).tobytes()
+                    == np.float64(e.tail).tobytes()), (k1, kind)
+            assert (b.k1, b.tres, b.ures) == (k1, 10, 10), (k1, kind)
 
 
-def test_cache_errors(tmp_path, envs):
-    p = tmp_path / "x.env"
-    save_envelope(envs["bump"], str(p))
-    lines = p.read_text().splitlines()
-    (tmp_path / "trunc.env").write_text("\n".join(lines[:5]) + "\n")
-    with pytest.raises(FormatError):
-        load_envelope(str(tmp_path / "trunc.env"))
-    bad = ["ENVCACHE v2 " + lines[0].split(maxsplit=2)[2]] + lines[1:]
-    (tmp_path / "ver.env").write_text("\n".join(bad) + "\n")
-    with pytest.raises(VersionMismatch):
-        load_envelope(str(tmp_path / "ver.env"))
-    (tmp_path / "empty.env").write_text("")
-    with pytest.raises(FormatError):
-        load_envelope(str(tmp_path / "empty.env"))
+def test_cache_errors(tmp_path):
+    """A truncated file, a missing kind or a values array that does not
+    fill its bins is a FormatError; another schema version is a
+    VersionMismatch."""
+    path = save_envelope_set(str(tmp_path), desk_envelopes(5))
+    with np.load(path, allow_pickle=False) as npz:
+        fields = {key: npz[key] for key in npz.files}
+
+    def refused(error, **changes):
+        data = {**fields, **changes}
+        np.savez(path, **{k: v for k, v in data.items() if v is not None})
+        with pytest.raises(error):
+            load_envelope_set(str(tmp_path), 5)
+
+    refused(FormatError, **{"bump_eig.values": None})
+    refused(FormatError, **{"bump.values": fields["bump.values"][:-1]})
+    refused(VersionMismatch, version=1)
+    np.savez(path, **fields)
+    data = pathlib.Path(path).read_bytes()
+    for size in (0, 10, len(data) // 2, len(data) - 1):
+        pathlib.Path(path).write_bytes(data[:size])
+        with pytest.raises(FormatError):
+            load_envelope_set(str(tmp_path), 5)
 
 
 def test_cache_set_refuses_another_band_or_kind(tmp_path):
-    """A file renamed to another band, or copied to another kind's name,
-    must not be loaded as that band or kind."""
-    save_envelope_set(str(tmp_path), desk_envelopes(13))
-    for p in tmp_path.glob("k13_*.env"):
-        p.rename(tmp_path / p.name.replace("k13_", "k01_"))
-    with pytest.raises(FormatError, match="k1=13"):
+    """A band-13 file renamed to band 1 must not load as band 1, and
+    envelopes that share no breakpoints are not written."""
+    os.rename(save_envelope_set(str(tmp_path), desk_envelopes(13)),
+              tmp_path / "k01.npz")
+    with pytest.raises(FormatError, match="band 13"):
         load_envelope_set(str(tmp_path), 1)
-
-    save_envelope_set(str(tmp_path), desk_envelopes(1))
-    assert load_envelope_set(str(tmp_path), 1)["bump"].k1 == 1
-    bump = (tmp_path / "k01_bump.env").read_text()
-    (tmp_path / "k01_bump_eig.env").write_text(bump)
-    with pytest.raises(FormatError, match="kind=bump "):
-        load_envelope_set(str(tmp_path), 1)
-
-    save_envelope_set(str(tmp_path), desk_envelopes(1))
-    signed = (tmp_path / "k01_bump_slope.env").read_text()
-    (tmp_path / "k01_bump_slope.env").write_text(
-        signed.replace("monotone=0", "monotone=1", 1))
-    with pytest.raises(FormatError, match="monotone=1"):
-        load_envelope_set(str(tmp_path), 1)
-    with pytest.raises(ValueError, match="unknown envelope kind"):
-        load_envelope_set(str(tmp_path), 1, kinds=("bump", "nope"))
+    mixed = {**desk_envelopes(1), "bump": desk_envelopes(5)["bump"]}
+    with pytest.raises(ValueError, match="breakpoints"):
+        save_envelope_set(str(tmp_path / "mixed"), mixed)

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from conftest import _CACHE_DIR, desk_envelopes
+from conftest import desk_envelopes
 from deconv2d import envelope
+from deconv2d.envelope import ALL_KINDS, load_envelope_set, save_envelope_set
 from deconv2d.experiments import (
     cli_main,
     parse_config,
@@ -91,9 +92,10 @@ def test_cli_envelopes_file_count(tmp_path):
     rc = cli_main(["envelopes", "--k1", "5", "--resolution", "4",
                    "--out", str(out)])
     assert rc == 0
-    files = sorted(os.listdir(out))
-    assert len(files) == 14
-    assert all(f.startswith("k05_") and f.endswith(".env") for f in files)
+    assert os.listdir(out) == ["k05.npz"]
+    envs = load_envelope_set(str(out), 5)
+    assert set(envs) == set(ALL_KINDS)
+    assert (envs["bump"].tres, envs["bump"].ures) == (4, 4)
 
 
 def test_cli_envelopes_resolution_cap(tmp_path, capsys, monkeypatch):
@@ -120,11 +122,11 @@ def test_cli_envelopes_resolution_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_certify_sweep(tmp_path):
-    desk_envelopes(5)  # make sure the on-disk cache exists
+    save_envelope_set(str(tmp_path), desk_envelopes(5))
     out = tmp_path / "c.csv"
     rc = cli_main(["certify", "--delta-min", "5.4", "--delta-max", "5.6",
                    "--delta-step", "0.1", "--zeta-bands", "5",
-                   "--envelope-cache", _CACHE_DIR, "--out", str(out)])
+                   "--envelope-cache", str(tmp_path), "--out", str(out)])
     assert rc == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -140,14 +142,33 @@ def test_cli_certify_sweep(tmp_path):
 def test_cli_certify_readme_grid(tmp_path):
     """The README's unrounded 4.0..6.0 grid holds Delta = 5.749999999999994,
     whose last segment edge once overshot Delta and crashed the command."""
-    desk_envelopes(5)
+    save_envelope_set(str(tmp_path), desk_envelopes(5))
     out = tmp_path / "c.csv"
     rc = cli_main(["certify", "--delta-min", "4.0", "--delta-max", "6.0",
-                   "--zeta-bands", "5", "--envelope-cache", _CACHE_DIR,
+                   "--zeta-bands", "5", "--envelope-cache", str(tmp_path),
                    "--out", str(out)])
     assert rc == 0
     with open(out, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 41
+
+
+def test_cli_certify_refuses_v1_cache(tmp_path, capsys):
+    """A directory of pre-npz text envelope files is not read: the command
+    is a computation error that names the missing band file, and writes
+    nothing."""
+    for kind in ALL_KINDS:
+        (tmp_path / f"k05_{kind}.env").write_text(
+            f"ENVCACHE v1 k1=5 kind={kind} monotone=1 tres=10 ures=10\n"
+            "0.0 0.1 1.0\ntail 1e-12\n")
+    out = tmp_path / "c.csv"
+    rc = cli_main(["certify", "--delta-min", "5.0", "--delta-max", "5.0",
+                   "--zeta-bands", "5", "--envelope-cache", str(tmp_path),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k05.npz" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_svd_and_demo(tmp_path):
@@ -204,7 +225,7 @@ def test_cli_config_cannot_supply_required_flags(tmp_path, capsys):
     cfg.write_text("delta_min = 5.4\n")
     out = tmp_path / "c.csv"
     rc = cli_main(["--config", str(cfg), "certify", "--delta-max", "5.6",
-                   "--zeta-bands", "5", "--envelope-cache", _CACHE_DIR,
+                   "--zeta-bands", "5", "--envelope-cache", str(tmp_path),
                    "--out", str(out)])
     assert rc == 1
     assert "--delta-min" in capsys.readouterr().err

@@ -7,63 +7,8 @@ from deconv2d.kernels import (
     AIRY_SCALE,
     SIGMA0,
     KernelModel,
-    gaussian_jet,
     kernel_eval,
 )
-
-
-def test_jet_origin():
-    K, Kx, Ky, Kxx, Kyy, Kxy = gaussian_jet((0.0, 0.0))
-    assert K == 1.0
-    assert Kx == Ky == Kxy == 0.0
-    assert Kxx == Kyy == -1.0
-
-
-def test_jet_unit_point():
-    K, Kx, _, Kxx, _, _ = gaussian_jet((1.0, 0.0))
-    e = math.exp(-0.5)
-    assert abs(K - e) < 1e-15
-    assert abs(Kx + e) < 1e-15
-    assert abs(Kxx) < 1e-15
-
-
-def test_jet_parity():
-    rng = np.random.default_rng(3)
-    t = rng.uniform(-4, 4, size=(50, 2))
-    a = gaussian_jet(t)
-    b = gaussian_jet(-t)
-    for i in (0, 3, 4, 5):
-        assert np.allclose(a[i], b[i], rtol=0, atol=0)
-    for i in (1, 2):
-        assert np.allclose(a[i], -b[i], rtol=0, atol=0)
-
-
-def test_jet_finite_differences():
-    """All five derivatives vs central differences at 1000 random points."""
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(-5, 5, size=(1000, 2))
-    h = 1e-5
-
-    def K(p):
-        return gaussian_jet(p)[0]
-
-    _, Kx, Ky, Kxx, Kyy, Kxy = gaussian_jet(pts)
-    ex = np.zeros((len(pts), 2))
-    ex[:, 0] = h
-    ey = np.zeros((len(pts), 2))
-    ey[:, 1] = h
-    fdx = (K(pts + ex) - K(pts - ex)) / (2 * h)
-    fdy = (K(pts + ey) - K(pts - ey)) / (2 * h)
-    fdxx = (K(pts + ex) - 2 * K(pts) + K(pts - ex)) / h**2
-    fdyy = (K(pts + ey) - 2 * K(pts) + K(pts - ey)) / h**2
-    fdxy = (K(pts + ex + ey) - K(pts + ex - ey)
-            - K(pts - ex + ey) + K(pts - ex - ey)) / (4 * h**2)
-    scale = np.maximum(np.abs(Kx), 1e-3)
-    assert np.max(np.abs(fdx - Kx) / np.maximum(np.abs(Kx), 1e-3)) < 1e-6
-    assert np.max(np.abs(fdy - Ky) / np.maximum(np.abs(Ky), 1e-3)) < 1e-6
-    assert np.max(np.abs(fdxx - Kxx)) < 1e-4
-    assert np.max(np.abs(fdyy - Kyy)) < 1e-4
-    assert np.max(np.abs(fdxy - Kxy)) < 1e-4
 
 
 def test_kernel_at_zero():

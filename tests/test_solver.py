@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from deconv2d.kernels import KernelModel, kernel_eval
 from deconv2d.solver import (
@@ -22,8 +23,7 @@ GAUSS = KernelModel.gaussian()
 
 def test_spike_signal_separation():
     s = SpikeSignal([[0, 0], [3, 0], [0, 4]], [1.0, -2.0, 0.5])
-    assert s.min_separation == 3.0
-    assert SpikeSignal([[1, 1]], [2.0]).min_separation == np.inf
+    assert pdist(s.positions).min() == 3.0
     with pytest.raises(ValueError):
         SpikeSignal([[0, 0]], [np.nan])
 
@@ -144,7 +144,7 @@ def test_basis_pursuit_not_converged_best_iterate():
 def test_hex_arrangement_geometry():
     pts = hex_arrangement(25, 2.0)
     assert pts.shape == (25, 2)
-    assert SpikeSignal(pts, np.ones(25)).min_separation == pytest.approx(2.0)
+    assert pdist(pts).min() == pytest.approx(2.0)
     # odd rows are offset by half a separation
     assert pts[5, 0] - pts[0, 0] == pytest.approx(1.0)
 
