@@ -8,8 +8,6 @@ desk or published profiles but never unsound, so a "certified" verdict here
 is still a proof.
 """
 
-import numpy as np
-
 from deconv2d.certify import CertifyConfig, certify_cell
 from deconv2d.envelope import EnvelopeGridSpec, build_envelopes, zeta_band
 

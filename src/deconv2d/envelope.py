@@ -24,6 +24,19 @@ with its Gaussian (E, dx E, dy E, m E, g E) are formed once and shared by every
 kind that reads them, and each kind's coefficient sum is max-reduced into
 radial bins.
 
+Only ten kinds are evaluated; the four W2 kinds are the W1 kinds mirrored.
+Let M swap x and y.  M maps the samples s1, s3 of offset u onto the samples
+s1, s2 of offset M u and keeps their norms, so the W2 of offset u and the W1
+of offset M u carry the same coefficients on the same two Gaussians, moved by
+M: W2_u(M t) = W1_Mu(t), grad W2_u(M t) = M grad W1_Mu(t) (dx and dy
+exchange), and the per-Gaussian eigenvalue sum of the eig kinds is the same
+at M t and at t.  M preserves |t|, the box [0, zeta/2]^2 and the box
+[-zeta/2, zeta/2]^2, so the suprema of |wave2|, |wave2_dx|, |wave2_dy| and
+wave2_eig over a band, a u-box and the radii >= r are those of |wave1|,
+|wave1_dy|, |wave1_dx| and wave1_eig over the same sets.  A sound W1
+envelope therefore bounds W2, whatever the float symmetry of the t-grid,
+and is returned under the W2 name as its own copy.
+
 Beyond r = 10 everything is controlled by closed-form tail bounds
 (g(r) = 6 r^2 exp(-r^2/2 + sqrt(2) zeta r), waves carry an extra 1/zeta), so
 envelopes only store bins on [0, 10] plus a single tail value.
@@ -34,7 +47,7 @@ from __future__ import annotations
 import math
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +96,9 @@ KIND_INFO = {
 ALL_KINDS = tuple(KIND_INFO)
 #: kinds whose u-quantifier is the full [-zeta/2, zeta/2]^2 box
 EXTENDED_U_KINDS = ("wave1_eig", "wave2_eig")
+#: W2 kind -> the W1 kind it equals under the x <-> y mirror (see Construction)
+_MIRRORED = {"wave2": "wave1", "wave2_dx": "wave1_dy", "wave2_dy": "wave1_dx",
+             "wave2_eig": "wave1_eig"}
 
 
 class OutOfValidatedRange(ValueError):
@@ -290,7 +306,8 @@ def _u_cells(zlo: float, zhi: float, j, k, ures: int):
     their shape.  Spike at the origin; samples s1 = -u, s2 = (zeta - u1, -u2),
     s3 = (-u1, zeta - u2).  Coefficients use the closed forms with the
     cross-product sum replaced by zeta^2 exactly (valid for this
-    orientation).  The wave coefficients that vanish identically are None.
+    orientation).  The W1 coefficient of s3 vanishes identically and is None;
+    the W2 coefficients are not needed (see the module docstring).
     """
     Z = (zlo, zhi)
     one = (1.0, 1.0)
@@ -310,11 +327,9 @@ def _u_cells(zlo: float, zhi: float, j, k, ures: int):
 
     eu, e2, e3 = gauss(sq1, sq2), gauss(sqg2, sq2), gauss(sq1, sqg3)
     inv = v_div(one, Z)
-    w = v_neg(v_mul(inv, eu))
     coeffs = {
         "B": (v_mul(v_sub(g2, f2), eu), v_mul(f1, e2), v_mul(f2, e3)),
-        "W1": (w, v_mul(inv, e2), None),
-        "W2": (w, None, v_mul(inv, e3)),
+        "W1": (v_neg(v_mul(inv, eu)), v_mul(inv, e2), None),
     }
     ux, uy = v_neg(v_mul(f1, Z)), v_neg(v_mul(f2, Z))
     samples = ((ux, uy), (v_mul(g2, Z), uy), (ux, v_mul(g3, Z)))
@@ -423,31 +438,20 @@ def tail_chain_sum(zeta: float, layers=range(9, 31)) -> float:
 # ---------------------------------------------------------------------------
 # build
 
-def build_envelopes(spec: EnvelopeGridSpec, kinds=None) -> dict:
-    """Build envelopes for all requested kinds of one zeta band at once
-    (sharing the per-u-cell Gaussian interval arrays)."""
-    kinds = list(ALL_KINDS if kinds is None else kinds)
-    for k in kinds:
-        if k not in KIND_INFO:
-            raise ValueError(f"unknown envelope kind {k!r}")
+def build_envelopes(spec: EnvelopeGridSpec) -> dict:
+    """Build all fourteen envelopes of one zeta band at once, sharing the
+    per-u-cell Gaussian interval arrays; the W2 kinds are mirrored W1 ones."""
     half = spec.ures // 2
-    n_ucells = half * half
-    if any(k in EXTENDED_U_KINDS for k in kinds):
-        n_ucells += spec.ures * spec.ures
-    n_cells = (20 * spec.tres) ** 2 * n_ucells  # t-grid: [-10, 10]^2
+    n_cells = (20 * spec.tres) ** 2 * (half * half + spec.ures * spec.ures)
     if n_cells > MAX_CELLS:
         raise ResourceBudgetExceeded(f"{n_cells} cells > cap {MAX_CELLS}")
     grid = _TCellGrid.get(spec.tres)
     zlo, zhi = spec.zeta
     m = grid.nbins
 
-    normal = [k for k in kinds if k not in EXTENDED_U_KINDS]
-    extended = [k for k in kinds if k in EXTENDED_U_KINDS]
-    bins = {}
-    for k in kinds:
-        _, _, mono = KIND_INFO[k]
-        bins[k] = np.zeros(m) if mono else np.full(m, -np.inf)
-
+    built = [k for k in ALL_KINDS if k not in _MIRRORED]
+    bins = {k: np.zeros(m) if KIND_INFO[k][2] else np.full(m, -np.inf)
+            for k in built}
     chunks = grid.chunks(_CHUNK_CELLS)
 
     def accumulate(kind_list, lo):
@@ -461,16 +465,21 @@ def build_envelopes(spec: EnvelopeGridSpec, kinds=None) -> dict:
                 v_abs(c) if expr == "eig_abs" and c is not None else c
                 for c in coeffs[base])
             groups.setdefault(expr, []).append(kind)
+        # samples that some kind of this pass reads
+        used = [i for i in range(3)
+                if any(cs[i] is not None for cs in kind_coeffs.values())]
         for u in range(len(j)):
             cell_samples = [(_pick(sx, u), _pick(sy, u)) for sx, sy in samples]
             cell_coeffs = {kind: [_pick(c, u) for c in cs]
                            for kind, cs in kind_coeffs.items()}
             for cells in chunks:
-                arrays = [_sample_arrays(s, cells) for s in cell_samples]
+                arrays = {i: _sample_arrays(cell_samples[i], cells)
+                          for i in used}
                 for expr, group in groups.items():
                     # one shape per sample, shared by every kind of the group
                     shapes = [_shape(expr, cell_samples[i], snorms[i][u],
-                                     arrays[i], cells) for i in range(3)]
+                                     arrays[i], cells) if i in arrays else None
+                              for i in range(3)]
                     for kind in group:
                         vals = _kind_values(expr, cell_coeffs[kind], shapes)
                         if KIND_INFO[kind][2]:
@@ -479,16 +488,15 @@ def build_envelopes(spec: EnvelopeGridSpec, kinds=None) -> dict:
                             for mask, idx in cells.span_bins:
                                 np.maximum.at(bins[kind], idx, vals[mask])
 
-    if normal:
-        accumulate(normal, 1)
-    if extended:
-        accumulate(extended, 1 - half)
+    accumulate([k for k in built if k not in EXTENDED_U_KINDS], 1)
+    accumulate([k for k in built if k in EXTENDED_U_KINDS], 1 - half)
 
     edges = np.arange(m + 1) / spec.tres
     out = {}
-    for kind in kinds:
+    for kind in ALL_KINDS:
         _, _, mono = KIND_INFO[kind]
-        v = bins[kind]
+        # a W2 kind is reduced from its W1 kind's bins into its own array
+        v = bins[_MIRRORED.get(kind, kind)]
         if mono:
             v = np.maximum.accumulate(v[::-1])[::-1]
             v = np.maximum(v, FLOOR)

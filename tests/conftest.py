@@ -2,7 +2,6 @@ import functools
 import os
 
 import numpy as np
-import pytest
 
 from deconv2d.envelope import (
     ALL_KINDS,
@@ -42,11 +41,6 @@ def desk_reference() -> dict:
 def desk_envelopes(k1: int) -> dict:
     """Desk-resolution envelopes of band k1 from the benchmark reference."""
     return desk_reference()[k1]
-
-
-@pytest.fixture(scope="session")
-def envs_k5():
-    return desk_envelopes(5)
 
 
 def sample_quantities(k1: int, n: int, rng, extended_u: bool):

@@ -6,7 +6,6 @@ FAILED line for that criterion.  The paper-resolution certification sweep
 is hours-scale and opt-in via the DECONV2D_PAPER_RES environment variable.
 """
 
-import math
 import os
 import time
 
@@ -14,9 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import desk_envelopes, mc_envelope_violations
-from deconv2d.bumpwave import SpikeConfig, bw_coefficients, bw_eval, bw_grad
+from deconv2d.bumpwave import bw_coefficients, bw_eval, bw_grad
 from deconv2d.certify import CertifyConfig, certify_cell, recovery_sweep
-from deconv2d.envelope import ALL_KINDS, KIND_INFO, tail_chain_sum, zeta_band
+from deconv2d.envelope import ALL_KINDS, KIND_INFO, tail_chain_sum
 from deconv2d.schur import numeric_certificate, schur_bounds, svd_small
 from deconv2d.solver import recovery_trial
 from deconv2d.experiments import phase_diagram, svd_conditioning

@@ -194,3 +194,28 @@ def test_tail_bound():
         assert abs(bw_eval(cfg, co, "B", t)) <= g
         for kind in ("W1", "W2"):
             assert abs(bw_eval(cfg, co, kind, t)) <= g / zeta
+
+
+def test_w2_is_mirrored_w1():
+    """Swapping x with y and u1 with u2 maps W2 onto W1: W2 of offset u at
+    (p_y, p_x) equals W1 of offset (u2, u1) at p, and the gradients agree
+    with their components swapped.  The envelope builder derives the W2
+    envelopes from this identity."""
+    rng = np.random.default_rng(8)
+
+    def config(u, zeta):
+        return SpikeConfig(np.zeros(2), -u, np.array([zeta - u[0], -u[1]]),
+                           np.array([-u[0], zeta - u[1]]), zeta)
+
+    for _ in range(1000):
+        zeta = rng.uniform(0.1, 0.9)
+        u = rng.uniform(-0.5, 0.5, 2) * zeta
+        p = rng.uniform(-10, 10, 2)
+        cfg, mirror = config(u, zeta), config(u[::-1], zeta)
+        co, mco = bw_coefficients(cfg), bw_coefficients(mirror)
+        w2 = bw_eval(cfg, co, "W2", p[::-1])
+        w1 = bw_eval(mirror, mco, "W1", p)
+        assert abs(w2 - w1) <= 1e-12 * abs(w1)
+        g2 = bw_grad(cfg, co, "W2", p[::-1])
+        g1 = bw_grad(mirror, mco, "W1", p)
+        assert np.all(np.abs(g2 - g1[::-1]) <= 1e-12 * np.abs(g1[::-1]))

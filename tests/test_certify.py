@@ -21,7 +21,6 @@ from deconv2d.hexgeom import build_partition
 from deconv2d.schur import (
     NormBounds,
     SchurReport,
-    block_norm_bounds,
     numeric_certificate,
     schur_bounds,
 )

@@ -107,7 +107,6 @@ def _u_cell_coeffs(zlo: float, zhi: float, j: int, k: int, ures: int):
     coeffs = {
         "B": ((one - f1 - f2) * eu, f1 * e2, f2 * e3),
         "W1": (-(inv * eu), inv * e2, None),
-        "W2": (-(inv * eu), None, inv * e3),
     }
     ux, uy = f1 * Z, f2 * Z
     samples = ((-ux, -uy), (g2 * Z, -uy), (-ux, g3 * Z))
@@ -130,6 +129,7 @@ def test_batched_u_cells_match_scalar_oracle(k1, lo):
 
     for u in range(len(j)):
         want_c, want_s = _u_cell_coeffs(zlo, zhi, int(j[u]), int(k[u]), ures)
+        assert set(coeffs) == set(want_c)
         for base, want in want_c.items():
             for got, iv in zip(coeffs[base], want):
                 assert (got is None) == (iv is None), (base, u)
@@ -156,6 +156,18 @@ def test_desk_build_matches_benchmark_reference(k1):
         assert (np.float64(e.tail).tobytes()
                 == np.float64(r.tail).tobytes()), kind
         assert e.monotone == r.monotone, kind
+
+
+def test_w2_kinds_are_own_copies_of_mirrored_w1():
+    """Each W2 kind is its x <-> y mirrored W1 kind under its own name, in
+    an array of its own."""
+    envs = build_envelopes(EnvelopeGridSpec(k1=1, tres=2, ures=2))
+    for w2, w1 in (("wave2", "wave1"), ("wave2_dx", "wave1_dy"),
+                   ("wave2_dy", "wave1_dx"), ("wave2_eig", "wave1_eig")):
+        a, b = envs[w2], envs[w1]
+        assert a.kind == w2 and b.kind == w1
+        assert a.values.tobytes() == b.values.tobytes() and a.tail == b.tail
+        assert not np.shares_memory(a.values, b.values), w2
 
 
 def test_build_independent_of_chunk_size(monkeypatch):
@@ -239,11 +251,16 @@ def test_mc_soundness_sampled():
 
 
 def test_resolution_monotonicity():
-    """Finer grids never give larger (looser) envelopes than coarse ones."""
-    coarse = build_envelopes(EnvelopeGridSpec(k1=1, tres=10, ures=10), ["bump"])["bump"]
-    fine = build_envelopes(EnvelopeGridSpec(k1=1, tres=20, ures=10), ["bump"])["bump"]
-    r = np.linspace(0.05, 9.95, 100)
-    assert np.all(fine.query_many(r) <= coarse.query_many(r) * (1 + 1e-9))
+    """A finer t-grid never gives a larger (looser) envelope: on bands 1
+    and 13, each bin of the tres = 8 build of every kind is at most the
+    tres = 4 bin that contains it."""
+    for k1 in (1, 13):
+        coarse = build_envelopes(EnvelopeGridSpec(k1=k1, tres=4, ures=4))
+        fine = build_envelopes(EnvelopeGridSpec(k1=k1, tres=8, ures=4))
+        assert set(fine) == set(coarse) == set(ALL_KINDS)
+        for kind in ALL_KINDS:
+            assert np.all(fine[kind].values
+                          <= np.repeat(coarse[kind].values, 2)), (k1, kind)
 
 
 def test_tail_constants():

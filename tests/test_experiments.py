@@ -1,7 +1,6 @@
 import csv
 import os
 
-import numpy as np
 import pytest
 
 from conftest import desk_envelopes

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from deconv2d.kernels import (
     AIRY_SCALE,

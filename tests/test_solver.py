@@ -5,7 +5,6 @@ from scipy.spatial.distance import pdist
 from deconv2d.kernels import KernelModel, kernel_eval
 from deconv2d.solver import (
     BudgetExceeded,
-    MeasurementSet,
     NotConverged,
     SampleGrid,
     SpikeSignal,
