@@ -8,6 +8,8 @@ desk or published profiles but never unsound, so a "certified" verdict here
 is still a proof.
 """
 
+import numpy as np
+
 from deconv2d.certify import CertifyConfig, certify_cell
 from deconv2d.envelope import EnvelopeGridSpec, build_envelopes, zeta_band
 
@@ -42,10 +44,11 @@ def main():
             print("  is exactly recovered by l1 minimization.")
         else:
             print(f"  verdict: not certified (stage: {rep.stage})")
-        if rep.segments:
-            worst = max(rep.segments, key=lambda t: t.q_ub)
-            print(f"  worst segment Q upper bound: {worst.q_ub:.4f} "
-                  f"on [{worst.a:.2f}, {worst.b:.2f}]")
+        segs = rep.segments
+        if segs is not None:
+            i = int(np.argmax(segs.q_ub))
+            print(f"  worst segment Q upper bound: {segs.q_ub[i]:.4f} "
+                  f"on [{segs.edges[i]:.2f}, {segs.edges[i + 1]:.2f}]")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ this module decides whether the interpolation function Q is guaranteed to
 stay inside (-1, 1) away from the spike support.  The decision reduces to
 one radial profile: with the nearest spike at the origin, bounds on Q, its
 radial derivative, and its largest Hessian eigenvalue are constant on each
-of 100 segments tiling (0, Delta].  Near the spike, negativity of the
+of 100 segments tiling (0, Delta].  One ``SegmentBounds`` record holds the
+segment edges and one array per bound.  Near the spike, negativity of the
 curvature integral (and then of its gradient extension) controls Q < 1; far
 out, the segment value bounds take over; Q > -1 holds segment by segment;
 beyond Delta a single norm inequality covers the rest of the plane.
@@ -33,16 +34,17 @@ class CoefficientBoundExceeded(ValueError):
     |gamma| <= 1; a report outside that range cannot use these formulas."""
 
 
-@dataclass(frozen=True)
-class SegmentBound:
-    """Constant bounds on Q and its derivatives over [a, b] x {0}."""
+@dataclass(frozen=True, eq=False)
+class SegmentBounds:
+    """Constant bounds on Q and its derivatives over each segment
+    [edges[i], edges[i+1]] x {0}: n + 1 ascending edges, n values per bound.
+    Compare records through their arrays; ``==`` is identity."""
 
-    a: float
-    b: float
-    q_ub: float
-    q_lb: float
-    grad_ub: float      # on grad Q . t_hat (signed)
-    eig_ub: float       # on the largest Hessian quadratic form (signed)
+    edges: np.ndarray
+    q_ub: np.ndarray
+    q_lb: np.ndarray
+    grad_ub: np.ndarray     # on grad Q . t_hat (signed)
+    eig_ub: np.ndarray      # on the largest Hessian quadratic form (signed)
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class CertificateReport:
     k1: int
     u1: float | None
     u2: float | None
-    segments: tuple
+    segments: SegmentBounds | None     # None before the segment stage
     schur: SchurReport
     far_field_ok: bool
     verdict: str        # "certified" or "failed(<stage>)"
@@ -88,9 +90,9 @@ def _require_coefficient_budget(schur: SchurReport) -> None:
 
 
 def qtri_segment_bounds(edges, partition, table: EnvelopeSet,
-                        schur: SchurReport, cell_dists=None) -> tuple:
+                        schur: SchurReport, cell_dists=None) -> SegmentBounds:
     """Bounds on Q over the segments [edges[i], edges[i+1]] of the positive
-    axis, one ``SegmentBound`` per segment.
+    axis, as one ``SegmentBounds`` record on ``edges``.
 
     ``cell_dists`` optionally supplies the (segments x cells) distances (the
     sweep precomputes them at Delta = 1 and dilates); otherwise they are
@@ -123,7 +125,10 @@ def qtri_segment_bounds(edges, partition, table: EnvelopeSet,
     # a segment's bounds do not depend on how many segments are evaluated
     # together.
     T = table.tables
-    near, at = table.bins(d_u), table.bins(a)
+    near, at, bt = table.bins(d_u), table.bins(a), table.bins(b)
+    # the bins meeting segment i are at[i]..bt[i]; shorter runs repeat bt[i]
+    span = np.minimum(at[:, None] + np.arange(int(np.max(bt - at)) + 1),
+                      bt[:, None])
     gnorm = {p: np.sqrt(T[p + "_dx"] * T[p + "_dx"]
                         + T[p + "_dy"] * T[p + "_dy"])
              for p in ("bump", "wave1", "wave2")}
@@ -135,49 +140,42 @@ def qtri_segment_bounds(edges, partition, table: EnvelopeSet,
     q_ub = bump_self + wave_self + neighbor_q + EPS_SEG
     q_lb = -(wave_self + neighbor_q + EPS_SEG)
 
-    omega = table.envelopes["bump_slope"].seg_max(a, b)
+    omega = np.max(T["bump_slope"][span], axis=1)
     grad_self = np.maximum(schur.alpha_lb * omega, al * omega)
     grad_neighbor = np.sum((al * gnorm["bump"] + be * gnorm["wave1"]
                             + ga * gnorm["wave2"])[near], axis=1)
     grad_wave_self = (be * gnorm["wave1"] + ga * gnorm["wave2"])[at]
     grad_ub = grad_self + grad_wave_self + grad_neighbor + EPS_SEG
 
-    eta = table.envelopes["bump_eig_max"].seg_max(a, b)
+    eta = np.max(T["bump_eig_max"][span], axis=1)
     eig_self = np.maximum(schur.alpha_lb * eta, al * eta)
     eig_neighbor = np.sum((al * T["bump_eig"] + be * T["wave1_eig"]
                            + ga * T["wave2_eig"])[near], axis=1)
     eig_wave_self = (be * T["wave1_eig"] + ga * T["wave2_eig"])[at]
     eig_ub = eig_self + eig_wave_self + eig_neighbor + EPS_SEG
 
-    return tuple(SegmentBound(*f) for f in zip(
-        a.tolist(), b.tolist(), q_ub.tolist(), q_lb.tolist(),
-        grad_ub.tolist(), eig_ub.tolist()))
+    return SegmentBounds(edges, q_ub, q_lb, grad_ub, eig_ub)
 
 
-def edge_integrals(segments):
+def edge_integrals(segments: SegmentBounds):
     """Closed-form integrals of the step-constant bound profiles at the edges.
 
-    The segments must tile [r_0, r_n] in order.  Returns the edges r_k and,
+    The segments tile [r_0, r_n] by construction.  Returns the edges r_k and,
     at each edge, the curvature integral I(r_k) = int eig(s) (r_k - s) ds over
     [r_0, r_k], its slope I'(r_k) = int eig(s) ds, and the gradient integral
     G(r_k) = int grad(s) ds, all as numpy arrays of length n + 1.  On segment
     k, I is the quadratic I(r_k) + I'(r_k) x + eig_k x^2 / 2 in x = r - r_k
     and G is linear, so the edge values determine both everywhere.
     """
-    a = np.array([s.a for s in segments])
-    b = np.array([s.b for s in segments])
-    if np.any(a[1:] != b[:-1]):
-        raise ValueError("segments must tile an interval in order")
-    eig = np.array([s.eig_ub for s in segments])
-    w = b - a
+    r, eig = segments.edges, segments.eig_ub
+    w = r[1:] - r[:-1]
     slope = np.concatenate(([0.0], np.cumsum(eig * w)))
     curv = np.concatenate(([0.0], np.cumsum(slope[:-1] * w + eig * w * w / 2)))
-    grad_ub = np.array([s.grad_ub for s in segments])
-    grad = np.concatenate(([0.0], np.cumsum(grad_ub * w)))
-    return np.append(a, b[-1]), curv, slope, grad
+    grad = np.concatenate(([0.0], np.cumsum(segments.grad_ub * w)))
+    return r, curv, slope, grad
 
 
-def find_u1_u2(segments):
+def find_u1_u2(segments: SegmentBounds):
     """Radii satisfying the curvature / gradient conditions.
 
     Any prefix endpoint with an everywhere-negative curvature integral is an
@@ -186,7 +184,7 @@ def find_u1_u2(segments):
     u1).  Returns (u1, u2) on success or (None, stage).
     """
     r, curv, slope, grad = edge_integrals(segments)
-    eig = np.array([s.eig_ub for s in segments])
+    eig = segments.eig_ub
     # I < 0 on (r_k, r_k+1]: at the right edge (the left one is checked with
     # the previous segment, and I(r_0) = 0) and, on a concave segment, at the
     # interior vertex where I' vanishes
@@ -211,7 +209,7 @@ def find_u1_u2(segments):
         # no segment extends; u2 = u1 is still a valid pair provided the
         # value bound already takes over there
         u1 = float(r[n_ok])
-        if all(s.q_ub < 1.0 for s in segments if s.a >= u1 - 1e-12):
+        if np.all(segments.q_ub[n_ok:] < 1.0):
             return u1, u1
         return None, "no_gradient_extension"
     return best_u1, best_u2
@@ -252,9 +250,9 @@ def certify_cell(delta: float, k1: int, config: CertifyConfig) -> CertificateRep
     nb = block_norm_bounds(partition, table, k1)
     rep = schur_bounds(nb)
 
-    def fail(stage, segments=(), u1=None, u2=None, ff=False):
-        return CertificateReport(delta, k1, u1, u2, tuple(segments), rep,
-                                 ff, f"failed({stage})")
+    def fail(stage, segments=None, u1=None, u2=None, ff=False):
+        return CertificateReport(delta, k1, u1, u2, segments, rep, ff,
+                                 f"failed({stage})")
 
     if not all(rep.conditions_hold):
         return fail("schur")
@@ -274,11 +272,11 @@ def certify_cell(delta: float, k1: int, config: CertifyConfig) -> CertificateRep
     u1, u2 = find_u1_u2(segments)
     if u1 is None:
         return fail(u2, segments, ff=True)
-    if not all(s.q_ub < 1.0 for s in segments if s.a >= u2 - 1e-12):
+    if not np.all(segments.q_ub[np.searchsorted(edges, u2):] < 1.0):
         return fail("q_upper", segments, u1, u2, True)
-    if not all(s.q_lb > -1.0 for s in segments):
+    if not np.all(segments.q_lb > -1.0):
         return fail("q_lower", segments, u1, u2, True)
-    return CertificateReport(delta, k1, u1, u2, tuple(segments), rep, True,
+    return CertificateReport(delta, k1, u1, u2, segments, rep, True,
                              "certified")
 
 

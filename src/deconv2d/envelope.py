@@ -181,22 +181,6 @@ class StepEnvelope:
     def query(self, r: float) -> float:
         return float(self.query_many(r))
 
-    def seg_max(self, a, b):
-        """Max bin value over bins intersecting [a, b] (the tail if b > 10).
-
-        Elementwise over arrays of segments; scalar input gives a float.
-        """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if not np.all((0 <= a) & (a <= b)):
-            raise ValueError("segments need 0 <= a <= b")
-        table = self.table
-        bins = np.arange(len(table))
-        covered = ((bins >= bin_index(self.breakpoints, a)[..., None])
-                   & (bins <= bin_index(self.breakpoints, b)[..., None]))
-        m = np.max(np.where(covered, table, -np.inf), axis=-1)
-        return float(m) if m.ndim == 0 else m
-
 
 class EnvelopeSet:
     """The envelopes of one band, read through their shared breakpoints.

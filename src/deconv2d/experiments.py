@@ -216,11 +216,13 @@ def _cmd_certificate_demo(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="deconv2d")
-    p.add_argument("--config",
-                   help="key = value defaults file; sets optional flags "
-                        "only, required flags must be on the command line")
+def _build_parser():
+    """(parser of ``--config`` alone, full parser, subcommand parsers)."""
+    pre = argparse.ArgumentParser(prog="deconv2d", add_help=False)
+    pre.add_argument("--config",
+                     help="key = value defaults file; sets optional flags "
+                          "only, required flags must be on the command line")
+    p = argparse.ArgumentParser(prog="deconv2d", parents=[pre])
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("envelopes", help="build one band's envelope cache")
@@ -280,36 +282,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(run=_cmd_certificate_demo)
 
-    return p
+    return pre, p, sub.choices
 
 
 def cli_main(argv) -> int:
-    parser = _build_parser()
-    config = {}
-    if "--config" in argv:
-        try:
-            config = parse_config(argv[argv.index("--config") + 1])
-        except (OSError, ValueError, IndexError) as exc:
-            print(f"error: bad config file: {exc}", file=sys.stderr)
-            return 1
+    pre, parser, commands = _build_parser()
+    try:
+        path = pre.parse_known_args(argv)[0].config
+        config = parse_config(path) if path is not None else {}
+    except (OSError, ValueError) as exc:
+        print(f"error: bad config file: {exc}", file=sys.stderr)
+        return 1
+    except SystemExit:      # --config without a file name
+        return 1
+    # the file's values become the flags' defaults: argparse converts them
+    # with each flag's type, explicit flags override them, and a required
+    # flag stays required
+    for sp in commands.values():
+        flags = {a.dest for a in sp._actions if a.option_strings}
+        sp.set_defaults(**{k: v for k, v in config.items() if k in flags})
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse prints its own synopsis; fold --help into success
         return 0 if exc.code == 0 else 1
-    for key, val in config.items():
-        if hasattr(args, key) and f"--{key.replace('_', '-')}" not in argv:
-            cur = getattr(args, key)
-            if isinstance(cur, bool):
-                setattr(args, key, val.lower() in ("1", "true", "yes"))
-            elif isinstance(cur, int):
-                setattr(args, key, int(val))
-            elif isinstance(cur, float):
-                setattr(args, key, float(val))
-            elif isinstance(cur, list):
-                setattr(args, key, [type(cur[0])(v) for v in val.split()])
-            else:
-                setattr(args, key, val)
     try:
         return args.run(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from conftest import desk_envelopes, desk_reference
 from deconv2d.certify import (
     CertifyConfig,
     CoefficientBoundExceeded,
-    SegmentBound,
+    SegmentBounds,
     certify_cell,
     edge_integrals,
     far_field_check,
@@ -46,10 +48,13 @@ def test_certified_working_cell(report):
     assert report.certified
     assert report.u1 is not None and report.u1 <= report.u2 <= DELTA
     assert report.far_field_ok
-    assert len(report.segments) == 100
+    segs = report.segments
+    assert len(segs.edges) == 101
+    assert all(len(f) == 100 for f in (segs.q_ub, segs.q_lb, segs.grad_ub,
+                                       segs.eig_ub))
     # far segments are well inside the unit band
-    assert report.segments[-1].q_ub < 1.0
-    assert all(s.q_lb <= s.q_ub for s in report.segments)
+    assert segs.q_ub[-1] < 1.0
+    assert np.all(segs.q_lb <= segs.q_ub)
 
 
 def test_last_edge_is_delta_on_the_cli_grid(cfg):
@@ -58,7 +63,7 @@ def test_last_edge_is_delta_on_the_cli_grid(cfg):
     delta = float(np.arange(4.0, 6.0 + 1e-12, 0.05)[35])
     assert delta == 5.749999999999994
     rep = certify_cell(delta, K1, cfg)
-    assert rep.segments[-1].b == delta
+    assert rep.segments.edges[-1] == delta
     assert rep.certified
 
 
@@ -72,8 +77,18 @@ def test_large_delta_certifies(cfg):
     assert certify_cell(6.0, K1, cfg).certified
 
 
+def _same_report(a, b):
+    """Every field equal, the segment arrays bit for bit."""
+    fields = ("edges", "q_ub", "q_lb", "grad_ub", "eig_ub")
+    return (dataclasses.replace(a, segments=None)
+            == dataclasses.replace(b, segments=None)
+            and all(getattr(a.segments, f).tobytes()
+                    == getattr(b.segments, f).tobytes() for f in fields))
+
+
 def test_determinism(cfg, report):
-    assert certify_cell(DELTA, K1, cfg) == report
+    again = certify_cell(DELTA, K1, cfg)
+    assert again is not report and _same_report(again, report)
 
 
 def test_benchmark_grid_matches_reference():
@@ -102,15 +117,13 @@ def test_segment_bounds_match_direct_distances(cfg, report):
     """The dilated unit-distance cache equals per-segment exact distances."""
     part = build_partition(DELTA)
     envs = cfg.tables[K1]
-    edges = [s.a for s in report.segments] + [report.segments[-1].b]
-    direct = qtri_segment_bounds(edges, part, envs, report.schur)
-    assert len(direct) == len(report.segments) == 100
-    for s, d in zip(report.segments, direct):
-        assert (d.a, d.b) == (s.a, s.b)
-        # dilation rounding can push a cell distance across an envelope bin
-        # edge, so agreement is close but not bit-exact
-        for f in ("q_ub", "q_lb", "grad_ub", "eig_ub"):
-            assert getattr(d, f) == pytest.approx(getattr(s, f), abs=1e-3)
+    segs = report.segments
+    direct = qtri_segment_bounds(segs.edges, part, envs, report.schur)
+    assert direct.edges.tobytes() == segs.edges.tobytes()
+    # dilation rounding can push a cell distance across an envelope bin
+    # edge, so agreement is close but not bit-exact
+    for f in ("q_ub", "q_lb", "grad_ub", "eig_ub"):
+        assert getattr(direct, f) == pytest.approx(getattr(segs, f), abs=1e-3)
 
 
 def test_qtri_rejects_bad_edges(cfg, report):
@@ -129,9 +142,15 @@ def test_qtri_coefficient_budget(cfg):
         qtri_segment_bounds((1.0, 1.1), part, cfg.tables[K1], bad)
 
 
+def _mk(eigs, grads, q_ub=0.5):
+    n = len(eigs)
+    return SegmentBounds(np.arange(n + 1) / n, np.full(n, q_ub),
+                         np.full(n, -q_ub), np.asarray(grads, dtype=float),
+                         np.asarray(eigs, dtype=float))
+
+
 def test_regions_constant_curvature():
-    segs = [SegmentBound(i / 10, (i + 1) / 10, 0, 0, 0.5, -2.0)
-            for i in range(10)]
+    segs = _mk([-2.0] * 10, [0.5] * 10)
     r, curv, slope, grad = edge_integrals(segs)
     assert r[7] == 0.7
     assert curv[7] == pytest.approx(-2.0 * 0.7 * 0.7 / 2)
@@ -145,8 +164,8 @@ def test_regions_quadrature_oracle():
         edges = np.sort(np.concatenate([[0.0, 2.0], rng.uniform(0, 2, 8)]))
         eig = rng.uniform(-3, 3, len(edges) - 1)
         grad = rng.uniform(-3, 3, len(edges) - 1)
-        segs = [SegmentBound(a, b, 0, 0, g, e)
-                for a, b, g, e in zip(edges[:-1], edges[1:], grad, eig)]
+        zero = np.zeros_like(eig)
+        segs = SegmentBounds(edges, zero, zero, grad, eig)
         r_k, curv_k, _, grad_k = edge_integrals(segs)
         assert np.array_equal(r_k, edges)
         k_lo = int(rng.integers(0, len(edges) - 1))
@@ -165,18 +184,6 @@ def test_regions_quadrature_oracle():
             step_g = grad[np.minimum(np.searchsorted(edges, s2, side="right") - 1,
                                      len(grad) - 1)]
             assert abs(grad_k[k] - grad_k[k_lo] - np.trapezoid(step_g, s2)) < 1e-3
-
-
-def test_edge_integrals_need_a_tiling():
-    segs = [SegmentBound(0.0, 1.0, 0, 0, 0, -1), SegmentBound(1.5, 2.0, 0, 0, 0, -1)]
-    with pytest.raises(ValueError):
-        edge_integrals(segs)
-
-
-def _mk(eigs, grads, q_ub=0.5):
-    n = len(eigs)
-    return [SegmentBound(i / n, (i + 1) / n, q_ub, -q_ub, g, e)
-            for i, (e, g) in enumerate(zip(eigs, grads))]
 
 
 def test_find_u1_u2_all_negative():
@@ -198,8 +205,13 @@ def test_find_u1_u2_extension():
     assert u1 is not None and u2 > u1
 
 
-def _direct_search(segs):
+def _direct_search(bounds):
     """find_u1_u2 by direct integration at every candidate radius, O(n^3)."""
+    cols = (bounds.edges[:-1], bounds.edges[1:], bounds.q_ub, bounds.grad_ub,
+            bounds.eig_ub)
+    segs = [SimpleNamespace(a=a, b=b, q_ub=q, grad_ub=g, eig_ub=e)
+            for a, b, q, g, e in zip(*(c.tolist() for c in cols))]
+
     def curv(r):
         return sum(s.eig_ub * ((r - min(s.a, r)) ** 2 - (r - min(s.b, r)) ** 2)
                    / 2 for s in segs)
@@ -229,7 +241,7 @@ def _direct_search(segs):
             best_u1, best_u2 = u1, u2
     if best_u2 <= best_u1:
         u1 = segs[last_ok].b
-        if all(s.q_ub < 1.0 for s in segs if s.a >= u1 - 1e-12):
+        if all(s.q_ub < 1.0 for s in segs if s.a >= u1):
             return u1, u1
         return None, "no_gradient_extension"
     return best_u1, best_u2
@@ -300,4 +312,4 @@ def test_rotational_invariance_of_inputs(cfg, report):
     configuration leaves the certificate report unchanged (it never sees
     angles at all), so identical inputs must reproduce it."""
     again = certify_cell(DELTA, K1, cfg)
-    assert again.segments == report.segments
+    assert _same_report(again, report)

@@ -206,41 +206,23 @@ def test_tails_below_two_em9(envs):
         assert e.query(10.5) == e.tail
 
 
-def test_query_and_seg_max(envs):
+def test_query(envs):
     e = envs["bump_slope"]
     assert e.query(0.0) == e.values[0]
-    assert e.seg_max(0.0, 10.0) == float(np.max(e.values))
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a, b = np.sort(rng.uniform(0, 10, 2))
-        dense = np.linspace(a, b, 10**4)
-        brute = float(np.max(e.query_many(dense)))
-        sm = e.seg_max(a, b)
-        assert sm >= brute - 1e-15
-        assert sm <= brute
-    # arrays work elementwise, tail included; a scalar call gives a float
-    ab = np.sort(rng.uniform(0, 12, (200, 2)), axis=1)
-    ab[0] = (3.0, 3.0)
-    many = e.seg_max(ab[:, 0], ab[:, 1])
+    assert type(e.query(1.0)) is float
+    # arrays work elementwise, tail included
+    r = np.random.default_rng(0).uniform(0, 12, 200)
+    many = e.query_many(r)
     assert many.shape == (200,)
-    assert np.array_equal(many, [e.seg_max(a, b) for a, b in ab])
-    assert type(e.seg_max(1.0, 2.0)) is float
-    assert e.seg_max(11.0, 12.0) == e.tail
-    for a, b in ((-0.1, 1.0), (2.0, 1.0), (np.array([0.0, 2.0]),
-                                           np.array([1.0, 1.0]))):
-        with pytest.raises(ValueError):
-            e.seg_max(a, b)
-
-
-def test_seg_max_single_bin(envs):
-    e = envs["bump"]
-    v = e.seg_max(0.31, 0.39)
-    assert v == e.query(0.35)
+    assert np.array_equal(many, [e.query(x) for x in r])
+    assert e.query(11.0) == e.tail
 
 
 def test_signed_envelopes_negative_near_spike(envs):
-    # the certifier's curvature test needs strict negativity close in
-    assert envs["bump_eig_max"].seg_max(0.0, 0.05 * 4.5) < 0
+    # the certifier's curvature test needs strict negativity close in: every
+    # bin meeting [0, 0.05 * 4.5] is negative
+    e = envs["bump_eig_max"]
+    assert np.max(e.values[e.breakpoints[:-1] < 0.05 * 4.5]) < 0
 
 
 def test_mc_soundness_sampled():

@@ -2,7 +2,8 @@
 
 The oracle below is the per-kind formulation of the certifier's sums: every
 kind is looked up on its own with ``searchsorted`` and the tail applied with
-``np.where``, and the sums are formed from the looked-up values.  The table
+``np.where``, each segment maximum is taken over a mask of the bins the
+segment meets, and the sums are formed from the looked-up values.  The table
 route must give the same bits.
 """
 
@@ -13,7 +14,7 @@ from conftest import desk_envelopes
 from deconv2d.certify import (
     EPS_SEG,
     N_SEGMENTS,
-    SegmentBound,
+    SegmentBounds,
     _unit_distances,
     qtri_segment_bounds,
 )
@@ -93,9 +94,7 @@ def oracle_segment_bounds(edges, partition, envs, schur, cell_dists):
     eig_wave_self = be * q("wave1_eig", a) + ga * q("wave2_eig", a)
     eig_ub = eig_self + eig_wave_self + eig_neighbor + EPS_SEG
 
-    return tuple(SegmentBound(*f) for f in zip(
-        a.tolist(), b.tolist(), q_ub.tolist(), q_lb.tolist(),
-        grad_ub.tolist(), eig_ub.tolist()))
+    return SegmentBounds(edges, q_ub, q_lb, grad_ub, eig_ub)
 
 
 def oracle_block_norm_bounds(partition, envs, k1):
@@ -139,27 +138,34 @@ def test_lookup_matches_per_kind_oracle(k1):
 
 @pytest.mark.parametrize("k1", BANDS)
 def test_seg_max_matches_per_kind_oracle(k1):
+    """The segment-maximum oracle against the brute-force maximum of dense
+    ``query_many`` samples of [a, b], endpoints included: random segments,
+    segments on breakpoints, segments inside one bin and segments reaching
+    the tail.  Every bin a segment meets is wider than the sample spacing or
+    holds an endpoint, so the two maxima agree exactly."""
     envs = desk_envelopes(k1)
     rng = np.random.default_rng(100 + k1)
     bp = envs["bump"].breakpoints
     ab = np.sort(np.concatenate([
-        rng.uniform(0, 10, (500, 2)),
-        rng.uniform(0, 12, (200, 2)),
-        rng.choice(bp, (200, 2))]), axis=1)
+        rng.uniform(0, 10, (100, 2)),
+        rng.uniform(0, 12, (40, 2)),
+        rng.choice(bp, (40, 2)),
+        bp[:-1, None] + np.diff(bp)[:, None] * [0.1, 0.9]]), axis=1)
     ab = ab[ab[:, 0] <= 10.0]  # segments starting past 10 read only the tail
+    dense = np.linspace(ab[:, 0], ab[:, 1], 5 * 10**3, axis=1)
     for kind in ("bump_slope", "bump_eig_max", "bump"):
         env = envs[kind]
-        got = env.seg_max(ab[:, 0], ab[:, 1])
+        brute = np.max(env.query_many(dense), axis=1)
         want = oracle_seg_max(env, ab[:, 0], ab[:, 1])
-        assert got.tobytes() == want.tobytes(), kind
-    assert envs["bump_slope"].seg_max(10.5, 11.0) == envs["bump_slope"].tail
+        assert brute.tobytes() == want.tobytes(), kind
 
 
 @pytest.mark.parametrize("k1", BANDS)
 def test_certifier_sums_match_per_kind_oracle(k1):
+    """At 100 segments a segment meets at most 2 desk bins; at 10 it meets
+    up to 9, so the segment maxima are checked over longer runs of bins."""
     envs = desk_envelopes(k1)
     table = EnvelopeSet(envs)
-    n = N_SEGMENTS
     segment_cells = 0
     for delta in DELTAS:
         partition = build_partition(delta)
@@ -170,12 +176,16 @@ def test_certifier_sums_match_per_kind_oracle(k1):
                 and rep.beta_inf <= 1.0 and rep.gamma_inf <= 1.0):
             continue
         segment_cells += 1
-        edges = np.append(np.arange(n) * delta / n, delta)
-        cell_dists = _unit_distances(n) * delta
-        got = qtri_segment_bounds(edges, partition, table, rep,
-                                  cell_dists=cell_dists)
-        want = oracle_segment_bounds(edges, partition, envs, rep, cell_dists)
-        assert repr(got) == repr(want), delta
+        for n in (10, N_SEGMENTS):
+            edges = np.append(np.arange(n) * delta / n, delta)
+            cell_dists = _unit_distances(n) * delta
+            got = qtri_segment_bounds(edges, partition, table, rep,
+                                      cell_dists=cell_dists)
+            want = oracle_segment_bounds(edges, partition, envs, rep,
+                                         cell_dists)
+            for f in ("edges", "q_ub", "q_lb", "grad_ub", "eig_ub"):
+                assert (getattr(got, f).tobytes()
+                        == getattr(want, f).tobytes()), (delta, n, f)
     assert segment_cells >= 4
 
 

@@ -210,6 +210,22 @@ def test_cli_config_precedence(tmp_path):
         (row,) = list(csv.DictReader(fh))
     # config filled in trials; the explicit --seed flag won over the file
     assert row["trials"] == "3"
+    # `--config=FILE` and an abbreviated `--conf FILE` read the file too, and
+    # an explicit flag wins in its `--flag=value` and abbreviated forms
+    save_envelope_set(str(tmp_path), desk_envelopes(5))
+    cfg.write_text("delta-step = 0.1\n")
+    certify = ["certify", "--delta-min", "5.4", "--delta-max", "5.6",
+               "--zeta-bands", "5", "--envelope-cache", str(tmp_path),
+               "--out", str(out)]
+    for argv, n_rows in (([f"--config={cfg}"] + certify, 3),
+                         (["--conf", str(cfg)] + certify, 3),
+                         (["--config", str(cfg)] + certify
+                          + ["--delta-step=0.2"], 2),
+                         (["--config", str(cfg)] + certify
+                          + ["--delta-st", "0.2"], 2)):
+        assert cli_main(argv) == 0, argv
+        with open(out, newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == n_rows, argv
     bad = tmp_path / "bad"
     bad.write_text("broken line\n")
     assert cli_main(["--config", str(bad), "recover", "--delta", "2",

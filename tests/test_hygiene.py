@@ -1,11 +1,22 @@
-"""Source hygiene: every imported name is read somewhere in its module."""
+"""Source hygiene: every imported name is read somewhere in its module, and
+every top-level definition of the package is read by code that is not a
+test."""
 
 import ast
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for d in ("src", "tests", "demos")
                  for p in (ROOT / d).rglob("*.py"))
+#: everything that may read a package definition besides the tests
+NON_TEST = sorted(p for d in ("src", "demos") for p in (ROOT / d).rglob("*.py")
+                  ) + sorted((ROOT / "perfbench").glob("*.py"))
+#: definitions only the tests read, each with the reason it stays
+TEST_ONLY = {
+    "tail_chain_sum": "the tests check the eps constants of tail_constants "
+                      "against this direct sum of the layer chain",
+}
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -30,3 +41,38 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}: {name}" for path in SOURCES
              for name in unused_imports(ast.parse(path.read_text(), str(path)))]
     assert not found, "imported but never read:\n" + "\n".join(found)
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Names, attributes and imported names that ``node`` reads."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def test_no_test_only_definitions():
+    """A top-level function or class of ``src/deconv2d`` is read by another
+    top-level statement of the package, a demo, the benchmark or
+    ``pyproject.toml`` (the entry point); its own body does not count."""
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in NON_TEST}
+    reads = [(stmt, names_read(stmt)) for tree in trees.values()
+             for stmt in tree.body]
+    reads.append((None, set(re.findall(
+        r"\w+", (ROOT / "pyproject.toml").read_text()))))
+    package = ROOT / "src" / "deconv2d"
+    found = {d.name: f"{path.relative_to(ROOT)}:{d.lineno}"
+             for path, tree in trees.items() if path.parent == package
+             for d in tree.body
+             if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+             and not any(d.name in names for stmt, names in reads
+                         if stmt is not d)}
+    assert found.keys() == TEST_ONLY.keys(), (
+        "read only by tests (or nothing): " + ", ".join(
+            f"{name} ({where})" for name, where in sorted(found.items())
+            if name not in TEST_ONLY))
