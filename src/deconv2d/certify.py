@@ -6,10 +6,13 @@ stay inside (-1, 1) away from the spike support.  The decision reduces to
 one radial profile: with the nearest spike at the origin, bounds on Q, its
 radial derivative, and its largest Hessian eigenvalue are constant on each
 of 100 segments tiling (0, Delta].  One ``SegmentBounds`` record holds the
-segment edges and one array per bound.  Near the spike, negativity of the
-curvature integral (and then of its gradient extension) controls Q < 1; far
-out, the segment value bounds take over; Q > -1 holds segment by segment;
-beyond Delta a single norm inequality covers the rest of the plane.
+segment edges and one array per bound.  Both cell-distance tables (``d_U``
+for the block norms, segment-to-cell for the segment bounds) are
+``hexgeom``'s tables at Delta = 1, dilated by Delta.  Near the spike,
+negativity of the curvature integral (and then of its gradient extension)
+controls Q < 1; far out, the segment value bounds take over; Q > -1 holds
+segment by segment; beyond Delta a single norm inequality covers the rest
+of the plane.
 
 All inputs are the precomputed radial envelopes and the scalar coefficient
 bounds; nothing here evaluates Q itself.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import EnvelopeSet, load_envelope_set
-from .hexgeom import build_partition, segment_cell_distance
+from .hexgeom import segment_distances
 from .schur import NormBounds, SchurReport, block_norm_bounds, schur_bounds
 
 EPS_SEG = 1e-9         # absorbs the beyond-layer-8 tails in every segment bound
@@ -69,53 +72,30 @@ class CertificateReport:
         return self.verdict[len("failed("):-1]
 
 
-# Segment-to-cell distances depend on Delta only through dilation, so the
-# (n_segments x 216) matrix is computed once at Delta = 1 and scaled.
-_UNIT_DISTS: dict = {}
+def _within_coefficient_budget(schur: SchurReport) -> bool:
+    """False also on the NaNs of a failed Schur condition."""
+    return (schur.alpha_inf <= 2.0 and schur.beta_inf <= 1.0
+            and schur.gamma_inf <= 1.0)
 
 
-def _unit_distances(n_segments: int) -> np.ndarray:
-    if n_segments not in _UNIT_DISTS:
-        i = np.arange(n_segments)[:, None]
-        _UNIT_DISTS[n_segments] = segment_cell_distance(
-            i / n_segments, (i + 1) / n_segments, build_partition(1.0).vertices)
-    return _UNIT_DISTS[n_segments]
-
-
-def _require_coefficient_budget(schur: SchurReport) -> None:
-    if not (schur.alpha_inf <= 2.0 and schur.beta_inf <= 1.0
-            and schur.gamma_inf <= 1.0):
+def qtri_segment_bounds(delta: float, n_segments: int, table: EnvelopeSet,
+                        schur: SchurReport) -> SegmentBounds:
+    """Bounds on Q over the n_segments equal segments tiling [0, Delta] of
+    the positive axis, as one ``SegmentBounds`` record."""
+    if not _within_coefficient_budget(schur):
         raise CoefficientBoundExceeded(
-            f"alpha_inf={schur.alpha_inf}, beta_inf={schur.beta_inf}")
-
-
-def qtri_segment_bounds(edges, partition, table: EnvelopeSet,
-                        schur: SchurReport, cell_dists=None) -> SegmentBounds:
-    """Bounds on Q over the segments [edges[i], edges[i+1]] of the positive
-    axis, as one ``SegmentBounds`` record on ``edges``.
-
-    ``cell_dists`` optionally supplies the (segments x cells) distances (the
-    sweep precomputes them at Delta = 1 and dilates); otherwise they are
-    computed exactly here.
-    """
-    edges = np.asarray(edges, dtype=float)
-    if not (edges.ndim == 1 and len(edges) >= 2 and 0 <= edges[0]
-            and np.all(edges[:-1] <= edges[1:])
-            and edges[-1] <= partition.delta):
-        raise ValueError(f"edges must ascend within [0, {partition.delta}]")
-    if not all(schur.conditions_hold):
-        raise ValueError("schur conditions must hold")
-    _require_coefficient_budget(schur)
+            f"alpha_inf={schur.alpha_inf}, beta_inf={schur.beta_inf}, "
+            f"gamma_inf={schur.gamma_inf}")
+    # the last edge is Delta itself: (i + 1) * delta / n can round past it
+    edges = np.append(np.arange(n_segments) * delta / n_segments, delta)
     a, b = edges[:-1], edges[1:]
-    if cell_dists is None:
-        cell_dists = segment_cell_distance(a[:, None], b[:, None],
-                                           partition.vertices)
     # Two global constraints sharpen the raw segment-to-cell distance: every
     # other spike is farther from t than the origin spike (>= a), and has
     # norm >= Delta while |t| <= b (>= Delta - b).  Without the second clamp
     # the inner-layer cells, which overlap the exclusion disk, would dominate
     # every bound near the spike.
-    d_u = np.maximum(cell_dists, np.maximum(a, partition.delta - b)[:, None])
+    d_u = np.maximum(segment_distances(delta, n_segments),
+                     np.maximum(a, delta - b)[:, None])
     al, be, ga = schur.alpha_inf, schur.beta_inf, schur.gamma_inf
 
     # Every combination of kinds is formed on the per-bin tables and then
@@ -246,8 +226,7 @@ class CertifyConfig:
 
 def certify_cell(delta: float, k1: int, config: CertifyConfig) -> CertificateReport:
     table = config.tables[k1]
-    partition = build_partition(delta)
-    nb = block_norm_bounds(partition, table, k1)
+    nb = block_norm_bounds(delta, table, k1)
     rep = schur_bounds(nb)
 
     def fail(stage, segments=None, u1=None, u2=None, ff=False):
@@ -256,23 +235,17 @@ def certify_cell(delta: float, k1: int, config: CertifyConfig) -> CertificateRep
 
     if not all(rep.conditions_hold):
         return fail("schur")
-    try:
-        _require_coefficient_budget(rep)
-    except CoefficientBoundExceeded:
+    if not _within_coefficient_budget(rep):
         return fail("coefficient_bounds")
     ff = far_field_check(rep, nb)
     if not ff:
         return fail("far_field")
 
-    n = config.n_segments
-    # the last edge is Delta itself: (i + 1) * delta / n can round past it
-    edges = np.append(np.arange(n) * delta / n, delta)
-    segments = qtri_segment_bounds(edges, partition, table, rep,
-                                   cell_dists=_unit_distances(n) * delta)
+    segments = qtri_segment_bounds(delta, config.n_segments, table, rep)
     u1, u2 = find_u1_u2(segments)
     if u1 is None:
         return fail(u2, segments, ff=True)
-    if not np.all(segments.q_ub[np.searchsorted(edges, u2):] < 1.0):
+    if not np.all(segments.q_ub[np.searchsorted(segments.edges, u2):] < 1.0):
         return fail("q_upper", segments, u1, u2, True)
     if not np.all(segments.q_lb > -1.0):
         return fail("q_lower", segments, u1, u2, True)

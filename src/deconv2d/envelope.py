@@ -151,10 +151,7 @@ class EnvelopeGridSpec:
 def bin_index(breakpoints, r) -> np.ndarray:
     """Bin of each radius over the m + 1 edges ``breakpoints``: i for r in
     (r_i, r_i+1] (bin 0 also takes r <= r_0), and m, the tail, for r > r_m."""
-    r = np.asarray(r, dtype=float)
-    m = len(breakpoints) - 1
-    idx = np.clip(np.searchsorted(breakpoints, r, side="left") - 1, 0, m - 1)
-    return np.where(r > breakpoints[-1], m, idx)
+    return np.maximum(np.searchsorted(breakpoints, r, side="left") - 1, 0)
 
 
 @dataclass
@@ -413,10 +410,11 @@ def tail_constants(zeta: float) -> dict:
     return {"eps_B": 2e-12, "eps_W": 2e-10, "eps_B_ev": 2e-11, "eps_W_ev": 2e-9}
 
 
-def tail_chain_sum(zeta: float, layers=range(9, 31)) -> float:
-    """Direct summation of the layer bound chain: 6l spikes in layer l, each
-    at distance >= 3l/2 - 3 (the Delta = 2 case), bounded by tail_g."""
-    return sum(6 * l * tail_g(1.5 * l - 3.0, zeta) for l in layers)
+def tail_chain_sum(zeta: float) -> float:
+    """Direct summation of the layer bound chain over layers 9..30: 6l
+    spikes in layer l, each at distance >= 3l/2 - 3 (the Delta = 2 case),
+    bounded by tail_g."""
+    return sum(6 * l * tail_g(1.5 * l - 3.0, zeta) for l in range(9, 31))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from .solver import SampleGrid, assemble_operator, recovery_trial
 
 SVD_LATTICE = 8      # conditioning study uses an 8x8 spike lattice
 SVD_MARGIN = 3.0     # sample-grid margin in kernel units
+PHASE_COLUMNS = ["delta", "zeta", "kernel", "pattern", "trials", "successes",
+                 "rate"]
 
 
 def _kernel_model(name: str) -> KernelModel:
@@ -164,17 +166,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    model = _kernel_model(args.kernel)
-    u = model.unit
-    succ = sum(
-        recovery_trial(args.delta * u, args.zeta * u, args.n_spikes,
-                       args.pattern, _trial_seed(args.seed, 0, t), model=model)
-        for t in range(args.trials))
-    write_csv(args.out,
-              ["delta", "zeta", "kernel", "pattern", "trials", "successes",
-               "rate"],
-              [(args.delta, args.zeta, args.kernel, args.pattern, args.trials,
-                succ, succ / args.trials)])
+    rows = phase_diagram(args.kernel, [args.delta], [args.zeta], args.trials,
+                         args.seed, pattern=args.pattern,
+                         n_spikes=args.n_spikes)
+    write_csv(args.out, PHASE_COLUMNS, rows)
     return 0
 
 
@@ -187,10 +182,7 @@ def _cmd_svd(args) -> int:
 def _cmd_phase_diagram(args) -> int:
     rows = phase_diagram(args.kernel, args.delta, args.zeta, args.trials,
                          args.seed, pattern=args.pattern)
-    write_csv(args.out,
-              ["delta", "zeta", "kernel", "pattern", "trials", "successes",
-               "rate"],
-              rows)
+    write_csv(args.out, PHASE_COLUMNS, rows)
     return 0
 
 

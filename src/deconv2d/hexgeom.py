@@ -10,16 +10,23 @@ everything further away being controlled by closed-form tail bounds.
 The distance functions take stacked cell vertices of shape (..., 6, 2),
 counterclockwise, and broadcast over the leading axes; only the six hexagon
 edges are looped over.
+
+The partition and every distance on it scale with Delta, so the certifier's
+two tables are computed once at Delta = 1 and dilated by Delta.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 SQ3 = math.sqrt(3.0)
+# envelope.tail_constants bounds exactly the layers from 9 on, so any other
+# number of kept layers would either miss a layer or count one twice
+LAYERS = 8
 
 
 class InvalidCase(ValueError):
@@ -28,24 +35,22 @@ class InvalidCase(ValueError):
 
 @dataclass(frozen=True)
 class HexPartition:
-    """The n8 cells by layer, then by angle of the center."""
+    """The 216 cells by layer, then by angle of the center."""
 
-    delta: float
-    n8: int
-    centers: np.ndarray   # (n8, 2)
-    layers: np.ndarray    # (n8,), the axial ring of each cell
-    vertices: np.ndarray  # (n8, 6, 2), counterclockwise
+    centers: np.ndarray   # (216, 2)
+    layers: np.ndarray    # (216,), the axial ring of each cell
+    vertices: np.ndarray  # (216, 6, 2), counterclockwise
 
 
-def build_partition(delta: float, layers: int = 8) -> HexPartition:
+def build_partition(delta: float) -> HexPartition:
     if delta <= 0:
         raise ValueError("delta must be positive")
     s = delta / 2.0
     e1 = np.array([1.5 * s, SQ3 * s / 2.0])
     e2 = np.array([0.0, SQ3 * s])
-    q, r = (g.ravel() for g in np.mgrid[-layers:layers + 1, -layers:layers + 1])
+    q, r = (g.ravel() for g in np.mgrid[-LAYERS:LAYERS + 1, -LAYERS:LAYERS + 1])
     ring = (np.abs(q) + np.abs(r) + np.abs(q + r)) // 2
-    keep = (ring >= 1) & (ring <= layers)
+    keep = (ring >= 1) & (ring <= LAYERS)
     q, r, ring = q[keep], r[keep], ring[keep]
     centers = q[:, None] * e1 + r[:, None] * e2
     order = np.lexsort((np.arctan2(centers[:, 1], centers[:, 0]), ring))
@@ -53,7 +58,7 @@ def build_partition(delta: float, layers: int = 8) -> HexPartition:
     ang = np.arange(6) * (math.pi / 3.0)
     vertices = centers[:, None, :] + s * np.stack([np.cos(ang), np.sin(ang)],
                                                   axis=1)
-    return HexPartition(delta, len(centers), centers, ring, vertices)
+    return HexPartition(centers, ring, vertices)
 
 
 # -- elementary distances, broadcast over points, segments and cells --------
@@ -140,3 +145,31 @@ def segment_cell_distance(a, b, vertices) -> np.ndarray:
         dist = np.minimum(dist, np.where(crossing, 0.0, near))
     ends_inside = _inside(a, 0.0, edges) | _inside(b, 0.0, edges)
     return np.where(ends_inside, 0.0, dist)
+
+
+# -- the certifier's tables: computed at Delta = 1, dilated ----------------
+
+@functools.cache
+def _unit_vertices() -> np.ndarray:
+    return build_partition(1.0).vertices
+
+
+@functools.cache
+def _unit_d_U() -> np.ndarray:
+    return d_U(_unit_vertices(), 1.0)
+
+
+@functools.cache
+def _unit_segment_distances(n: int) -> np.ndarray:
+    i = np.arange(n)[:, None]
+    return segment_cell_distance(i / n, (i + 1) / n, _unit_vertices())
+
+
+def cell_distances(delta: float) -> np.ndarray:
+    """``d_U`` of each of the 216 cells of the partition at Delta."""
+    return _unit_d_U() * delta
+
+
+def segment_distances(delta: float, n: int) -> np.ndarray:
+    """(n, 216): from [i, i + 1] Delta / n x {0} to each cell at Delta."""
+    return _unit_segment_distances(n) * delta

@@ -45,8 +45,8 @@ class KernelModel:
     scale: float
 
     @staticmethod
-    def gaussian(sigma: float = 1.0) -> "KernelModel":
-        return KernelModel("gaussian", sigma)
+    def gaussian() -> "KernelModel":
+        return KernelModel("gaussian", 1.0)
 
     @staticmethod
     def microscopy() -> "KernelModel":

@@ -29,7 +29,7 @@ from .envelope import (
     tail_constants,
     zeta_band,
 )
-from .hexgeom import HexPartition, d_U
+from .hexgeom import cell_distances
 
 
 class SingularSystem(ValueError):
@@ -93,20 +93,20 @@ class SchurReport:
     alpha_lb: float
 
 
-def block_norm_bounds(partition: HexPartition, table: EnvelopeSet,
+def block_norm_bounds(delta: float, table: EnvelopeSet,
                       k1: int) -> NormBounds:
     """Sum each block's envelope at every cell's constrained distance.
 
     Any spike other than the one at the origin lies in a unique cell of the
-    partition at radial distance at least ``d_U``; the envelopes are radial
-    and non-increasing, so the row sum of any block is at most the sum of
-    envelope values over the 216 cells, plus the tail constant for
-    everything beyond the eighth layer.
+    partition at Delta, at radial distance at least ``d_U``; the envelopes
+    are radial and non-increasing, so the row sum of any block is at most
+    the sum of envelope values over the 216 cells, plus the tail constant
+    for everything beyond the eighth layer.
     """
-    if partition.delta < 2.0:
-        raise OutOfValidatedRange(f"delta {partition.delta} < 2")
+    if delta < 2.0:
+        raise OutOfValidatedRange(f"delta {delta} < 2")
     eps = tail_constants(zeta_band(k1)[1])
-    cells = table.bins(d_U(partition.vertices, partition.delta))
+    cells = table.bins(cell_distances(delta))
     vals = {}
     for name, (kind, is_wave) in _BLOCK_ENVELOPES.items():
         s = float(np.sum(table.tables[kind][cells]))
@@ -115,7 +115,9 @@ def block_norm_bounds(partition: HexPartition, table: EnvelopeSet,
 
 
 def schur_bounds(nb: NormBounds) -> SchurReport:
-    """Run the scalar bound chain; record which conditions fail."""
+    """Run the scalar bound chain; record which conditions fail.  gamma is
+    eliminated through the W2 row, gamma = -W2y^-1 (B_y alpha + W1y beta), so
+    its bound equals beta's only when the norms are x <-> y symmetric."""
     nan = math.nan
     if not nb.i_minus_w2y < 1.0:
         return SchurReport((False, False, False), nan, nan, nan, nan)
@@ -134,7 +136,7 @@ def schur_bounds(nb: NormBounds) -> SchurReport:
         conditions_hold=(True, True, True),
         alpha_inf=s3_inv,
         beta_inf=s1_inv * s2 * s3_inv,
-        gamma_inf=s1_inv * s2 * s3_inv,
+        gamma_inf=w2y_inv * (nb.w1y * s1_inv * s2 + nb.b_y) * s3_inv,
         alpha_lb=1.0 - s3_inv * i_minus_s3,
     )
 

@@ -30,6 +30,7 @@ from .kernels import KernelModel, kernel_eval
 MAX_ENTRIES = 10**8
 
 RECOVERY_TOL = 1e-3  # l2 success threshold for exact-recovery trials
+BP_TOL = 1e-9        # relative residual at which basis_pursuit stops
 
 
 class BudgetExceeded(MemoryError):
@@ -127,22 +128,22 @@ def assemble_operator(G, grid: SampleGrid, model: KernelModel) -> np.ndarray:
     return kernel_eval(model, s[:, None, :] - G[None, :, :])
 
 
-def operator_norm(K: np.ndarray, iters: int = 5000, tol: float = 1e-9) -> float:
+def operator_norm(K: np.ndarray) -> float:
     """Spectral norm by power iteration on K^T K (deterministic start).
 
-    Terminates on the eigen-residual ||K^T K v - lam v|| <= tol * lam, which
+    Terminates on the eigen-residual ||K^T K v - lam v|| <= 1e-9 lam, which
     bounds the eigenvalue error directly (successive-iterate change does
-    not when the top two eigenvalues are close).
+    not when the top two eigenvalues are close), or after 5000 iterations.
     """
     v = np.ones(K.shape[1]) / math.sqrt(K.shape[1])
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(5000):
         w = K.T @ (K @ v)
         lam = float(v @ w)
         nrm = float(np.linalg.norm(w))
         if nrm == 0.0:
             return 0.0
-        if float(np.linalg.norm(w - lam * v)) <= tol * lam:
+        if float(np.linalg.norm(w - lam * v)) <= 1e-9 * lam:
             break
         v = w / nrm
     return math.sqrt(max(lam, 0.0))
@@ -189,12 +190,12 @@ def _primal_dual(K, y, tol, max_iters):
                        f"(best residual {best_res:.3e})", best)
 
 
-def basis_pursuit(K, y, tol: float = 1e-9, max_iters: int = 10**5):
-    """min ||a||_1 subject to K a = y (to residual tol * ||y||)."""
+def basis_pursuit(K, y, max_iters: int = 10**5):
+    """min ||a||_1 subject to K a = y (to residual BP_TOL * ||y||)."""
     y = np.asarray(y, dtype=float)
     if float(np.linalg.norm(y)) == 0.0:
         return np.zeros(K.shape[1])
-    return _primal_dual(K, y, tol, max_iters)
+    return _primal_dual(K, y, BP_TOL, max_iters)
 
 
 # -- exact-recovery trials ---------------------------------------------------
@@ -247,8 +248,7 @@ def _three_nearest_rows(grid: SampleGrid, positions: np.ndarray) -> np.ndarray:
 
 
 def recovery_trial(delta: float, zeta: float, n_spikes: int, pattern: str,
-                   seed: int, model: KernelModel | None = None,
-                   tol: float = 1e-9) -> bool:
+                   seed: int, model: KernelModel | None = None) -> bool:
     """One seeded exact-recovery experiment; true iff ||a_hat - a|| < 1e-3.
 
     Spikes sit on a hexagonal arrangement with separation delta and standard
@@ -274,7 +274,7 @@ def recovery_trial(delta: float, zeta: float, n_spikes: int, pattern: str,
         if pattern == "three_nearest":
             rows = _three_nearest_rows(grid, positions)
             K, y = K[rows], y[rows]
-        a_hat = basis_pursuit(K, y, tol=tol)
+        a_hat = basis_pursuit(K, y)
     except (NotConverged, BudgetExceeded):
         return False
     return float(np.linalg.norm(a_hat - a_true)) < RECOVERY_TOL

@@ -85,12 +85,10 @@ def test_ac03_tail_chain():
 def test_ac04_schur_soundness():
     t0 = time.monotonic()
     from deconv2d.envelope import EnvelopeSet
-    from deconv2d.hexgeom import build_partition
     from deconv2d.schur import block_norm_bounds
 
     delta, zeta, k1 = 4.5, 0.32, 5
-    nb = block_norm_bounds(build_partition(delta),
-                           EnvelopeSet(desk_envelopes(k1)), k1)
+    nb = block_norm_bounds(delta, EnvelopeSet(desk_envelopes(k1)), k1)
     rep = schur_bounds(nb)
     assert all(rep.conditions_hold)
     assert rep.alpha_inf <= 2.0

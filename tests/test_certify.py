@@ -19,7 +19,6 @@ from deconv2d.certify import (
     qtri_segment_bounds,
     recovery_sweep,
 )
-from deconv2d.hexgeom import build_partition
 from deconv2d.schur import (
     NormBounds,
     SchurReport,
@@ -113,33 +112,10 @@ def test_benchmark_grid_matches_reference():
     assert compared == 160
 
 
-def test_segment_bounds_match_direct_distances(cfg, report):
-    """The dilated unit-distance cache equals per-segment exact distances."""
-    part = build_partition(DELTA)
-    envs = cfg.tables[K1]
-    segs = report.segments
-    direct = qtri_segment_bounds(segs.edges, part, envs, report.schur)
-    assert direct.edges.tobytes() == segs.edges.tobytes()
-    # dilation rounding can push a cell distance across an envelope bin
-    # edge, so agreement is close but not bit-exact
-    for f in ("q_ub", "q_lb", "grad_ub", "eig_ub"):
-        assert getattr(direct, f) == pytest.approx(getattr(segs, f), abs=1e-3)
-
-
-def test_qtri_rejects_bad_edges(cfg, report):
-    part = build_partition(DELTA)
-    envs = cfg.tables[K1]
-    for edges in ((-0.1, 1.0), (1.0, DELTA + 0.1), (1.0, 0.5),
-                  (0.0, 2.0, 1.5, 3.0), (0.0, math.nan), (1.0,)):
-        with pytest.raises(ValueError, match="edges"):
-            qtri_segment_bounds(edges, part, envs, report.schur)
-
-
 def test_qtri_coefficient_budget(cfg):
-    part = build_partition(DELTA)
     bad = SchurReport((True, True, True), 2.5, 0.1, 0.1, 0.5)
     with pytest.raises(CoefficientBoundExceeded):
-        qtri_segment_bounds((1.0, 1.1), part, cfg.tables[K1], bad)
+        qtri_segment_bounds(DELTA, 10, cfg.tables[K1], bad)
 
 
 def _mk(eigs, grads, q_ub=0.5):

@@ -4,7 +4,8 @@ The oracle below is the per-kind formulation of the certifier's sums: every
 kind is looked up on its own with ``searchsorted`` and the tail applied with
 ``np.where``, each segment maximum is taken over a mask of the bins the
 segment meets, and the sums are formed from the looked-up values.  The table
-route must give the same bits.
+route must give the same bits.  Both read the same ``hexgeom`` distance
+tables; ``tests/test_hexgeom.py`` checks those against direct geometry.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from deconv2d.certify import (
     EPS_SEG,
     N_SEGMENTS,
     SegmentBounds,
-    _unit_distances,
     qtri_segment_bounds,
 )
 from deconv2d.envelope import (
@@ -25,7 +25,7 @@ from deconv2d.envelope import (
     tail_constants,
     zeta_band,
 )
-from deconv2d.hexgeom import build_partition, d_U
+from deconv2d.hexgeom import cell_distances, segment_distances
 from deconv2d.schur import (
     _BLOCK_ENVELOPES,
     NormBounds,
@@ -66,9 +66,11 @@ def oracle_grad_norm(envs, prefix, r):
     return np.sqrt(dx * dx + dy * dy)
 
 
-def oracle_segment_bounds(edges, partition, envs, schur, cell_dists):
+def oracle_segment_bounds(delta, n, envs, schur):
+    edges = np.append(np.arange(n) * delta / n, delta)
     a, b = edges[:-1], edges[1:]
-    d_u = np.maximum(cell_dists, np.maximum(a, partition.delta - b)[:, None])
+    d_u = np.maximum(segment_distances(delta, n),
+                     np.maximum(a, delta - b)[:, None])
     al, be, ga = schur.alpha_inf, schur.beta_inf, schur.gamma_inf
     q = lambda kind, r: oracle_query(envs[kind], r)  # noqa: E731
     g = lambda prefix, r: oracle_grad_norm(envs, prefix, r)  # noqa: E731
@@ -97,9 +99,9 @@ def oracle_segment_bounds(edges, partition, envs, schur, cell_dists):
     return SegmentBounds(edges, q_ub, q_lb, grad_ub, eig_ub)
 
 
-def oracle_block_norm_bounds(partition, envs, k1):
+def oracle_block_norm_bounds(delta, envs, k1):
     eps = tail_constants(zeta_band(k1)[1])
-    dists = d_U(partition.vertices, partition.delta)
+    dists = cell_distances(delta)
     vals = {}
     for name, (kind, is_wave) in _BLOCK_ENVELOPES.items():
         s = float(np.sum(oracle_query(envs[kind], dists)))
@@ -168,21 +170,16 @@ def test_certifier_sums_match_per_kind_oracle(k1):
     table = EnvelopeSet(envs)
     segment_cells = 0
     for delta in DELTAS:
-        partition = build_partition(delta)
-        nb = block_norm_bounds(partition, table, k1)
-        assert repr(nb) == repr(oracle_block_norm_bounds(partition, envs, k1))
+        nb = block_norm_bounds(delta, table, k1)
+        assert repr(nb) == repr(oracle_block_norm_bounds(delta, envs, k1))
         rep = schur_bounds(nb)
         if not (all(rep.conditions_hold) and rep.alpha_inf <= 2.0
                 and rep.beta_inf <= 1.0 and rep.gamma_inf <= 1.0):
             continue
         segment_cells += 1
         for n in (10, N_SEGMENTS):
-            edges = np.append(np.arange(n) * delta / n, delta)
-            cell_dists = _unit_distances(n) * delta
-            got = qtri_segment_bounds(edges, partition, table, rep,
-                                      cell_dists=cell_dists)
-            want = oracle_segment_bounds(edges, partition, envs, rep,
-                                         cell_dists)
+            got = qtri_segment_bounds(delta, n, table, rep)
+            want = oracle_segment_bounds(delta, n, envs, rep)
             for f in ("edges", "q_ub", "q_lb", "grad_ub", "eig_ub"):
                 assert (getattr(got, f).tobytes()
                         == getattr(want, f).tobytes()), (delta, n, f)

@@ -6,8 +6,10 @@ import pytest
 from deconv2d.hexgeom import (
     InvalidCase,
     build_partition,
+    cell_distances,
     d_U,
     segment_cell_distance,
+    segment_distances,
 )
 
 DELTA = 4.5
@@ -110,7 +112,6 @@ def test_layer_counts(part):
     assert dict(zip(layers.tolist(), counts.tolist())) == {
         l: 6 * l for l in range(1, 9)}
     assert np.all(np.diff(part.layers) >= 0)
-    assert part.n8 == 216
     assert part.centers.shape == (216, 2) and part.layers.shape == (216,)
     assert part.vertices.shape == (216, 6, 2)
     # a regular hexagon's vertices average to its center
@@ -184,9 +185,27 @@ def test_d_U_brute_force(part):
 
 
 def test_d_U_scales():
+    """Distances scale with Delta, so the certifier's tables (computed at
+    Delta = 1 and dilated) match direct geometry at each AC-5 Delta.
+    Measured there: ``d_U`` within 1.99 eps relative; segment distances
+    zero on the same pairs and otherwise within 14.1 eps * Delta absolute
+    (relative error grows on the near-zero ones)."""
     pa, pb = build_partition(3.0), build_partition(6.0)
     assert np.all(np.abs(2 * d_U(pa.vertices, 3.0) - d_U(pb.vertices, 6.0))
                   < 1e-9)
+    eps = np.finfo(float).eps
+    n = 100
+    for delta in np.round(np.arange(4.0, 6.0 + 1e-9, 0.05), 2):
+        p = build_partition(delta)
+        np.testing.assert_allclose(cell_distances(delta),
+                                   d_U(p.vertices, delta), rtol=2 * eps, atol=0)
+        edges = np.append(np.arange(n) * delta / n, delta)
+        direct = segment_cell_distance(edges[:-1, None], edges[1:, None],
+                                       p.vertices)
+        dilated = segment_distances(delta, n)
+        assert np.array_equal(dilated == 0, direct == 0), delta
+        np.testing.assert_allclose(dilated, direct, rtol=0,
+                                   atol=16 * eps * delta)
 
 
 def test_segment_cell_distance(part):
@@ -217,8 +236,8 @@ def test_segment_cell_distance(part):
         assert d <= brute + 1e-9
         assert d >= brute - 0.1 * DELTA
     # symmetry across the x axis
-    for i in range(0, part.n8, 13):
-        mirror = next(m for m in range(part.n8) if np.allclose(
+    for i in range(0, len(part.centers), 13):
+        mirror = next(m for m in range(len(part.centers)) if np.allclose(
             part.centers[m], part.centers[i] * [1.0, -1.0]))
         assert abs(segment_cell_distance(0.3, 1.7, part.vertices[i])
                    - segment_cell_distance(0.3, 1.7, part.vertices[mirror])

@@ -76,3 +76,65 @@ def test_no_test_only_definitions():
         "read only by tests (or nothing): " + ", ".join(
             f"{name} ({where})" for name, where in sorted(found.items())
             if name not in TEST_ONLY))
+
+
+#: defaulted parameters no code outside the tests passes, each with the
+#: reason it stays
+DEFAULT_ONLY = {
+    "basis_pursuit(max_iters)": "a test lowers the cap to provoke "
+                                "NotConverged in a few hundred iterations",
+    "numeric_certificate(origin)": "the soundness tests shift the sample "
+                                   "grid across the u-box; the demos and "
+                                   "the CLI use the centred grid",
+}
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(function, parameter, position) for each parameter with a default
+    of a top-level function or method; position counts the arguments a
+    call spells out (None for keyword-only parameters)."""
+    defs = [(d, False) for d in tree.body if isinstance(d, ast.FunctionDef)]
+    defs += [(d, True) for c in tree.body if isinstance(c, ast.ClassDef)
+             for d in c.body if isinstance(d, ast.FunctionDef)]
+    for d, method in defs:
+        bound = method and not any(isinstance(x, ast.Name)
+                                   and x.id == "staticmethod"
+                                   for x in d.decorator_list)
+        positional = d.args.posonlyargs + d.args.args
+        first = len(positional) - len(d.args.defaults)
+        for i in range(first, len(positional)):
+            yield d.name, positional[i].arg, i - bound
+        for a, default in zip(d.args.kwonlyargs, d.args.kw_defaults):
+            if default is not None:
+                yield d.name, a.arg, None
+
+
+def passes(call: ast.Call, name: str, position) -> bool:
+    """Whether ``call`` spells out parameter ``name`` (at ``position``).
+    ``*args`` and ``**kwargs`` only forward what their own caller passed,
+    so they do not count."""
+    if any(k.arg == name for k in call.keywords):
+        return True
+    spelled = next((i for i, a in enumerate(call.args)
+                    if isinstance(a, ast.Starred)), len(call.args))
+    return position is not None and spelled > position
+
+
+def test_defaults_are_used():
+    """A defaulted parameter of ``src/deconv2d`` is passed by some call in
+    the package, a demo or the benchmark; otherwise its default is the only
+    value it ever takes, and it should be a constant."""
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in NON_TEST}
+    calls = [c for tree in trees.values() for c in ast.walk(tree)
+             if isinstance(c, ast.Call)]
+    package = ROOT / "src" / "deconv2d"
+    unused = {f"{fn}({name})" for path, tree in trees.items()
+              if path.parent == package
+              for fn, name, position in defaulted_parameters(tree)
+              if not any(getattr(c.func, "id", getattr(c.func, "attr", None))
+                         == fn and passes(c, name, position) for c in calls)}
+    assert unused == DEFAULT_ONLY.keys(), (
+        "defaults never overridden outside the tests: "
+        + ", ".join(sorted(unused - DEFAULT_ONLY.keys()))
+        + "; listed but overridden: "
+        + ", ".join(sorted(DEFAULT_ONLY.keys() - unused)))

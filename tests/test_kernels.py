@@ -41,7 +41,8 @@ def test_radial_symmetry():
 
 
 def test_units():
-    assert KernelModel.gaussian(2.0).unit == 2.0
+    assert KernelModel.gaussian().unit == 1.0
+    assert KernelModel("gaussian", 2.0).unit == 2.0
     assert KernelModel.microscopy().unit == SIGMA0 == 0.86
     assert KernelModel.airy().unit == 1.0
     assert KernelModel.airy().scale == AIRY_SCALE

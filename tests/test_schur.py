@@ -6,7 +6,6 @@ import pytest
 from conftest import desk_envelopes
 from deconv2d.bumpwave import SpikeConfig, bw_coefficients, bw_eval, bw_grad
 from deconv2d.envelope import EnvelopeSet, OutOfValidatedRange
-from deconv2d.hexgeom import build_partition
 from deconv2d.schur import (
     NonFinite,
     NormBounds,
@@ -29,11 +28,11 @@ def envs():
 
 @pytest.fixture(scope="module")
 def nb(envs):
-    return block_norm_bounds(build_partition(DELTA), envs, K1)
+    return block_norm_bounds(DELTA, envs, K1)
 
 
 def test_block_bounds_large_delta_floor(envs):
-    b = block_norm_bounds(build_partition(50.0), envs, K1)
+    b = block_norm_bounds(50.0, envs, K1)
     # every cell is past radius 10: each sum collapses to 216 tails
     for name in ("i_minus_b", "b_x", "b_y"):
         assert getattr(b, name) <= 216 * 2e-9 + b.eps_b * 1.001
@@ -42,8 +41,8 @@ def test_block_bounds_large_delta_floor(envs):
 
 
 def test_block_bounds_monotone_in_delta(envs):
-    b1 = block_norm_bounds(build_partition(4.5), envs, K1)
-    b2 = block_norm_bounds(build_partition(5.0), envs, K1)
+    b1 = block_norm_bounds(4.5, envs, K1)
+    b2 = block_norm_bounds(5.0, envs, K1)
     for name in ("i_minus_b", "b_x", "b_y", "w1", "w2",
                  "i_minus_w1x", "w2x", "w1y", "i_minus_w2y"):
         assert getattr(b2, name) <= getattr(b1, name) + 1e-15, name
@@ -54,13 +53,19 @@ def test_block_bounds_working_point(nb):
     rep = schur_bounds(nb)
     assert all(rep.conditions_hold)
     assert rep.alpha_lb >= 0.0
-    assert rep.beta_inf == rep.gamma_inf
+    # the desk norms are mirror-symmetric under x <-> y, so the W1 and W2
+    # rows bound beta and gamma alike, up to the rounding of two different
+    # expressions (1 ulp apart here)
+    assert ((nb.b_x, nb.w1, nb.i_minus_w1x, nb.w2x)
+            == (nb.b_y, nb.w2, nb.i_minus_w2y, nb.w1y))
+    assert rep.gamma_inf == pytest.approx(rep.beta_inf,
+                                          rel=4 * np.finfo(float).eps)
     assert rep.alpha_inf <= 2.0 and rep.beta_inf <= 1.0
 
 
 def test_block_bounds_delta_precondition(envs):
     with pytest.raises(OutOfValidatedRange):
-        block_norm_bounds(build_partition(1.5), envs, K1)
+        block_norm_bounds(1.5, envs, K1)
 
 
 def _nb(**kw):
@@ -107,7 +112,19 @@ def test_schur_chain_oracle():
         inv_s3 = 1 / (1 - ims3)
         assert abs(rep.alpha_inf - inv_s3) < 1e-12
         assert abs(rep.beta_inf - inv_s1 * s2 * inv_s3) < 1e-12
+        assert abs(rep.gamma_inf
+                   - inv_w2y * (v[7] * inv_s1 * s2 + v[2]) * inv_s3) < 1e-12
         assert abs(rep.alpha_lb - (1 - inv_s3 * ims3)) < 1e-12
+
+
+def test_schur_gamma_reads_the_w2_row():
+    """gamma is eliminated through the W2 row (b_y), beta through W1 (b_x):
+    asymmetric block norms give asymmetric coefficient bounds."""
+    rep = schur_bounds(_nb(b_x=0.1, b_y=0.2))
+    assert all(rep.conditions_hold)
+    assert rep.gamma_inf > rep.beta_inf
+    rep = schur_bounds(_nb(b_x=0.2, b_y=0.1))
+    assert rep.gamma_inf < rep.beta_inf
 
 
 # -- numeric certificate ----------------------------------------------------
