@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_envelopes, desk_reference
+from deconv2d import certify
 from deconv2d.certify import (
     CertifyConfig,
     CoefficientBoundExceeded,
@@ -19,6 +20,7 @@ from deconv2d.certify import (
     qtri_segment_bounds,
     recovery_sweep,
 )
+from deconv2d.hexgeom import build_partition, segment_cell_distance
 from deconv2d.schur import (
     NormBounds,
     SchurReport,
@@ -110,6 +112,26 @@ def test_benchmark_grid_matches_reference():
             ref["verdict"], ref["u1"], ref["u2"]), key
         compared += 1
     assert compared == 160
+
+
+def test_segment_bounds_match_direct_distances(cfg, report, monkeypatch):
+    """The dilated unit-distance cache equals per-segment exact distances."""
+    part = build_partition(DELTA)
+    segs = report.segments
+    n = len(segs.edges) - 1
+
+    def direct_distances(delta, n_segments):
+        edges = np.append(np.arange(n_segments) * delta / n_segments, delta)
+        return segment_cell_distance(edges[:-1, None], edges[1:, None],
+                                     part.vertices)
+
+    monkeypatch.setattr(certify, "segment_distances", direct_distances)
+    direct = qtri_segment_bounds(DELTA, n, cfg.tables[K1], report.schur)
+    assert direct.edges.tobytes() == segs.edges.tobytes()
+    # dilation rounding can push a cell distance across an envelope bin
+    # edge, so agreement is close but not bit-exact
+    for f in ("q_ub", "q_lb", "grad_ub", "eig_ub"):
+        assert getattr(direct, f) == pytest.approx(getattr(segs, f), abs=1e-3)
 
 
 def test_qtri_coefficient_budget(cfg):
