@@ -28,7 +28,11 @@ from .envelope import EnvelopeSet, load_envelope_set
 from .hexgeom import segment_distances
 from .schur import NormBounds, SchurReport, block_norm_bounds, schur_bounds
 
-EPS_SEG = 1e-9         # absorbs the beyond-layer-8 tails in every segment bound
+# absorbs the beyond-layer-8 tails in every segment bound: under the
+# coefficient budget they add at most 2 * (2 eps_B + 2 eps_W) = 8.08e-10
+# (envelope.tail_constants), the first 2 being the slope and eig kinds'
+# coarsening in envelope._tail_value
+EPS_SEG = 1e-9
 N_SEGMENTS = 100
 
 

@@ -44,6 +44,7 @@ envelopes only store bins on [0, 10] plus a single tail value.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import zipfile
@@ -223,8 +224,6 @@ class _TCells:
 
 
 class _TCellGrid:
-    _cache: dict[int, "_TCellGrid"] = {}
-
     def __init__(self, tres: int):
         n = 20 * tres
         edges = -10.0 + np.arange(n + 1) / tres
@@ -247,11 +246,11 @@ class _TCellGrid:
         self.nbins = m
         # monotone kinds: cell feeds bins 1..floor(rmax/delta)+1
         self.bmax_idx = np.minimum(np.floor(self.rmax * tres).astype(int), m - 1)
-        # non-monotone kinds: bins whose annulus meets [rmin, rmax]; cells
-        # entirely beyond radius 10 get an empty (negative) span
+        # non-monotone kinds: bins whose annulus meets [rmin, rmax], from
+        # blo_idx to bmax_idx; cells entirely beyond radius 10 get an empty
+        # (negative) span
         blo = np.ceil(self.rmin * tres - 1e-9).astype(int)
         self.blo_idx = np.maximum(blo - 1, 0)
-        self.bhi_idx = np.minimum(np.floor(self.rmax * tres).astype(int), m - 1)
 
     def chunks(self, size: int) -> list[_TCells]:
         """The grid cut into runs of at most ``size`` consecutive cells."""
@@ -259,7 +258,7 @@ class _TCellGrid:
         for start in range(0, len(self.xl), size):
             sl = slice(start, start + size)
             blo = self.blo_idx[sl]
-            span = self.bhi_idx[sl] - blo
+            span = self.bmax_idx[sl] - blo
             reach = [span >= off for off in range(int(np.max(span)) + 1)]
             span_bins = tuple((mask, blo[mask] + off)
                               for off, mask in enumerate(reach))
@@ -269,11 +268,10 @@ class _TCellGrid:
                                span_bins=span_bins))
         return out
 
-    @classmethod
-    def get(cls, tres: int) -> "_TCellGrid":
-        if tres not in cls._cache:
-            cls._cache[tres] = cls(tres)
-        return cls._cache[tres]
+    @staticmethod
+    @functools.cache
+    def get(tres: int) -> "_TCellGrid":
+        return _TCellGrid(tres)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +400,13 @@ def _tail_value(kind: str, zlo: float, zhi: float) -> float:
 def tail_constants(zeta: float) -> dict:
     """Uniform layer-9+ tail constants (spikes at hexagonal layer distances).
 
-    Returns eps_B / eps_W for values and first/second partials and the
-    eigenvalue variants eps_B_ev / eps_W_ev.
+    Returns eps_B / eps_W for values and first/second partials.  On every
+    band they bound ``tail_chain_sum(zeta_hi)`` and, for the waves,
+    ``tail_chain_sum(zeta_hi) / zeta_lo``.
     """
     if not 1e-2 < zeta <= 1.0:
         raise OutOfValidatedRange(f"zeta {zeta} outside (1e-2, 1]")
-    return {"eps_B": 2e-12, "eps_W": 2e-10, "eps_B_ev": 2e-11, "eps_W_ev": 2e-9}
+    return {"eps_B": 2e-12, "eps_W": 2e-10}
 
 
 def tail_chain_sum(zeta: float) -> float:

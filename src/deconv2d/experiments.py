@@ -24,7 +24,7 @@ from .envelope import (
     save_envelope_set,
     zeta_band,
 )
-from .kernels import KernelModel
+from .kernels import KERNELS
 from .schur import numeric_certificate, svd_small
 from .solver import SampleGrid, assemble_operator, recovery_trial
 
@@ -32,16 +32,6 @@ SVD_LATTICE = 8      # conditioning study uses an 8x8 spike lattice
 SVD_MARGIN = 3.0     # sample-grid margin in kernel units
 PHASE_COLUMNS = ["delta", "zeta", "kernel", "pattern", "trials", "successes",
                  "rate"]
-
-
-def _kernel_model(name: str) -> KernelModel:
-    if name == "gaussian":
-        return KernelModel.gaussian()
-    if name == "microscopy":
-        return KernelModel.microscopy()
-    if name == "airy":
-        return KernelModel.airy()
-    raise ValueError(f"unknown kernel {name!r}")
 
 
 def svd_conditioning(dprime_grid, zeta_grid) -> list:
@@ -52,7 +42,7 @@ def svd_conditioning(dprime_grid, zeta_grid) -> list:
     ill-posedness of the finest separations.
     """
     n = SVD_LATTICE
-    model = KernelModel.gaussian()
+    model = KERNELS["gaussian"]
     rows = []
     for dp in dprime_grid:
         ii, jj = np.meshgrid(np.arange(n), np.arange(n))
@@ -77,7 +67,9 @@ def phase_diagram(kernel: str, delta_grid, zeta_grid, trials: int, seed: int,
     Returns rows (delta, zeta, kernel, pattern, trials, successes, rate);
     deterministic for a fixed seed.
     """
-    model = _kernel_model(kernel)
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    model = KERNELS[kernel]
     u = model.unit
     rows = []
     for ci, (delta, zeta) in enumerate(
@@ -208,6 +200,18 @@ def _cmd_certificate_demo(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
+def _positive(kind):
+    """argparse type: a finite ``kind`` (int or float) greater than 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a positive {kind.__name__}")
+        return value
+    parse.__name__ = kind.__name__   # argparse's "invalid <name> value"
+    return parse
+
+
 def _build_parser():
     """(parser of ``--config`` alone, full parser, subcommand parsers)."""
     pre = argparse.ArgumentParser(prog="deconv2d", add_help=False)
@@ -234,15 +238,14 @@ def _build_parser():
     sp.set_defaults(run=_cmd_certify)
 
     sp = sub.add_parser("recover", help="seeded exact-recovery trials")
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--zeta", type=float, required=True)
-    sp.add_argument("--n-spikes", type=int, default=25)
+    sp.add_argument("--delta", type=_positive(float), required=True)
+    sp.add_argument("--zeta", type=_positive(float), required=True)
+    sp.add_argument("--n-spikes", type=_positive(int), default=25)
     sp.add_argument("--pattern", default="full_grid",
                     choices=["full_grid", "three_nearest"])
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument("--trials", type=_positive(int), default=10)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--kernel", default="gaussian",
-                    choices=["gaussian", "microscopy", "airy"])
+    sp.add_argument("--kernel", default="gaussian", choices=list(KERNELS))
     sp.add_argument("--out", required=True)
     sp.set_defaults(run=_cmd_recover)
 
@@ -253,11 +256,11 @@ def _build_parser():
     sp.set_defaults(run=_cmd_svd)
 
     sp = sub.add_parser("phase-diagram", help="recovery-rate table")
-    sp.add_argument("--kernel", default="gaussian",
-                    choices=["gaussian", "microscopy", "airy"])
-    sp.add_argument("--delta", type=float, nargs="+", required=True)
-    sp.add_argument("--zeta", type=float, nargs="+", required=True)
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument("--kernel", default="gaussian", choices=list(KERNELS))
+    sp.add_argument("--delta", type=_positive(float), nargs="+",
+                    required=True)
+    sp.add_argument("--zeta", type=_positive(float), nargs="+", required=True)
+    sp.add_argument("--trials", type=_positive(int), default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--pattern", default="full_grid",
                     choices=["full_grid", "three_nearest"])
@@ -266,7 +269,7 @@ def _build_parser():
 
     sp = sub.add_parser("certificate-demo",
                         help="dump Q on a grid for contour plotting")
-    sp.add_argument("--n-spikes", type=int, default=3)
+    sp.add_argument("--n-spikes", type=_positive(int), default=3)
     sp.add_argument("--delta", type=float, default=4.5)
     sp.add_argument("--zeta", type=float, default=0.5)
     sp.add_argument("--seed", type=int, default=0)

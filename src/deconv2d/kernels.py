@@ -44,26 +44,16 @@ class KernelModel:
     kind: str
     scale: float
 
-    @staticmethod
-    def gaussian() -> "KernelModel":
-        return KernelModel("gaussian", 1.0)
-
-    @staticmethod
-    def microscopy() -> "KernelModel":
-        return KernelModel("microscopy", SIGMA0)
-
-    @staticmethod
-    def airy() -> "KernelModel":
-        return KernelModel("airy", AIRY_SCALE)
-
     @property
     def unit(self) -> float:
         """Natural unit length: sigma, sigma0, or the first-zero radius."""
-        if self.kind == "gaussian":
-            return self.scale
-        if self.kind == "microscopy":
-            return SIGMA0
-        return 1.0
+        return 1.0 if self.kind == "airy" else self.scale
+
+
+#: the three models by name, at their standard scales
+KERNELS = {"gaussian": KernelModel("gaussian", 1.0),
+           "microscopy": KernelModel("microscopy", SIGMA0),
+           "airy": KernelModel("airy", AIRY_SCALE)}
 
 
 def kernel_eval(model: KernelModel, t):

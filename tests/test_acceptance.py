@@ -15,7 +15,13 @@ import pytest
 from conftest import desk_envelopes, mc_envelope_violations
 from deconv2d.bumpwave import bw_coefficients, bw_eval, bw_grad
 from deconv2d.certify import CertifyConfig, certify_cell, recovery_sweep
-from deconv2d.envelope import ALL_KINDS, KIND_INFO, tail_chain_sum
+from deconv2d.envelope import (
+    ALL_KINDS,
+    KIND_INFO,
+    tail_chain_sum,
+    tail_constants,
+    zeta_band,
+)
 from deconv2d.schur import numeric_certificate, schur_bounds, svd_small
 from deconv2d.solver import recovery_trial
 from deconv2d.experiments import phase_diagram, svd_conditioning
@@ -76,10 +82,16 @@ def test_ac02_envelope_soundness():
 
 def test_ac03_tail_chain():
     t0 = time.monotonic()
-    s = tail_chain_sum(1.0)
-    assert s < 2e-11            # bump / derivative scale
-    assert s / 1.0 < 2e-9       # wave scale at zeta = 1
-    _report("AC-3", time.monotonic() - t0, 1.0, f"chain sum {s:.2e}")
+    worst = 0.0
+    for k1 in range(1, 17):
+        zlo, zhi = zeta_band(k1)
+        eps = tail_constants(zhi)
+        s = tail_chain_sum(zhi)
+        assert s <= eps["eps_B"], k1            # bump / derivative scale
+        assert s / zlo <= eps["eps_W"], k1      # wave scale
+        worst = max(worst, s / zlo)
+    _report("AC-3", time.monotonic() - t0, 1.0,
+            f"largest wave-scale chain sum {worst:.2e} over 16 bands")
 
 
 def test_ac04_schur_soundness():

@@ -10,6 +10,7 @@ import pytest
 from conftest import desk_envelopes, desk_reference
 from deconv2d import certify
 from deconv2d.certify import (
+    EPS_SEG,
     CertifyConfig,
     CoefficientBoundExceeded,
     SegmentBounds,
@@ -20,6 +21,7 @@ from deconv2d.certify import (
     qtri_segment_bounds,
     recovery_sweep,
 )
+from deconv2d.envelope import tail_constants, zeta_band
 from deconv2d.hexgeom import build_partition, segment_cell_distance
 from deconv2d.schur import (
     NormBounds,
@@ -138,6 +140,16 @@ def test_qtri_coefficient_budget(cfg):
     bad = SchurReport((True, True, True), 2.5, 0.1, 0.1, 0.5)
     with pytest.raises(CoefficientBoundExceeded):
         qtri_segment_bounds(DELTA, 10, cfg.tables[K1], bad)
+
+
+def test_eps_seg_covers_the_tail_budget():
+    """EPS_SEG stands for the tails beyond layer 8 in every segment bound:
+    alpha * eps_B + (beta + gamma) * eps_W with alpha <= 2 and beta,
+    gamma <= 1 (the coefficient budget), doubled for the coarsening of the
+    slope and eig kinds."""
+    for k1 in range(1, 17):
+        eps = tail_constants(zeta_band(k1)[1])
+        assert 2 * (2 * eps["eps_B"] + 2 * eps["eps_W"]) <= EPS_SEG, k1
 
 
 def _mk(eigs, grads, q_ub=0.5):

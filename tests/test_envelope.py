@@ -247,8 +247,7 @@ def test_resolution_monotonicity():
 
 def test_tail_constants():
     c = tail_constants(0.5)
-    assert c == {"eps_B": 2e-12, "eps_W": 2e-10, "eps_B_ev": 2e-11,
-                 "eps_W_ev": 2e-9}
+    assert c == {"eps_B": 2e-12, "eps_W": 2e-10}
     with pytest.raises(OutOfValidatedRange):
         tail_constants(0.009)
     with pytest.raises(OutOfValidatedRange):
@@ -256,8 +255,15 @@ def test_tail_constants():
 
 
 def test_tail_chain_direct_summation():
-    s = tail_chain_sum(1.0)
-    assert 0 < s < 2e-11
+    """On every band the direct layer sum stays within the constants that
+    block_norm_bounds adds: eps_B for bump kinds, eps_W for the wave kinds
+    (which carry the extra 1/zeta_lo)."""
+    for k1 in range(1, 17):
+        zlo, zhi = zeta_band(k1)
+        eps = tail_constants(zhi)
+        s = tail_chain_sum(zhi)
+        assert 0 < s <= eps["eps_B"], k1
+        assert s / zlo <= eps["eps_W"], k1
 
 
 def test_cache_round_trip(tmp_path):

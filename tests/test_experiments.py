@@ -50,7 +50,7 @@ def test_phase_diagram_rates_and_determinism():
 
 
 def test_phase_diagram_unknown_kernel():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="boxcar"):
         phase_diagram("boxcar", [2.0], [0.5], 1, 0)
 
 
@@ -101,19 +101,19 @@ def test_cli_envelopes_resolution_cap(tmp_path, capsys, monkeypatch):
     """Resolution 46 needs 500 * 46**4 cells, more than the cap: the CLI
     refuses it before a t-grid of that resolution is built.  The paper
     resolution (40) passes the cap and reaches the grid."""
-    out = tmp_path / "env"
-    rc = cli_main(["envelopes", "--k1", "1", "--resolution", "46",
-                   "--out", str(out)])
-    assert rc == 2
-    assert (f"{500 * 46**4} cells > cap {envelope.MAX_CELLS}"
-            in capsys.readouterr().err)
-    assert 46 not in envelope._TCellGrid._cache
-    assert not out.exists()
-
     def reached(tres):
         raise RuntimeError(f"grid at {tres}")
 
     monkeypatch.setattr(envelope._TCellGrid, "get", reached)
+    out = tmp_path / "env"
+    rc = cli_main(["envelopes", "--k1", "1", "--resolution", "46",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{500 * 46**4} cells > cap {envelope.MAX_CELLS}" in err
+    assert "grid at" not in err
+    assert not out.exists()
+
     rc = cli_main(["envelopes", "--k1", "1", "--resolution", "paper",
                    "--out", str(out)])
     assert rc == 2
@@ -197,6 +197,30 @@ def test_cli_exit_codes(tmp_path):
                    "--envelope-cache", str(tmp_path / "missing"),
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["phase-diagram", "--delta", "2.0", "--zeta", "0.5", "--trials", "0"],
+     "--trials"),
+    (["recover", "--delta", "2.0", "--zeta", "0.5", "--n-spikes", "0"],
+     "--n-spikes"),
+    (["recover", "--delta", "2.0", "--zeta", "0"], "--zeta"),
+    (["recover", "--delta", "-1", "--zeta", "0.5"], "--delta"),
+    (["recover", "--delta", "2.0", "--zeta", "nan"], "--zeta"),
+    (["phase-diagram", "--delta", "2.0", "0", "--zeta", "0.5"], "--delta"),
+    (["phase-diagram", "--delta", "2.0", "--zeta", "inf"], "--zeta"),
+    (["recover", "--delta", "2.0", "--zeta", "0.5", "--trials", "1.5"],
+     "--trials"),
+])
+def test_cli_rejects_nonpositive_counts_and_spacings(tmp_path, capsys, argv,
+                                                      flag):
+    """Counts and spacings that no trial can use are usage errors (exit 1)
+    that name the flag, not computation errors deep inside a trial."""
+    out = tmp_path / "r.csv"
+    assert cli_main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_config_precedence(tmp_path):

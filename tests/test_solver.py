@@ -1,30 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from deconv2d.kernels import KernelModel, kernel_eval
+from deconv2d.kernels import KERNELS, kernel_eval
 from deconv2d.solver import (
     BudgetExceeded,
     NotConverged,
     SampleGrid,
-    SpikeSignal,
+    _three_nearest_rows,
     assemble_operator,
     basis_pursuit,
     candidate_grid,
     hex_arrangement,
     operator_norm,
     recovery_trial,
-    synthesize,
 )
 
-GAUSS = KernelModel.gaussian()
-
-
-def test_spike_signal_separation():
-    s = SpikeSignal([[0, 0], [3, 0], [0, 4]], [1.0, -2.0, 0.5])
-    assert pdist(s.positions).min() == 3.0
-    with pytest.raises(ValueError):
-        SpikeSignal([[0, 0]], [np.nan])
+GAUSS = KERNELS["gaussian"]
 
 
 def test_sample_grid_points():
@@ -59,9 +53,9 @@ def test_operator_entries_and_synthesis_oracle():
         for j in range(7):
             assert K[i, j] == pytest.approx(
                 float(kernel_eval(GAUSS, s[i] - G[j])), rel=1e-14)
-    # K a against direct synthesis
+    # K a against a per-spike sum of kernel columns
     a = rng.normal(size=7)
-    y = synthesize(SpikeSignal(G, a), g, GAUSS).y
+    y = sum(a[j] * kernel_eval(GAUSS, s - G[j]) for j in range(7))
     assert np.allclose(K @ a, y, atol=1e-13)
 
 
@@ -146,6 +140,49 @@ def test_hex_arrangement_geometry():
     assert pdist(pts).min() == pytest.approx(2.0)
     # odd rows are offset by half a separation
     assert pts[5, 0] - pts[0, 0] == pytest.approx(1.0)
+
+
+def _hex_arrangement_loop(n_spikes, delta):
+    """Row-by-row reference for hex_arrangement."""
+    cols = int(math.ceil(math.sqrt(n_spikes)))
+    pts = []
+    r = 0
+    while len(pts) < n_spikes:
+        y = r * delta * math.sqrt(3.0) / 2.0
+        x0 = (delta / 2.0) if r % 2 else 0.0
+        for c in range(cols):
+            pts.append((x0 + c * delta, y))
+            if len(pts) == n_spikes:
+                break
+        r += 1
+    return np.asarray(pts)
+
+
+def _three_nearest_rows_loop(grid, positions):
+    """Spike-by-spike reference for _three_nearest_rows."""
+    s = grid.points()
+    keep = set()
+    for t in positions:
+        d = np.linalg.norm(s - t, axis=1)
+        keep.update(np.argsort(d)[:3].tolist())
+    return np.array(sorted(keep))
+
+
+def test_trial_geometry_matches_loops():
+    """The array forms of the trial geometry reproduce the loops bit for
+    bit, including the odd-row offsets and ties in the nearest samples."""
+    for n in (1, 2, 3, 4, 9, 10, 24, 25, 26, 49):
+        for delta in (0.5, 0.75, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0):
+            pos = hex_arrangement(n, delta)
+            ref = _hex_arrangement_loop(n, delta)
+            assert pos.dtype == ref.dtype and pos.shape == (n, 2)
+            assert pos.tobytes() == ref.tobytes(), (n, delta)
+            for zeta in (0.4, 0.5, 0.7, 1.0):
+                grid = SampleGrid.covering(pos, zeta, 3.0)
+                rows = _three_nearest_rows(grid, pos)
+                ref = _three_nearest_rows_loop(grid, pos)
+                assert rows.dtype == ref.dtype
+                assert np.array_equal(rows, ref), (n, delta, zeta)
 
 
 def test_candidate_grid_contains_spikes_first():
