@@ -10,7 +10,12 @@ negative (that negativity is what pins Q below 1 near a spike), and
 everything collapses to tiny tail constants past radius 10.
 """
 
-from deconv2d.envelope import EnvelopeGridSpec, build_envelopes, zeta_band
+from deconv2d.envelope import (
+    EnvelopeGridSpec,
+    EnvelopeSet,
+    build_envelopes,
+    zeta_band,
+)
 
 K1 = 5
 RES = 6  # coarse; the certifier uses 10 (desk) or 40 (published)
@@ -18,21 +23,22 @@ RES = 6  # coarse; the certifier uses 10 (desk) or 40 (published)
 zlo, zhi = zeta_band(K1)
 print(f"band k1={K1} (grid spacing {zlo:.2f}..{zhi:.2f}), "
       f"resolution {RES} bins/unit\n")
-envs = build_envelopes(EnvelopeGridSpec(k1=K1, tres=RES, ures=RES))
+table = EnvelopeSet(build_envelopes(EnvelopeGridSpec(k1=K1, tres=RES,
+                                                     ures=RES)))
 
 radii = [0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 11.0]
 show = ["bump", "bump_dx", "wave1", "bump_eig_max", "wave1_eig"]
 
 print("r      " + "".join(f"{k:>14}" for k in show))
-for r in radii:
-    row = "".join(f"{envs[k].query(r):>14.4e}" for k in show)
+for r, b in zip(radii, table.bins(radii)):
+    row = "".join(f"{table.tables[k][b]:>14.4e}" for k in show)
     print(f"{r:<6.1f} {row}")
 
 print("\ntail values (r > 10):")
 for k in show:
-    print(f"  {k:>14}: {envs[k].tail:.3e}")
+    print(f"  {k:>14}: {table.tables[k][-1]:.3e}")
 
-neg = envs["bump_eig_max"].query(0.1)
+neg = table.tables["bump_eig_max"][table.bins(0.1)]
 print(f"\nnote the signed eigenvalue bound near the spike: {neg:+.3f}.")
 print("Its negativity over the first segments is the engine of the")
 print("near-field argument; all other envelopes only need to be small.")

@@ -97,22 +97,23 @@ def bw_coefficients(cfg: SpikeConfig) -> BumpWaveCoeffs:
     return BumpWaveCoeffs(mat)
 
 
-def _gaussians(cfg: SpikeConfig, t):
-    """e^{-|s_i - t|^2/2} for the three samples; t may be (..., 2)."""
+def gaussians(samples, t):
+    """s_i - t and e^{-|s_i - t|^2/2} for the (k, 2) samples s_i; t may be
+    (..., 2)."""
     t = np.asarray(t, dtype=float)
-    d = cfg.samples - t[..., None, :]  # (..., 3, 2)
+    d = samples - t[..., None, :]  # (..., k, 2)
     return d, np.exp(-0.5 * np.sum(d * d, axis=-1))
 
 
 def bw_eval(cfg: SpikeConfig, coeffs: BumpWaveCoeffs, kind: str, t):
     """Value of the bump/wave at t (vectorized over leading axes of t)."""
     c = coeffs.column(kind)
-    _, g = _gaussians(cfg, t)
+    _, g = gaussians(cfg.samples, t)
     return g @ c
 
 
 def bw_grad(cfg: SpikeConfig, coeffs: BumpWaveCoeffs, kind: str, t):
     """Gradient at t: sum_i c_i (s_i - t) e^{-|s_i - t|^2/2}."""
     c = coeffs.column(kind)
-    d, g = _gaussians(cfg, t)
+    d, g = gaussians(cfg.samples, t)
     return np.sum(c[..., :, None] * d * g[..., :, None], axis=-2)

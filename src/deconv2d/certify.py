@@ -207,20 +207,14 @@ def far_field_check(schur: SchurReport, nb: NormBounds) -> bool:
     return val < 1.0
 
 
-@dataclass(frozen=True)
 class CertifyConfig:
-    """Everything certify_cell needs besides (delta, k1).
+    """Everything certify_cell needs besides (delta, k1): the segment count
+    and one ``EnvelopeSet`` per band of ``{k1: {kind: StepEnvelope}}``."""
 
-    ``tables`` holds one ``EnvelopeSet`` per band, built from
-    ``envelopes_by_k1`` once.
-    """
-
-    envelopes_by_k1: dict           # k1 -> {kind: StepEnvelope}
-    n_segments: int = N_SEGMENTS
-
-    def __post_init__(self):
-        object.__setattr__(self, "tables", {
-            k1: EnvelopeSet(envs) for k1, envs in self.envelopes_by_k1.items()})
+    def __init__(self, envelopes_by_k1: dict, n_segments: int = N_SEGMENTS):
+        self.tables = {k1: EnvelopeSet(envs)
+                       for k1, envs in envelopes_by_k1.items()}
+        self.n_segments = n_segments
 
     @staticmethod
     def from_cache(directory: str, k1_set) -> "CertifyConfig":

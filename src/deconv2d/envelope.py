@@ -157,7 +157,8 @@ def bin_index(breakpoints, r) -> np.ndarray:
 
 @dataclass
 class StepEnvelope:
-    """A computed envelope: bins on [0, 10] plus a tail value for r > 10."""
+    """A computed envelope: bins on [0, 10] plus a tail value for r > 10.
+    Read it through an ``EnvelopeSet``."""
 
     kind: str
     monotone: bool
@@ -167,17 +168,6 @@ class StepEnvelope:
     k1: int
     tres: int
     ures: int
-
-    @property
-    def table(self) -> np.ndarray:
-        """The m bin values with the tail appended as bin m."""
-        return np.append(self.values, self.tail)
-
-    def query_many(self, r) -> np.ndarray:
-        return self.table[bin_index(self.breakpoints, r)]
-
-    def query(self, r: float) -> float:
-        return float(self.query_many(r))
 
 
 class EnvelopeSet:
@@ -190,19 +180,20 @@ class EnvelopeSet:
     """
 
     def __init__(self, envelopes: dict):
-        self.envelopes = dict(envelopes)
-        if not self.envelopes:
+        if not envelopes:
             raise ValueError("an envelope set needs at least one envelope")
-        first = next(iter(self.envelopes.values()))
+        first = next(iter(envelopes.values()))
         key = (first.k1, first.tres, first.ures)
-        for env in self.envelopes.values():
+        for env in envelopes.values():
             if ((env.k1, env.tres, env.ures) != key
                     or not np.array_equal(env.breakpoints, first.breakpoints)):
                 raise ValueError(
                     f"envelope {env.kind!r} does not share the breakpoints, "
                     f"k1, tres and ures of {first.kind!r}")
+        self.k1, self.tres, self.ures = key
         self.breakpoints = first.breakpoints
-        self.tables = {kind: env.table for kind, env in self.envelopes.items()}
+        self.tables = {kind: np.append(env.values, env.tail)
+                       for kind, env in envelopes.items()}
 
     def bins(self, r) -> np.ndarray:
         return bin_index(self.breakpoints, r)
@@ -223,55 +214,42 @@ class _TCells:
     span_bins: tuple
 
 
-class _TCellGrid:
-    def __init__(self, tres: int):
-        n = 20 * tres
-        edges = -10.0 + np.arange(n + 1) / tres
-        lo1 = edges[:-1]
-        hi1 = edges[1:]
-        XL, YL = np.meshgrid(lo1, lo1, indexing="ij")
-        XH, YH = np.meshgrid(hi1, hi1, indexing="ij")
-        self.xl, self.xh = XL.ravel(), XH.ravel()
-        self.yl, self.yh = YL.ravel(), YH.ravel()
-        # outer/inner radius of each cell
-        mx = np.maximum(np.abs(self.xl), np.abs(self.xh))
-        my = np.maximum(np.abs(self.yl), np.abs(self.yh))
-        self.rmax = next_up(np.hypot(mx, my))
-        dx = np.where((self.xl <= 0) & (self.xh >= 0), 0.0,
-                      np.minimum(np.abs(self.xl), np.abs(self.xh)))
-        dy = np.where((self.yl <= 0) & (self.yh >= 0), 0.0,
-                      np.minimum(np.abs(self.yl), np.abs(self.yh)))
-        self.rmin = np.maximum(next_down(np.hypot(dx, dy)), 0.0)
-        m = 10 * tres
-        self.nbins = m
-        # monotone kinds: cell feeds bins 1..floor(rmax/delta)+1
-        self.bmax_idx = np.minimum(np.floor(self.rmax * tres).astype(int), m - 1)
-        # non-monotone kinds: bins whose annulus meets [rmin, rmax], from
-        # blo_idx to bmax_idx; cells entirely beyond radius 10 get an empty
-        # (negative) span
-        blo = np.ceil(self.rmin * tres - 1e-9).astype(int)
-        self.blo_idx = np.maximum(blo - 1, 0)
-
-    def chunks(self, size: int) -> list[_TCells]:
-        """The grid cut into runs of at most ``size`` consecutive cells."""
-        out = []
-        for start in range(0, len(self.xl), size):
-            sl = slice(start, start + size)
-            blo = self.blo_idx[sl]
-            span = self.bmax_idx[sl] - blo
-            reach = [span >= off for off in range(int(np.max(span)) + 1)]
-            span_bins = tuple((mask, blo[mask] + off)
-                              for off, mask in enumerate(reach))
-            out.append(_TCells(tx=(self.xl[sl], self.xh[sl]),
-                               ty=(self.yl[sl], self.yh[sl]),
-                               bmax_idx=self.bmax_idx[sl],
-                               span_bins=span_bins))
-        return out
-
-    @staticmethod
-    @functools.cache
-    def get(tres: int) -> "_TCellGrid":
-        return _TCellGrid(tres)
+@functools.cache
+def _t_chunks(tres: int, size: int) -> tuple[_TCells, ...]:
+    """The t-grid at ``tres`` cells per unit on [-10, 10]^2, cut into runs
+    of at most ``size`` consecutive cells."""
+    n = 20 * tres
+    edges = -10.0 + np.arange(n + 1) / tres
+    XL, YL = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
+    XH, YH = np.meshgrid(edges[1:], edges[1:], indexing="ij")
+    xl, xh = XL.ravel(), XH.ravel()
+    yl, yh = YL.ravel(), YH.ravel()
+    # outer/inner radius of each cell
+    mx = np.maximum(np.abs(xl), np.abs(xh))
+    my = np.maximum(np.abs(yl), np.abs(yh))
+    rmax = next_up(np.hypot(mx, my))
+    dx = np.where((xl <= 0) & (xh >= 0), 0.0,
+                  np.minimum(np.abs(xl), np.abs(xh)))
+    dy = np.where((yl <= 0) & (yh >= 0), 0.0,
+                  np.minimum(np.abs(yl), np.abs(yh)))
+    rmin = np.maximum(next_down(np.hypot(dx, dy)), 0.0)
+    # monotone kinds: cell feeds bins 1..floor(rmax/delta)+1
+    bmax_idx = np.minimum(np.floor(rmax * tres).astype(int), 10 * tres - 1)
+    # non-monotone kinds: bins whose annulus meets [rmin, rmax], from
+    # blo_idx to bmax_idx; cells entirely beyond radius 10 get an empty
+    # (negative) span
+    blo_idx = np.maximum(np.ceil(rmin * tres - 1e-9).astype(int) - 1, 0)
+    out = []
+    for start in range(0, len(xl), size):
+        sl = slice(start, start + size)
+        blo = blo_idx[sl]
+        span = bmax_idx[sl] - blo
+        reach = [span >= off for off in range(int(np.max(span)) + 1)]
+        span_bins = tuple((mask, blo[mask] + off)
+                          for off, mask in enumerate(reach))
+        out.append(_TCells(tx=(xl[sl], xh[sl]), ty=(yl[sl], yh[sl]),
+                           bmax_idx=bmax_idx[sl], span_bins=span_bins))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +404,13 @@ def build_envelopes(spec: EnvelopeGridSpec) -> dict:
     n_cells = (20 * spec.tres) ** 2 * (half * half + spec.ures * spec.ures)
     if n_cells > MAX_CELLS:
         raise ResourceBudgetExceeded(f"{n_cells} cells > cap {MAX_CELLS}")
-    grid = _TCellGrid.get(spec.tres)
+    chunks = _t_chunks(spec.tres, _CHUNK_CELLS)
     zlo, zhi = spec.zeta
-    m = grid.nbins
+    m = 10 * spec.tres
 
     built = [k for k in ALL_KINDS if k not in _MIRRORED]
     bins = {k: np.zeros(m) if KIND_INFO[k][2] else np.full(m, -np.inf)
             for k in built}
-    chunks = grid.chunks(_CHUNK_CELLS)
 
     def accumulate(kind_list, lo):
         j, k = (g.ravel() for g in np.mgrid[lo:half + 1, lo:half + 1])
@@ -506,14 +483,13 @@ def save_envelope_set(dirpath: str, envs: dict) -> str:
     ``<kind>.tail``; monotonicity is a property of the kind (``KIND_INFO``)
     and is not stored."""
     table = EnvelopeSet(envs)  # refuses envelopes that share no breakpoints
-    first = next(iter(table.envelopes.values()))
-    arrays = {"version": CACHE_VERSION, "k1": first.k1, "tres": first.tres,
-              "ures": first.ures, "breakpoints": table.breakpoints}
-    for kind, env in table.envelopes.items():
-        arrays[f"{kind}.values"] = env.values
-        arrays[f"{kind}.tail"] = env.tail
+    arrays = {"version": CACHE_VERSION, "k1": table.k1, "tres": table.tres,
+              "ures": table.ures, "breakpoints": table.breakpoints}
+    for kind, values in table.tables.items():
+        arrays[f"{kind}.values"] = values[:-1]
+        arrays[f"{kind}.tail"] = values[-1]
     os.makedirs(dirpath, exist_ok=True)
-    path = _cache_path(dirpath, first.k1)
+    path = _cache_path(dirpath, table.k1)
     np.savez(path, **arrays)
     return path
 

@@ -30,6 +30,9 @@ from .solver import SampleGrid, assemble_operator, recovery_trial
 
 SVD_LATTICE = 8      # conditioning study uses an 8x8 spike lattice
 SVD_MARGIN = 3.0     # sample-grid margin in kernel units
+#: certificate-demo's cap on rejection draws: random placement jams near 10
+#: spikes Delta apart in its square (seeds 0-2 within 700 draws)
+DEMO_DRAWS = 10**4
 PHASE_COLUMNS = ["delta", "zeta", "kernel", "pattern", "trials", "successes",
                  "rate"]
 
@@ -181,10 +184,15 @@ def _cmd_phase_diagram(args) -> int:
 def _cmd_certificate_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     pts = []
-    while len(pts) < args.n_spikes:
+    for _ in range(DEMO_DRAWS):
         p = rng.uniform(-1.5 * args.delta, 1.5 * args.delta, 2)
         if all(np.hypot(*(p - q)) >= args.delta for q in pts):
             pts.append(p)
+            if len(pts) == args.n_spikes:
+                break
+    else:
+        raise ValueError(f"--n-spikes {args.n_spikes}: only {len(pts)} spikes "
+                         f"Delta apart placed in {DEMO_DRAWS} draws")
     T = np.array(pts)
     tau = rng.choice([-1.0, 1.0], args.n_spikes)
     cert = numeric_certificate(T, tau, args.zeta)
@@ -230,7 +238,7 @@ def _build_parser():
     sp = sub.add_parser("certify", help="sweep the recovery certifier")
     sp.add_argument("--delta-min", type=float, required=True)
     sp.add_argument("--delta-max", type=float, required=True)
-    sp.add_argument("--delta-step", type=float, default=0.05)
+    sp.add_argument("--delta-step", type=_positive(float), default=0.05)
     sp.add_argument("--zeta-bands", type=int, nargs="+", required=True)
     sp.add_argument("--resolution", default="desk")
     sp.add_argument("--envelope-cache")
@@ -251,7 +259,7 @@ def _build_parser():
 
     sp = sub.add_parser("svd", help="conditioning of the measurement matrix")
     sp.add_argument("--dprime", type=float, nargs="+", required=True)
-    sp.add_argument("--zeta", type=float, nargs="+", required=True)
+    sp.add_argument("--zeta", type=_positive(float), nargs="+", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(run=_cmd_svd)
 
@@ -270,10 +278,10 @@ def _build_parser():
     sp = sub.add_parser("certificate-demo",
                         help="dump Q on a grid for contour plotting")
     sp.add_argument("--n-spikes", type=_positive(int), default=3)
-    sp.add_argument("--delta", type=float, default=4.5)
-    sp.add_argument("--zeta", type=float, default=0.5)
+    sp.add_argument("--delta", type=_positive(float), default=4.5)
+    sp.add_argument("--zeta", type=_positive(float), default=0.5)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--step", type=float, default=0.1)
+    sp.add_argument("--step", type=_positive(float), default=0.1)
     sp.add_argument("--out", required=True)
     sp.set_defaults(run=_cmd_certificate_demo)
 

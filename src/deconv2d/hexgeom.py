@@ -29,10 +29,6 @@ SQ3 = math.sqrt(3.0)
 LAYERS = 8
 
 
-class InvalidCase(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class HexPartition:
     """The 216 cells by layer, then by angle of the center."""
@@ -43,8 +39,6 @@ class HexPartition:
 
 
 def build_partition(delta: float) -> HexPartition:
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     s = delta / 2.0
     e1 = np.array([1.5 * s, SQ3 * s / 2.0])
     e2 = np.array([0.0, SQ3 * s])
@@ -98,7 +92,8 @@ def _inside(px, py, edges):
 # -- constrained distances --------------------------------------------------
 
 def d_U(vertices, delta: float) -> np.ndarray:
-    """inf{|x| : x in U, |x| >= delta} for each cell U.
+    """inf{|x| : x in U, |x| >= delta} for each cell U that reaches out to
+    radius delta (every cell of the partition at delta does).
 
     If the whole cell clears the exclusion radius this is the plain distance
     from the origin; if the cell straddles the circle the constraint binds
@@ -111,23 +106,17 @@ def d_U(vertices, delta: float) -> np.ndarray:
         m = np.minimum(m, _pt_seg_dist(0.0, 0.0, ax[..., i], ay[..., i],
                                        bx[..., i], by[..., i]))
     m = np.where(_inside(0.0, 0.0, edges), 0.0, m)
-    M = np.max(np.hypot(ax, ay), axis=-1)
-    if np.any((m < delta) & (M < delta)):
-        raise InvalidCase("cell entirely inside the exclusion disk")
     return np.where(m >= delta, m, delta)
 
 
 def segment_cell_distance(a, b, vertices) -> np.ndarray:
-    """Exact distance between [a, b] x {0} and each (convex) hexagon.
+    """Exact distance between [a, b] x {0}, 0 <= a <= b, and each (convex)
+    hexagon.
 
     ``a`` and ``b`` broadcast against the leading axes of ``vertices``: pass
     column vectors of edges and a (cells, 6, 2) stack for a segment-by-cell
     table.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not np.all((0 <= a) & (a <= b)):
-        raise ValueError("segments need 0 <= a <= b")
     edges = _edges(vertices)
     ax, ay, bx, by = edges
     dist = np.inf

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .bumpwave import KINDS, SpikeConfig, bw_coefficients, bw_eval, bw_grad
+from .bumpwave import (
+    KINDS,
+    SpikeConfig,
+    bw_coefficients,
+    bw_eval,
+    bw_grad,
+    gaussians,
+)
 from .envelope import (
     EnvelopeSet,
     OutOfValidatedRange,
@@ -145,34 +152,23 @@ def schur_bounds(nb: NormBounds) -> SchurReport:
 
 @dataclass(frozen=True)
 class NumericCertificate:
-    """Floating-point interpolation certificate for a concrete support."""
+    """Floating-point interpolation certificate for a concrete support:
+    Q(t) = sum over spikes j and samples i of q[j, i] e^{-|s_ji - t|^2/2}."""
 
-    configs: tuple          # one SpikeConfig per spike
-    coeffs: tuple           # one BumpWaveCoeffs per spike
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
+    samples: np.ndarray     # (n, 3, 2) the three samples of each spike
     q: np.ndarray           # (n, 3) per-sample Gaussian weights
-
-    def _weights(self):
-        return np.stack([self.alpha, self.beta, self.gamma], axis=1)
 
     def evaluate(self, t):
         """Q(t); t may be (..., 2)."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape[:-1])
-        for cfg, cf, w in zip(self.configs, self.coeffs, self._weights()):
-            for kind, wk in zip(KINDS, w):
-                out = out + wk * bw_eval(cfg, cf, kind, t)
-        return out
+        _, g = gaussians(self.samples.reshape(-1, 2), t)
+        return g @ self.q.ravel()
 
     def gradient(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape[:-1] + (2,))
-        for cfg, cf, w in zip(self.configs, self.coeffs, self._weights()):
-            for kind, wk in zip(KINDS, w):
-                out = out + wk * bw_grad(cfg, cf, kind, t)
-        return out
+        d, g = gaussians(self.samples.reshape(-1, 2), t)
+        return np.sum((g * self.q.ravel())[..., None] * d, axis=-2)
 
 
 def numeric_certificate(T, tau, zeta: float, origin=(0.0, 0.0)) -> NumericCertificate:
@@ -208,10 +204,9 @@ def numeric_certificate(T, tau, zeta: float, origin=(0.0, 0.0)) -> NumericCertif
         raise SingularSystem(
             f"pivot ratio {diag.min() / diag.max():.2e}; spikes too close?")
     x = lu_solve((lu, piv), rhs)
-    alpha, beta, gamma = x[0::3], x[1::3], x[2::3]
-    w = np.stack([alpha, beta, gamma], axis=1)       # (n, 3)
-    q = np.stack([cf.mat @ w[j] for j, cf in enumerate(coeffs)])
-    return NumericCertificate(configs, coeffs, alpha, beta, gamma, q)
+    w = x.reshape(n, 3)         # rows (alpha_j, beta_j, gamma_j)
+    q = np.stack([cf.mat @ wj for cf, wj in zip(coeffs, w)])
+    return NumericCertificate(*w.T, np.stack([c.samples for c in configs]), q)
 
 
 # -- small dense SVD --------------------------------------------------------

@@ -39,11 +39,7 @@ class BudgetExceeded(MemoryError):
 
 
 class NotConverged(RuntimeError):
-    """Solver hit the iteration cap; the best iterate found is attached."""
-
-    def __init__(self, msg: str, best: np.ndarray):
-        super().__init__(msg)
-        self.best = best
+    """Solver hit the iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -136,8 +132,6 @@ def _primal_dual(K, y, tol, max_iters):
     a = np.zeros(K.shape[1])
     a_bar = a.copy()
     z = np.zeros(K.shape[0])
-    best = a
-    best_res = math.inf
     scale = max(1.0, float(np.linalg.norm(y)))
     for it in range(max_iters):
         z = z + step * (K @ a_bar) - step * y
@@ -146,8 +140,6 @@ def _primal_dual(K, y, tol, max_iters):
         a_bar = 2.0 * a_new - a
         a = a_new
         res = float(np.linalg.norm(K @ a - y))
-        if res < best_res:
-            best_res, best = res, a
         if it % 10 == 0 or res <= tol * scale:
             dual_inf = float(np.max(np.abs(Ktz)))
             gap = abs(float(np.sum(np.abs(a)) + float(y @ z)))
@@ -155,7 +147,7 @@ def _primal_dual(K, y, tol, max_iters):
                     and gap <= tol * scale * max(1.0, dual_inf)):
                 return a
     raise NotConverged(f"no convergence in {max_iters} iterations "
-                       f"(best residual {best_res:.3e})", best)
+                       f"(last residual {res:.3e})")
 
 
 def basis_pursuit(K, y, max_iters: int = 10**5):

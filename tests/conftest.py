@@ -8,6 +8,7 @@ from deconv2d.envelope import (
     EXTENDED_U_KINDS,
     KIND_INFO,
     EnvelopeGridSpec,
+    EnvelopeSet,
     StepEnvelope,
     zeta_band,
 )
@@ -106,6 +107,7 @@ def sample_quantities(k1: int, n: int, rng, extended_u: bool):
 def mc_envelope_violations(envs: dict, k1: int, n: int, seed: int,
                            kinds=ALL_KINDS) -> dict:
     """Count envelope violations over n Monte-Carlo samples per u-regime."""
+    table = EnvelopeSet(envs)
     counts = {}
     for extended in (False, True):
         group = [k for k in kinds
@@ -114,8 +116,7 @@ def mc_envelope_violations(envs: dict, k1: int, n: int, seed: int,
             continue
         rng = np.random.default_rng(seed + int(extended))
         r, q = sample_quantities(k1, n, rng, extended_u=extended)
+        bins = table.bins(r)
         for kind in group:
-            bound = envs[kind].query_many(r)
-            viol = int(np.sum(q[kind] > bound))
-            counts[kind] = viol
+            counts[kind] = int(np.sum(q[kind] > table.tables[kind][bins]))
     return counts

@@ -11,6 +11,7 @@ from deconv2d.envelope import (
     ALL_KINDS,
     FormatError,
     EnvelopeGridSpec,
+    EnvelopeSet,
     OutOfValidatedRange,
     VersionMismatch,
     build_envelopes,
@@ -190,7 +191,8 @@ def envs():
 
 
 def test_bump_envelope_attains_one(envs):
-    assert envs["bump"].query(0.0) >= 1.0
+    table = EnvelopeSet(envs)
+    assert table.tables["bump"][table.bins(0.0)] >= 1.0
 
 
 def test_monotone_non_increasing(envs):
@@ -201,21 +203,10 @@ def test_monotone_non_increasing(envs):
 
 
 def test_tails_below_two_em9(envs):
+    table = EnvelopeSet(envs)
     for e in envs.values():
         assert e.tail <= 2e-9, e.kind
-        assert e.query(10.5) == e.tail
-
-
-def test_query(envs):
-    e = envs["bump_slope"]
-    assert e.query(0.0) == e.values[0]
-    assert type(e.query(1.0)) is float
-    # arrays work elementwise, tail included
-    r = np.random.default_rng(0).uniform(0, 12, 200)
-    many = e.query_many(r)
-    assert many.shape == (200,)
-    assert np.array_equal(many, [e.query(x) for x in r])
-    assert e.query(11.0) == e.tail
+        assert table.tables[e.kind][table.bins(10.5)] == e.tail
 
 
 def test_signed_envelopes_negative_near_spike(envs):

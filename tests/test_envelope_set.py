@@ -130,18 +130,20 @@ def test_lookup_matches_per_kind_oracle(k1):
     assert np.all(bins[r > 10.0] == len(table.breakpoints) - 1)
     for kind in ALL_KINDS:
         want = oracle_query(envs[kind], r)
-        assert table.tables[kind][bins].tobytes() == want.tobytes(), kind
-        assert envs[kind].query_many(r).tobytes() == want.tobytes(), kind
-        assert (table.tables[kind][grid_bins].tobytes()
+        got = table.tables[kind]
+        assert got[bins].tobytes() == want.tobytes(), kind
+        assert (got[grid_bins].tobytes()
                 == oracle_query(envs[kind], grid).tobytes()), kind
-        assert envs[kind].query(10.0) == envs[kind].values[-1]
-        assert envs[kind].query(np.nextafter(10.0, 11.0)) == envs[kind].tail
+        assert got[table.bins(0.0)] == envs[kind].values[0]
+        assert got[table.bins(10.0)] == envs[kind].values[-1]
+        assert got[table.bins(np.nextafter(10.0, 11.0))] == envs[kind].tail
+        assert got[table.bins(11.0)] == envs[kind].tail
 
 
 @pytest.mark.parametrize("k1", BANDS)
 def test_seg_max_matches_per_kind_oracle(k1):
     """The segment-maximum oracle against the brute-force maximum of dense
-    ``query_many`` samples of [a, b], endpoints included: random segments,
+    ``oracle_query`` samples of [a, b], endpoints included: random segments,
     segments on breakpoints, segments inside one bin and segments reaching
     the tail.  Every bin a segment meets is wider than the sample spacing or
     holds an endpoint, so the two maxima agree exactly."""
@@ -157,7 +159,7 @@ def test_seg_max_matches_per_kind_oracle(k1):
     dense = np.linspace(ab[:, 0], ab[:, 1], 5 * 10**3, axis=1)
     for kind in ("bump_slope", "bump_eig_max", "bump"):
         env = envs[kind]
-        brute = np.max(env.query_many(dense), axis=1)
+        brute = np.max(oracle_query(env, dense), axis=1)
         want = oracle_seg_max(env, ab[:, 0], ab[:, 1])
         assert brute.tobytes() == want.tobytes(), kind
 

@@ -1,5 +1,6 @@
 import csv
 import os
+import time
 
 import pytest
 
@@ -101,10 +102,10 @@ def test_cli_envelopes_resolution_cap(tmp_path, capsys, monkeypatch):
     """Resolution 46 needs 500 * 46**4 cells, more than the cap: the CLI
     refuses it before a t-grid of that resolution is built.  The paper
     resolution (40) passes the cap and reaches the grid."""
-    def reached(tres):
+    def reached(tres, size):
         raise RuntimeError(f"grid at {tres}")
 
-    monkeypatch.setattr(envelope._TCellGrid, "get", reached)
+    monkeypatch.setattr(envelope, "_t_chunks", reached)
     out = tmp_path / "env"
     rc = cli_main(["envelopes", "--k1", "1", "--resolution", "46",
                    "--out", str(out)])
@@ -187,6 +188,18 @@ def test_cli_svd_and_demo(tmp_path):
     assert max(abs(float(r["q"])) for r in rows) <= 1.0 + 1e-9
 
 
+def test_cli_certificate_demo_refuses_unplaceable_spikes(tmp_path, capsys):
+    """40 spikes Delta apart do not fit the demo's sampling square: a bounded
+    number of draws, then an error that names the flag, and no file."""
+    out = tmp_path / "q.csv"
+    t0 = time.monotonic()
+    assert cli_main(["certificate-demo", "--n-spikes", "40",
+                     "--out", str(out)]) == 2
+    assert time.monotonic() - t0 < 10.0
+    assert "--n-spikes 40" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_codes(tmp_path):
     assert cli_main(["recover", "--bogus"]) == 1
     assert cli_main(["no-such-command"]) == 1
@@ -211,6 +224,12 @@ def test_cli_exit_codes(tmp_path):
     (["phase-diagram", "--delta", "2.0", "--zeta", "inf"], "--zeta"),
     (["recover", "--delta", "2.0", "--zeta", "0.5", "--trials", "1.5"],
      "--trials"),
+    (["svd", "--dprime", "2.0", "--zeta", "0"], "--zeta"),
+    (["certify", "--delta-min", "5.0", "--delta-max", "5.0",
+      "--delta-step", "0", "--zeta-bands", "5"], "--delta-step"),
+    (["certificate-demo", "--step", "0"], "--step"),
+    (["certificate-demo", "--zeta", "0"], "--zeta"),
+    (["certificate-demo", "--delta", "-4.5"], "--delta"),
 ])
 def test_cli_rejects_nonpositive_counts_and_spacings(tmp_path, capsys, argv,
                                                       flag):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from deconv2d.hexgeom import (
-    InvalidCase,
     build_partition,
     cell_distances,
     d_U,
@@ -159,13 +158,6 @@ def test_d_U_layer1_clamps(part):
         assert d_U(v, DELTA) == DELTA
 
 
-def test_d_U_inside_exclusion_disk():
-    with pytest.raises(InvalidCase):
-        d_U(build_partition(1.0).vertices, 10.0)
-    with pytest.raises(InvalidCase):
-        d_U(build_partition(1.0).vertices[0], 10.0)
-
-
 def test_d_U_brute_force(part):
     rng = np.random.default_rng(2)
     keep = np.isin(part.layers, (1, 3, 8))
@@ -242,12 +234,3 @@ def test_segment_cell_distance(part):
         assert abs(segment_cell_distance(0.3, 1.7, part.vertices[i])
                    - segment_cell_distance(0.3, 1.7, part.vertices[mirror])
                    ) < 1e-12
-
-
-def test_segment_cell_distance_rejects_bad_segments(part):
-    for a, b in ((-0.1, 1.0), (1.0, 0.5), (math.nan, 1.0)):
-        with pytest.raises(ValueError):
-            segment_cell_distance(a, b, part.vertices)
-    with pytest.raises(ValueError):
-        segment_cell_distance(np.array([[0.0], [2.0]]), np.array([[1.0], [1.5]]),
-                              part.vertices)

@@ -92,21 +92,24 @@ DEFAULT_ONLY = {
 def defaulted_parameters(tree: ast.Module):
     """(function, parameter, position) for each parameter with a default
     of a top-level function or method; position counts the arguments a
-    call spells out (None for keyword-only parameters)."""
-    defs = [(d, False) for d in tree.body if isinstance(d, ast.FunctionDef)]
-    defs += [(d, True) for c in tree.body if isinstance(c, ast.ClassDef)
+    call spells out (None for keyword-only parameters).  A class's
+    ``__init__`` is named after the class, which is what its calls spell."""
+    defs = [(d, d.name, False) for d in tree.body
+            if isinstance(d, ast.FunctionDef)]
+    defs += [(d, c.name if d.name == "__init__" else d.name, True)
+             for c in tree.body if isinstance(c, ast.ClassDef)
              for d in c.body if isinstance(d, ast.FunctionDef)]
-    for d, method in defs:
+    for d, name, method in defs:
         bound = method and not any(isinstance(x, ast.Name)
                                    and x.id == "staticmethod"
                                    for x in d.decorator_list)
         positional = d.args.posonlyargs + d.args.args
         first = len(positional) - len(d.args.defaults)
         for i in range(first, len(positional)):
-            yield d.name, positional[i].arg, i - bound
+            yield name, positional[i].arg, i - bound
         for a, default in zip(d.args.kwonlyargs, d.args.kw_defaults):
             if default is not None:
-                yield d.name, a.arg, None
+                yield name, a.arg, None
 
 
 def passes(call: ast.Call, name: str, position) -> bool:

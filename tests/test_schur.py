@@ -164,8 +164,8 @@ def test_certificate_q_weights_consistent():
     # direct Gaussian synthesis from the per-sample weights
     p = np.array([1.7, -0.4])
     val = 0.0
-    for cfg, qrow in zip(cert.configs, cert.q):
-        d = cfg.samples - p
+    for samples, qrow in zip(cert.samples, cert.q):
+        d = samples - p
         val += qrow @ np.exp(-0.5 * np.sum(d * d, axis=1))
     assert abs(val - cert.evaluate(p)) < 1e-12
 
