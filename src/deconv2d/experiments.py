@@ -26,13 +26,15 @@ from .envelope import (
 )
 from .kernels import KERNELS
 from .schur import numeric_certificate, svd_small
-from .solver import SampleGrid, assemble_operator, recovery_trial
+from .solver import (
+    SampleGrid,
+    assemble_operator,
+    hex_arrangement,
+    recovery_trial,
+)
 
 SVD_LATTICE = 8      # conditioning study uses an 8x8 spike lattice
 SVD_MARGIN = 3.0     # sample-grid margin in kernel units
-#: certificate-demo's cap on rejection draws: random placement jams near 10
-#: spikes Delta apart in its square (seeds 0-2 within 700 draws)
-DEMO_DRAWS = 10**4
 PHASE_COLUMNS = ["delta", "zeta", "kernel", "pattern", "trials", "successes",
                  "rate"]
 
@@ -182,19 +184,8 @@ def _cmd_phase_diagram(args) -> int:
 
 
 def _cmd_certificate_demo(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    pts = []
-    for _ in range(DEMO_DRAWS):
-        p = rng.uniform(-1.5 * args.delta, 1.5 * args.delta, 2)
-        if all(np.hypot(*(p - q)) >= args.delta for q in pts):
-            pts.append(p)
-            if len(pts) == args.n_spikes:
-                break
-    else:
-        raise ValueError(f"--n-spikes {args.n_spikes}: only {len(pts)} spikes "
-                         f"Delta apart placed in {DEMO_DRAWS} draws")
-    T = np.array(pts)
-    tau = rng.choice([-1.0, 1.0], args.n_spikes)
+    T = hex_arrangement(args.n_spikes, args.delta)
+    tau = np.random.default_rng(args.seed).choice([-1.0, 1.0], args.n_spikes)
     cert = numeric_certificate(T, tau, args.zeta)
     lo, hi = T.min() - 2.0, T.max() + 2.0
     xs = np.arange(lo, hi + 1e-12, args.step)

@@ -20,16 +20,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, block_diag, lu_factor, lu_solve
 
-from .bumpwave import (
-    KINDS,
-    SpikeConfig,
-    bw_coefficients,
-    bw_eval,
-    bw_grad,
-    gaussians,
-)
+from .bumpwave import bw_coefficients, gaussians, nearest_samples
 from .envelope import (
     EnvelopeSet,
     OutOfValidatedRange,
@@ -183,18 +176,14 @@ def numeric_certificate(T, tau, zeta: float, origin=(0.0, 0.0)) -> NumericCertif
     n = len(T)
     if n == 0 or tau.shape != (n,):
         raise ValueError("need one sign per spike")
-    configs = tuple(SpikeConfig.from_nearest(t, zeta, origin) for t in T)
-    coeffs = tuple(bw_coefficients(c) for c in configs)
-    M = np.empty((3 * n, 3 * n))
+    samples = nearest_samples(T, zeta, origin)
+    mat = bw_coefficients(T, samples)
+    # column 3j + k is kind k of spike j; rows are values, then d/dx, d/dy
+    d, g = gaussians(samples.reshape(-1, 2), T)
+    C = block_diag(*mat)
+    M = np.concatenate([g @ C, (g * d[..., 0]) @ C, (g * d[..., 1]) @ C])
     rhs = np.zeros(3 * n)
     rhs[:n] = tau
-    for j, (cfg, cf) in enumerate(zip(configs, coeffs)):
-        for k, kind in enumerate(KINDS):
-            col = 3 * j + k
-            M[:n, col] = bw_eval(cfg, cf, kind, T)
-            g = bw_grad(cfg, cf, kind, T)
-            M[n:2 * n, col] = g[:, 0]
-            M[2 * n:, col] = g[:, 1]
     with warnings.catch_warnings():
         # zero pivots are reported as SingularSystem below
         warnings.simplefilter("ignore", LinAlgWarning)
@@ -205,8 +194,8 @@ def numeric_certificate(T, tau, zeta: float, origin=(0.0, 0.0)) -> NumericCertif
             f"pivot ratio {diag.min() / diag.max():.2e}; spikes too close?")
     x = lu_solve((lu, piv), rhs)
     w = x.reshape(n, 3)         # rows (alpha_j, beta_j, gamma_j)
-    q = np.stack([cf.mat @ wj for cf, wj in zip(coeffs, w)])
-    return NumericCertificate(*w.T, np.stack([c.samples for c in configs]), q)
+    q = np.einsum("jik,jk->ji", mat, w)
+    return NumericCertificate(*w.T, samples, q)
 
 
 # -- small dense SVD --------------------------------------------------------

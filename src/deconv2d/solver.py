@@ -92,24 +92,8 @@ def assemble_operator(G, grid: SampleGrid, model: KernelModel) -> np.ndarray:
 
 
 def operator_norm(K: np.ndarray) -> float:
-    """Spectral norm by power iteration on K^T K (deterministic start).
-
-    Terminates on the eigen-residual ||K^T K v - lam v|| <= 1e-9 lam, which
-    bounds the eigenvalue error directly (successive-iterate change does
-    not when the top two eigenvalues are close), or after 5000 iterations.
-    """
-    v = np.ones(K.shape[1]) / math.sqrt(K.shape[1])
-    lam = 0.0
-    for _ in range(5000):
-        w = K.T @ (K @ v)
-        lam = float(v @ w)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        if float(np.linalg.norm(w - lam * v)) <= 1e-9 * lam:
-            break
-        v = w / nrm
-    return math.sqrt(max(lam, 0.0))
+    """Spectral norm (largest singular value) of K."""
+    return float(np.linalg.norm(K, 2))
 
 
 def _soft_threshold(x, t):
@@ -202,8 +186,9 @@ def recovery_trial(delta: float, zeta: float, n_spikes: int, pattern: str,
     Spikes sit on a hexagonal arrangement with separation delta and standard
     Gaussian amplitudes; samples cover them with a margin of three kernel
     units.  ``pattern`` is ``full_grid`` or ``three_nearest`` (only the
-    three samples nearest each spike are kept).  Solver failures count as
-    unsuccessful trials rather than raising.
+    three samples nearest each spike are kept).  A solve that hits the
+    iteration cap counts as an unsuccessful trial; an operator over the
+    dense-entry budget raises ``BudgetExceeded``, since no trial ran.
     """
     if pattern not in ("full_grid", "three_nearest"):
         raise ValueError(f"unknown sampling pattern {pattern!r}")
@@ -213,13 +198,13 @@ def recovery_trial(delta: float, zeta: float, n_spikes: int, pattern: str,
     G = candidate_grid(positions, delta)
     a_true = np.zeros(len(G))
     a_true[:n_spikes] = rng.standard_normal(n_spikes)
+    K = assemble_operator(G, grid, model)
+    y = K @ a_true
+    if pattern == "three_nearest":
+        rows = _three_nearest_rows(grid, positions)
+        K, y = K[rows], y[rows]
     try:
-        K = assemble_operator(G, grid, model)
-        y = K @ a_true
-        if pattern == "three_nearest":
-            rows = _three_nearest_rows(grid, positions)
-            K, y = K[rows], y[rows]
         a_hat = basis_pursuit(K, y)
-    except (NotConverged, BudgetExceeded):
+    except NotConverged:
         return False
     return float(np.linalg.norm(a_hat - a_true)) < RECOVERY_TOL

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_envelopes
-from deconv2d.bumpwave import SpikeConfig, bw_coefficients, bw_eval, bw_grad
+from deconv2d.bumpwave import bw_coefficients, nearest_samples
 from deconv2d.envelope import EnvelopeSet, OutOfValidatedRange
 from deconv2d.schur import (
     NonFinite,
@@ -15,6 +15,7 @@ from deconv2d.schur import (
     schur_bounds,
     svd_small,
 )
+from test_bumpwave import B, W1, W2, bw_eval, bw_grad
 
 DELTA = 4.5
 K1 = 5          # zeta band [0.30, 0.35]
@@ -170,6 +171,32 @@ def test_certificate_q_weights_consistent():
     assert abs(val - cert.evaluate(p)) < 1e-12
 
 
+def test_numeric_system_matches_per_spike_oracle():
+    """The block-product system solves to the coefficients of the system
+    assembled one spike and one kind at a time."""
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        T = random_support(rng, n, DELTA, 3 * DELTA)
+        tau = rng.choice([-1.0, 1.0], n)
+        origin = rng.uniform(-ZETA / 2, ZETA / 2, 2)
+        samples = nearest_samples(T, ZETA, origin)
+        mats = bw_coefficients(T, samples)
+        M = np.empty((3 * n, 3 * n))
+        for j in range(n):
+            for k in (B, W1, W2):
+                M[:n, 3 * j + k] = bw_eval(samples[j], mats[j], k, T)
+                g = bw_grad(samples[j], mats[j], k, T)
+                M[n:2 * n, 3 * j + k] = g[:, 0]
+                M[2 * n:, 3 * j + k] = g[:, 1]
+        x = np.linalg.solve(M, np.concatenate([tau, np.zeros(2 * n)]))
+        cert = numeric_certificate(T, tau, ZETA, origin)
+        assert np.array_equal(cert.samples, samples)
+        for got, want in zip((cert.alpha, cert.beta, cert.gamma),
+                             x.reshape(n, 3).T):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_certificate_singular():
     with pytest.raises(SingularSystem):
         numeric_certificate([[0.0, 0.0], [1e-9, 0.0]], [1.0, 1.0], ZETA)
@@ -184,19 +211,19 @@ def test_norm_and_chain_soundness(nb, envs):
         n = int(rng.integers(3, 10))
         T = random_support(rng, n, DELTA, 3 * DELTA)
         origin = rng.uniform(-ZETA / 2, ZETA / 2, 2)
-        cfgs = [SpikeConfig.from_nearest(t, ZETA, origin) for t in T]
-        cfs = [bw_coefficients(c) for c in cfgs]
+        samples = nearest_samples(T, ZETA, origin)
+        mats = bw_coefficients(T, samples)
         rows = {k: np.zeros(n) for k in ("i_minus_b", "b_x", "b_y", "w1",
                                          "w2", "i_minus_w1x", "w2x", "w1y",
                                          "i_minus_w2y")}
         for k in range(n):
             for j in range(n):
-                vB = bw_eval(cfgs[k], cfs[k], "B", T[j])
-                v1 = bw_eval(cfgs[k], cfs[k], "W1", T[j])
-                v2 = bw_eval(cfgs[k], cfs[k], "W2", T[j])
-                gB = bw_grad(cfgs[k], cfs[k], "B", T[j])
-                g1 = bw_grad(cfgs[k], cfs[k], "W1", T[j])
-                g2 = bw_grad(cfgs[k], cfs[k], "W2", T[j])
+                vB = bw_eval(samples[k], mats[k], B, T[j])
+                v1 = bw_eval(samples[k], mats[k], W1, T[j])
+                v2 = bw_eval(samples[k], mats[k], W2, T[j])
+                gB = bw_grad(samples[k], mats[k], B, T[j])
+                g1 = bw_grad(samples[k], mats[k], W1, T[j])
+                g2 = bw_grad(samples[k], mats[k], W2, T[j])
                 dd = 1.0 if j == k else 0.0
                 rows["i_minus_b"][j] += abs(dd - vB)
                 rows["b_x"][j] += abs(gB[0])

