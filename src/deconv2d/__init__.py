@@ -7,8 +7,9 @@ interval    outward-rounded interval arithmetic
 kernels     convolution kernels (Gaussian, fluorescence microscopy fit, Airy)
 bumpwave    bump/wave interpolation basis and its coefficients
 envelope    radial step-function envelopes built by interval evaluation
-hexgeom     hexagonal partition, cell distances as array code
-schur       block norm bounds, Schur chain, numeric certificates, singular values
+hexgeom     hexagonal partition, one segment-to-cell distance (d_U is its
+            point case) as array code
+schur       block norm bounds, Schur chain, numeric certificates
 certify     segment-based recovery certifier and parameter sweeps
 solver      basis-pursuit solvers and exact-recovery trials
 experiments SVD conditioning, phase diagrams, command line front end

@@ -29,8 +29,8 @@ from .hexgeom import segment_distances
 from .schur import NormBounds, SchurReport, block_norm_bounds, schur_bounds
 
 # absorbs the beyond-layer-8 tails in every segment bound: under the
-# coefficient budget they add at most 2 * (2 eps_B + 2 eps_W) = 8.08e-10
-# (envelope.tail_constants), the first 2 being the slope and eig kinds'
+# coefficient budget they add at most 2 * (2 EPS_B + 2 EPS_W) = 8.08e-10
+# (envelope's constants), the first 2 being the slope and eig kinds'
 # coarsening in envelope._tail_value
 EPS_SEG = 1e-9
 N_SEGMENTS = 100
@@ -224,7 +224,7 @@ class CertifyConfig:
 
 def certify_cell(delta: float, k1: int, config: CertifyConfig) -> CertificateReport:
     table = config.tables[k1]
-    nb = block_norm_bounds(delta, table, k1)
+    nb = block_norm_bounds(delta, table)
     rep = schur_bounds(nb)
 
     def fail(stage, segments=None, u1=None, u2=None, ff=False):

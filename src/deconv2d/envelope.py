@@ -375,16 +375,12 @@ def _tail_value(kind: str, zlo: float, zhi: float) -> float:
     return g
 
 
-def tail_constants(zeta: float) -> dict:
-    """Uniform layer-9+ tail constants (spikes at hexagonal layer distances).
-
-    Returns eps_B / eps_W for values and first/second partials.  On every
-    band they bound ``tail_chain_sum(zeta_hi)`` and, for the waves,
-    ``tail_chain_sum(zeta_hi) / zeta_lo``.
-    """
-    if not 1e-2 < zeta <= 1.0:
-        raise OutOfValidatedRange(f"zeta {zeta} outside (1e-2, 1]")
-    return {"eps_B": 2e-12, "eps_W": 2e-10}
+#: uniform layer-9+ tail constants (spikes at hexagonal layer distances) for
+#: values and first/second partials of the bump and of the waves.  On every
+#: band they bound ``tail_chain_sum(zeta_hi)`` and, for the waves,
+#: ``tail_chain_sum(zeta_hi) / zeta_lo``.
+EPS_B = 2e-12
+EPS_W = 2e-10
 
 
 def tail_chain_sum(zeta: float) -> float:

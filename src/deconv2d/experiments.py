@@ -25,7 +25,7 @@ from .envelope import (
     zeta_band,
 )
 from .kernels import KERNELS
-from .schur import numeric_certificate, svd_small
+from .schur import numeric_certificate
 from .solver import (
     SampleGrid,
     assemble_operator,
@@ -35,6 +35,7 @@ from .solver import (
 
 SVD_LATTICE = 8      # conditioning study uses an 8x8 spike lattice
 SVD_MARGIN = 3.0     # sample-grid margin in kernel units
+BANDS = range(1, 17)  # the sixteen zeta bands k1
 PHASE_COLUMNS = ["delta", "zeta", "kernel", "pattern", "trials", "successes",
                  "rate"]
 
@@ -44,7 +45,9 @@ def svd_conditioning(dprime_grid, zeta_grid) -> list:
 
     sigma_med is the singular value at index ceil(n/2) in descending order
     (the 32nd of 64); it tracks the bulk while sigma_min tracks the
-    ill-posedness of the finest separations.
+    ill-posedness of the finest separations.  Values at or below the rank
+    tolerance of ``np.linalg.matrix_rank`` are round-off and read 0, so
+    coincident spikes give exact zeros.
     """
     n = SVD_LATTICE
     model = KERNELS["gaussian"]
@@ -54,7 +57,9 @@ def svd_conditioning(dprime_grid, zeta_grid) -> list:
         T = dp * np.stack([ii.ravel(), jj.ravel()], axis=1).astype(float)
         for zeta in zeta_grid:
             grid = SampleGrid.covering(T, zeta, SVD_MARGIN * model.unit)
-            sv = svd_small(assemble_operator(T, grid, model))
+            K = assemble_operator(T, grid, model)
+            sv = np.linalg.svd(K, compute_uv=False)
+            sv[sv <= sv[0] * max(K.shape) * np.finfo(float).eps] = 0.0
             med = sv[math.ceil(len(sv) / 2) - 1]
             rows.append((float(dp), float(zeta), float(sv[-1]), float(med)))
     return rows
@@ -121,24 +126,19 @@ def parse_config(path: str) -> dict:
     return out
 
 
-def _resolution_spec(k1: int, resolution: str) -> EnvelopeGridSpec:
-    res = {"paper": 40, "desk": 10}.get(resolution)
-    if res is None:
-        res = int(resolution)
-    return EnvelopeGridSpec(k1=k1, tres=res, ures=res)
-
-
-def _certify_config(k1_set, resolution: str, cache: str | None) -> CertifyConfig:
+def _certify_config(k1_set, resolution: int, cache: str | None) -> CertifyConfig:
     if cache:
         return CertifyConfig.from_cache(cache, k1_set)
-    return CertifyConfig({k1: build_envelopes(_resolution_spec(k1, resolution))
-                          for k1 in k1_set})
+    return CertifyConfig({k1: build_envelopes(
+        EnvelopeGridSpec(k1=k1, tres=resolution, ures=resolution))
+        for k1 in k1_set})
 
 
 # -- subcommand bodies -------------------------------------------------------
 
 def _cmd_envelopes(args) -> int:
-    envs = build_envelopes(_resolution_spec(args.k1, args.resolution))
+    envs = build_envelopes(EnvelopeGridSpec(
+        k1=args.k1, tres=args.resolution, ures=args.resolution))
     print(f"wrote {save_envelope_set(args.out, envs)}")
     return 0
 
@@ -162,14 +162,6 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _cmd_recover(args) -> int:
-    rows = phase_diagram(args.kernel, [args.delta], [args.zeta], args.trials,
-                         args.seed, pattern=args.pattern,
-                         n_spikes=args.n_spikes)
-    write_csv(args.out, PHASE_COLUMNS, rows)
-    return 0
-
-
 def _cmd_svd(args) -> int:
     rows = svd_conditioning(args.dprime, args.zeta)
     write_csv(args.out, ["dprime", "zeta", "sigma_min", "sigma_med"], rows)
@@ -178,7 +170,8 @@ def _cmd_svd(args) -> int:
 
 def _cmd_phase_diagram(args) -> int:
     rows = phase_diagram(args.kernel, args.delta, args.zeta, args.trials,
-                         args.seed, pattern=args.pattern)
+                         args.seed, pattern=args.pattern,
+                         n_spikes=args.n_spikes)
     write_csv(args.out, PHASE_COLUMNS, rows)
     return 0
 
@@ -190,8 +183,10 @@ def _cmd_certificate_demo(args) -> int:
     lo, hi = T.min() - 2.0, T.max() + 2.0
     xs = np.arange(lo, hi + 1e-12, args.step)
     G = np.stack(np.meshgrid(xs, xs), axis=-1)
-    Q = cert.evaluate(G)
-    rows = [(float(G[i, j, 0]), float(G[i, j, 1]), float(Q[i, j]))
+    # one grid row at a time: a whole-grid call holds a (points, 3n, 2)
+    # offset array, over half a GB at 40 spikes
+    Q = [cert.evaluate(row) for row in G]
+    rows = [(float(G[i, j, 0]), float(G[i, j, 1]), float(Q[i][j]))
             for i in range(G.shape[0]) for j in range(G.shape[1])]
     write_csv(args.out, ["x", "y", "q"], rows)
     return 0
@@ -199,16 +194,28 @@ def _cmd_certificate_demo(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
-def _positive(kind):
-    """argparse type: a finite ``kind`` (int or float) greater than 0."""
+def _finite(kind, low=-math.inf):
+    """argparse type: a finite ``kind`` (int or float) greater than ``low``;
+    NaN is refused."""
     def parse(text: str):
         value = kind(text)
-        if not 0 < value < math.inf:
+        if not low < value < math.inf:
             raise argparse.ArgumentTypeError(
-                f"{text!r} is not a positive {kind.__name__}")
+                f"{text!r} is not a {kind.__name__} in ({low}, inf)")
         return value
     parse.__name__ = kind.__name__   # argparse's "invalid <name> value"
     return parse
+
+
+def _resolution(text: str) -> int:
+    """argparse type: ``desk`` (10), ``paper`` (40) or bins per unit, held
+    to the rules of ``EnvelopeGridSpec``."""
+    try:
+        res = {"desk": 10, "paper": 40}.get(text) or int(text)
+        EnvelopeGridSpec(k1=1, tres=res, ures=res)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return res
 
 
 def _build_parser():
@@ -221,45 +228,37 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("envelopes", help="build one band's envelope cache")
-    sp.add_argument("--k1", type=int, required=True)
-    sp.add_argument("--resolution", default="desk")
+    sp.add_argument("--k1", type=int, choices=BANDS, metavar="K1",
+                    required=True)
+    sp.add_argument("--resolution", type=_resolution, default="desk")
     sp.add_argument("--out", required=True)
     sp.set_defaults(run=_cmd_envelopes)
 
     sp = sub.add_parser("certify", help="sweep the recovery certifier")
     sp.add_argument("--delta-min", type=float, required=True)
     sp.add_argument("--delta-max", type=float, required=True)
-    sp.add_argument("--delta-step", type=_positive(float), default=0.05)
-    sp.add_argument("--zeta-bands", type=int, nargs="+", required=True)
-    sp.add_argument("--resolution", default="desk")
+    sp.add_argument("--delta-step", type=_finite(float, 0), default=0.05)
+    sp.add_argument("--zeta-bands", type=int, choices=BANDS, nargs="+",
+                    metavar="K1", required=True)
+    sp.add_argument("--resolution", type=_resolution, default="desk")
     sp.add_argument("--envelope-cache")
     sp.add_argument("--out", required=True)
     sp.set_defaults(run=_cmd_certify)
 
-    sp = sub.add_parser("recover", help="seeded exact-recovery trials")
-    sp.add_argument("--delta", type=_positive(float), required=True)
-    sp.add_argument("--zeta", type=_positive(float), required=True)
-    sp.add_argument("--n-spikes", type=_positive(int), default=25)
-    sp.add_argument("--pattern", default="full_grid",
-                    choices=["full_grid", "three_nearest"])
-    sp.add_argument("--trials", type=_positive(int), default=10)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--kernel", default="gaussian", choices=list(KERNELS))
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(run=_cmd_recover)
-
     sp = sub.add_parser("svd", help="conditioning of the measurement matrix")
-    sp.add_argument("--dprime", type=float, nargs="+", required=True)
-    sp.add_argument("--zeta", type=_positive(float), nargs="+", required=True)
+    sp.add_argument("--dprime", type=_finite(float), nargs="+", required=True)
+    sp.add_argument("--zeta", type=_finite(float, 0), nargs="+", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(run=_cmd_svd)
 
-    sp = sub.add_parser("phase-diagram", help="recovery-rate table")
+    sp = sub.add_parser("phase-diagram", aliases=["recover"],
+                        help="recovery-rate table")
     sp.add_argument("--kernel", default="gaussian", choices=list(KERNELS))
-    sp.add_argument("--delta", type=_positive(float), nargs="+",
+    sp.add_argument("--delta", type=_finite(float, 0), nargs="+",
                     required=True)
-    sp.add_argument("--zeta", type=_positive(float), nargs="+", required=True)
-    sp.add_argument("--trials", type=_positive(int), default=10)
+    sp.add_argument("--zeta", type=_finite(float, 0), nargs="+", required=True)
+    sp.add_argument("--n-spikes", type=_finite(int, 0), default=25)
+    sp.add_argument("--trials", type=_finite(int, 0), default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--pattern", default="full_grid",
                     choices=["full_grid", "three_nearest"])
@@ -268,11 +267,11 @@ def _build_parser():
 
     sp = sub.add_parser("certificate-demo",
                         help="dump Q on a grid for contour plotting")
-    sp.add_argument("--n-spikes", type=_positive(int), default=3)
-    sp.add_argument("--delta", type=_positive(float), default=4.5)
-    sp.add_argument("--zeta", type=_positive(float), default=0.5)
+    sp.add_argument("--n-spikes", type=_finite(int, 0), default=3)
+    sp.add_argument("--delta", type=_finite(float, 0), default=4.5)
+    sp.add_argument("--zeta", type=_finite(float, 0), default=0.5)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--step", type=_positive(float), default=0.1)
+    sp.add_argument("--step", type=_finite(float, 0), default=0.1)
     sp.add_argument("--out", required=True)
     sp.set_defaults(run=_cmd_certificate_demo)
 

@@ -7,9 +7,10 @@ the central cell on the positive x axis.  Layer l is the axial ring at
 distance l; it holds 6l cells and the partition keeps layers 1..8 (216 cells),
 everything further away being controlled by closed-form tail bounds.
 
-The distance functions take stacked cell vertices of shape (..., 6, 2),
-counterclockwise, and broadcast over the leading axes; only the six hexagon
-edges are looped over.
+One routine measures distances: segment to cell, with stacked cell
+vertices of shape (..., 6, 2), counterclockwise, broadcast over the leading
+axes; only the six hexagon edges are looped over.  The constrained distance
+d_U of a cell is its point case (a zero-length segment at the origin).
 
 The partition and every distance on it scale with Delta, so the certifier's
 two tables are computed once at Delta = 1 and dilated by Delta.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SQ3 = math.sqrt(3.0)
-# envelope.tail_constants bounds exactly the layers from 9 on, so any other
+# envelope.EPS_B / EPS_W bound exactly the layers from 9 on, so any other
 # number of kept layers would either miss a layer or count one twice
 LAYERS = 8
 
@@ -89,25 +90,7 @@ def _inside(px, py, edges):
     return ok
 
 
-# -- constrained distances --------------------------------------------------
-
-def d_U(vertices, delta: float) -> np.ndarray:
-    """inf{|x| : x in U, |x| >= delta} for each cell U that reaches out to
-    radius delta (every cell of the partition at delta does).
-
-    If the whole cell clears the exclusion radius this is the plain distance
-    from the origin; if the cell straddles the circle the constraint binds
-    and the infimum is delta itself.
-    """
-    edges = _edges(vertices)
-    ax, ay, bx, by = edges
-    m = np.inf
-    for i in range(ax.shape[-1]):
-        m = np.minimum(m, _pt_seg_dist(0.0, 0.0, ax[..., i], ay[..., i],
-                                       bx[..., i], by[..., i]))
-    m = np.where(_inside(0.0, 0.0, edges), 0.0, m)
-    return np.where(m >= delta, m, delta)
-
+# -- the segment-to-cell distance -------------------------------------------
 
 def segment_cell_distance(a, b, vertices) -> np.ndarray:
     """Exact distance between [a, b] x {0}, 0 <= a <= b, and each (convex)
@@ -145,7 +128,7 @@ def _unit_vertices() -> np.ndarray:
 
 @functools.cache
 def _unit_d_U() -> np.ndarray:
-    return d_U(_unit_vertices(), 1.0)
+    return np.maximum(segment_cell_distance(0.0, 0.0, _unit_vertices()), 1.0)
 
 
 @functools.cache
@@ -155,7 +138,8 @@ def _unit_segment_distances(n: int) -> np.ndarray:
 
 
 def cell_distances(delta: float) -> np.ndarray:
-    """``d_U`` of each of the 216 cells of the partition at Delta."""
+    """d_U = inf{|x| : x in U, |x| >= Delta} of each of the 216 cells U of
+    the partition at Delta (every cell reaches out to radius Delta)."""
     return _unit_d_U() * delta
 
 

@@ -39,21 +39,18 @@ AIRY_SCALE = 3.8317  # first positive zero of J1; puts K's first zero at r = 1
 @dataclass(frozen=True)
 class KernelModel:
     """A radial PSF model: ``kind`` in {gaussian, microscopy, airy} plus its
-    scale constant (sigma, sigma0, or the Airy argument normalization)."""
+    natural unit length (sigma, sigma0, or the first-zero radius).  Only the
+    Gaussian reads ``unit`` when evaluated; the other two are fixed by their
+    module constants."""
 
     kind: str
-    scale: float
-
-    @property
-    def unit(self) -> float:
-        """Natural unit length: sigma, sigma0, or the first-zero radius."""
-        return 1.0 if self.kind == "airy" else self.scale
+    unit: float
 
 
 #: the three models by name, at their standard scales
 KERNELS = {"gaussian": KernelModel("gaussian", 1.0),
            "microscopy": KernelModel("microscopy", SIGMA0),
-           "airy": KernelModel("airy", AIRY_SCALE)}
+           "airy": KernelModel("airy", 1.0)}
 
 
 def kernel_eval(model: KernelModel, t):
@@ -61,7 +58,7 @@ def kernel_eval(model: KernelModel, t):
     t = np.asarray(t, dtype=float)
     r2 = t[..., 0] ** 2 + t[..., 1] ** 2
     if model.kind == "gaussian":
-        return np.exp(-0.5 * r2 / (model.scale * model.scale))
+        return np.exp(-0.5 * r2 / (model.unit * model.unit))
     r = np.sqrt(r2)
     if model.kind == "microscopy":
         return (np.exp(-2.0 * r2 / (_MICRO_W1 ** 2))

@@ -23,21 +23,12 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, block_diag, lu_factor, lu_solve
 
 from .bumpwave import bw_coefficients, gaussians, nearest_samples
-from .envelope import (
-    EnvelopeSet,
-    OutOfValidatedRange,
-    tail_constants,
-    zeta_band,
-)
+from .envelope import EPS_B, EPS_W, EnvelopeSet, OutOfValidatedRange
 from .hexgeom import cell_distances
 
 
 class SingularSystem(ValueError):
     """Numeric block system is singular (spikes too close or degenerate)."""
-
-
-class NonFinite(ValueError):
-    """Matrix input contains NaN or infinity."""
 
 
 # block name -> (envelope kind, whether the wave epsilon applies)
@@ -60,8 +51,8 @@ class NormBounds:
 
     Diagonal blocks are recorded as deviations from the identity
     (``i_minus_b``, ``i_minus_w1x``, ``i_minus_w2y``); the rest are plain
-    norms.  ``eps_b``/``eps_w`` are the far-tail constants already folded
-    into the sums, kept for reporting.
+    norms.  Each sum already holds its far-tail constant ``EPS_B`` or
+    ``EPS_W``.
     """
 
     i_minus_b: float
@@ -73,8 +64,6 @@ class NormBounds:
     w2x: float
     w1y: float
     i_minus_w2y: float
-    eps_b: float
-    eps_w: float
 
 
 @dataclass(frozen=True)
@@ -93,8 +82,7 @@ class SchurReport:
     alpha_lb: float
 
 
-def block_norm_bounds(delta: float, table: EnvelopeSet,
-                      k1: int) -> NormBounds:
+def block_norm_bounds(delta: float, table: EnvelopeSet) -> NormBounds:
     """Sum each block's envelope at every cell's constrained distance.
 
     Any spike other than the one at the origin lies in a unique cell of the
@@ -105,13 +93,12 @@ def block_norm_bounds(delta: float, table: EnvelopeSet,
     """
     if delta < 2.0:
         raise OutOfValidatedRange(f"delta {delta} < 2")
-    eps = tail_constants(zeta_band(k1)[1])
     cells = table.bins(cell_distances(delta))
     vals = {}
     for name, (kind, is_wave) in _BLOCK_ENVELOPES.items():
         s = float(np.sum(table.tables[kind][cells]))
-        vals[name] = s + (eps["eps_W"] if is_wave else eps["eps_B"])
-    return NormBounds(eps_b=eps["eps_B"], eps_w=eps["eps_W"], **vals)
+        vals[name] = s + (EPS_W if is_wave else EPS_B)
+    return NormBounds(**vals)
 
 
 def schur_bounds(nb: NormBounds) -> SchurReport:
@@ -196,21 +183,3 @@ def numeric_certificate(T, tau, zeta: float, origin=(0.0, 0.0)) -> NumericCertif
     w = x.reshape(n, 3)         # rows (alpha_j, beta_j, gamma_j)
     q = np.einsum("jik,jk->ji", mat, w)
     return NumericCertificate(*w.T, samples, q)
-
-
-# -- small dense SVD --------------------------------------------------------
-
-def svd_small(M) -> np.ndarray:
-    """Singular values of a dense 2-D matrix, descending.
-
-    Values at or below the rank tolerance of ``np.linalg.matrix_rank``
-    (sigma_max * max(shape) * eps) are round-off and are returned as 0, so
-    exactly dependent columns give exact zeros.
-    """
-    A = np.array(M, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise NonFinite("matrix contains non-finite entries")
-    if A.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    sv = np.linalg.svd(A, compute_uv=False)
-    return np.where(sv > sv[:1] * max(A.shape) * np.finfo(float).eps, sv, 0.0)

@@ -111,7 +111,7 @@ def _primal_dual(K, y, tol, max_iters):
     """
     L = operator_norm(K)
     if L == 0.0:
-        return np.zeros(K.shape[1])
+        raise ValueError("zero operator: K a = y has no solution for y != 0")
     step = 0.99 / L
     a = np.zeros(K.shape[1])
     a_bar = a.copy()
@@ -135,7 +135,8 @@ def _primal_dual(K, y, tol, max_iters):
 
 
 def basis_pursuit(K, y, max_iters: int = 10**5):
-    """min ||a||_1 subject to K a = y (to residual BP_TOL * ||y||)."""
+    """min ||a||_1 subject to K a = y (to residual BP_TOL * ||y||); a zero
+    K with y != 0 admits no solution and raises ``ValueError``."""
     y = np.asarray(y, dtype=float)
     if float(np.linalg.norm(y)) == 0.0:
         return np.zeros(K.shape[1])

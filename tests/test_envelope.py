@@ -9,16 +9,16 @@ from conftest import desk_envelopes, mc_envelope_violations
 from deconv2d import envelope
 from deconv2d.envelope import (
     ALL_KINDS,
+    EPS_B,
+    EPS_W,
     FormatError,
     EnvelopeGridSpec,
     EnvelopeSet,
-    OutOfValidatedRange,
     VersionMismatch,
     build_envelopes,
     load_envelope_set,
     save_envelope_set,
     tail_chain_sum,
-    tail_constants,
     zeta_band,
 )
 from deconv2d.interval import (
@@ -237,24 +237,18 @@ def test_resolution_monotonicity():
 
 
 def test_tail_constants():
-    c = tail_constants(0.5)
-    assert c == {"eps_B": 2e-12, "eps_W": 2e-10}
-    with pytest.raises(OutOfValidatedRange):
-        tail_constants(0.009)
-    with pytest.raises(OutOfValidatedRange):
-        tail_constants(1.5)
+    assert (EPS_B, EPS_W) == (2e-12, 2e-10)
 
 
 def test_tail_chain_direct_summation():
     """On every band the direct layer sum stays within the constants that
-    block_norm_bounds adds: eps_B for bump kinds, eps_W for the wave kinds
+    block_norm_bounds adds: EPS_B for bump kinds, EPS_W for the wave kinds
     (which carry the extra 1/zeta_lo)."""
     for k1 in range(1, 17):
         zlo, zhi = zeta_band(k1)
-        eps = tail_constants(zhi)
         s = tail_chain_sum(zhi)
-        assert 0 < s <= eps["eps_B"], k1
-        assert s / zlo <= eps["eps_W"], k1
+        assert 0 < s <= EPS_B, k1
+        assert s / zlo <= EPS_W, k1
 
 
 def test_cache_round_trip(tmp_path):

@@ -20,10 +20,10 @@ from deconv2d.certify import (
 )
 from deconv2d.envelope import (
     ALL_KINDS,
+    EPS_B,
+    EPS_W,
     EnvelopeSet,
     StepEnvelope,
-    tail_constants,
-    zeta_band,
 )
 from deconv2d.hexgeom import cell_distances, segment_distances
 from deconv2d.schur import (
@@ -99,14 +99,13 @@ def oracle_segment_bounds(delta, n, envs, schur):
     return SegmentBounds(edges, q_ub, q_lb, grad_ub, eig_ub)
 
 
-def oracle_block_norm_bounds(delta, envs, k1):
-    eps = tail_constants(zeta_band(k1)[1])
+def oracle_block_norm_bounds(delta, envs):
     dists = cell_distances(delta)
     vals = {}
     for name, (kind, is_wave) in _BLOCK_ENVELOPES.items():
         s = float(np.sum(oracle_query(envs[kind], dists)))
-        vals[name] = s + (eps["eps_W"] if is_wave else eps["eps_B"])
-    return NormBounds(eps_b=eps["eps_B"], eps_w=eps["eps_W"], **vals)
+        vals[name] = s + (EPS_W if is_wave else EPS_B)
+    return NormBounds(**vals)
 
 
 # -- tests --------------------------------------------------------------------
@@ -172,8 +171,8 @@ def test_certifier_sums_match_per_kind_oracle(k1):
     table = EnvelopeSet(envs)
     segment_cells = 0
     for delta in DELTAS:
-        nb = block_norm_bounds(delta, table, k1)
-        assert repr(nb) == repr(oracle_block_norm_bounds(delta, envs, k1))
+        nb = block_norm_bounds(delta, table)
+        assert repr(nb) == repr(oracle_block_norm_bounds(delta, envs))
         rep = schur_bounds(nb)
         if not (all(rep.conditions_hold) and rep.alpha_inf <= 2.0
                 and rep.beta_inf <= 1.0 and rep.gamma_inf <= 1.0):

@@ -1,5 +1,8 @@
 import csv
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +87,19 @@ def test_cli_recover_csv(tmp_path):
     assert list(rows[0]) == ["delta", "zeta", "kernel", "pattern", "trials",
                              "successes", "rate"]
     assert rows[0]["rate"] == "1.0" and rows[0]["kernel"] == "gaussian"
+
+
+def test_cli_recover_is_phase_diagram(tmp_path):
+    """``recover`` is another name for ``phase-diagram``: the same flags,
+    ``--n-spikes`` included, write the same bytes."""
+    flags = ["--delta", "2.0", "--zeta", "0.5", "--trials", "2",
+             "--n-spikes", "9"]
+    written = []
+    for command in ("recover", "phase-diagram"):
+        out = tmp_path / f"{command}.csv"
+        assert cli_main([command] + flags + ["--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_cli_envelopes_file_count(tmp_path):
@@ -171,12 +187,14 @@ def test_cli_certify_refuses_v1_cache(tmp_path, capsys):
 
 
 def test_cli_svd_and_demo(tmp_path):
+    """A lattice spacing of 0 (coincident spikes) is a valid input."""
     out = tmp_path / "s.csv"
-    assert cli_main(["svd", "--dprime", "2.0", "--zeta", "0.5",
+    assert cli_main(["svd", "--dprime", "2.0", "0", "--zeta", "0.5",
                      "--out", str(out)]) == 0
     with open(out, newline="") as fh:
-        (row,) = list(csv.DictReader(fh))
+        row, coincident = list(csv.DictReader(fh))
     assert float(row["sigma_min"]) > 1.0
+    assert float(coincident["sigma_min"]) == 0.0
 
     demo = tmp_path / "q.csv"
     assert cli_main(["certificate-demo", "--n-spikes", "2", "--step", "0.5",
@@ -196,6 +214,30 @@ def test_cli_certificate_demo_places_sixteen_spikes(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert max(abs(float(r["q"])) for r in rows) <= 1.0 + 1e-9
+
+
+def test_cli_certificate_demo_memory(tmp_path):
+    """Q is evaluated one grid row at a time, so 40 spikes at the default
+    step (110 889 points x 120 samples) stay well under 200 MB; one
+    whole-grid call peaked near 570 MB.  The child process reports its own
+    peak RSS (kB on Linux)."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = ("import resource, sys\n"
+            "from deconv2d.experiments import cli_main\n"
+            "rc = cli_main(sys.argv[1:])\n"
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    out = tmp_path / "q.csv"
+    proc = subprocess.run([sys.executable, "-c", code, "certificate-demo",
+                           "--n-spikes", "40", "--out", str(out)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rc, peak_kb = proc.stdout.split()
+    assert rc == "0"
+    assert int(peak_kb) < 200 * 1024
 
 
 def test_cli_recover_over_budget_writes_nothing(tmp_path, capsys):
@@ -239,11 +281,22 @@ def test_cli_exit_codes(tmp_path):
     (["certificate-demo", "--step", "0"], "--step"),
     (["certificate-demo", "--zeta", "0"], "--zeta"),
     (["certificate-demo", "--delta", "-4.5"], "--delta"),
+    (["certify", "--delta-min", "5.0", "--delta-max", "5.0",
+      "--zeta-bands", "5", "17"], "--zeta-bands"),
+    (["envelopes", "--k1", "0"], "--k1"),
+    (["envelopes", "--k1", "1", "--resolution", "abc"], "--resolution"),
+    (["envelopes", "--k1", "1", "--resolution", "7"], "--resolution"),
+    (["envelopes", "--k1", "1", "--resolution", "0"], "--resolution"),
+    (["certify", "--delta-min", "5.0", "--delta-max", "5.0",
+      "--zeta-bands", "5", "--resolution", "7"], "--resolution"),
+    (["svd", "--dprime", "nan", "--zeta", "0.5"], "--dprime"),
+    (["svd", "--dprime", "2.0", "inf", "--zeta", "0.5"], "--dprime"),
 ])
 def test_cli_rejects_nonpositive_counts_and_spacings(tmp_path, capsys, argv,
                                                       flag):
-    """Counts and spacings that no trial can use are usage errors (exit 1)
-    that name the flag, not computation errors deep inside a trial."""
+    """Counts, spacings, bands and resolutions that no run can use are
+    usage errors (exit 1) that name the flag, not computation errors deep
+    inside a trial or an envelope build."""
     out = tmp_path / "r.csv"
     assert cli_main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 from deconv2d.hexgeom import (
     build_partition,
     cell_distances,
-    d_U,
     segment_cell_distance,
     segment_distances,
 )
@@ -84,6 +83,12 @@ def oracle_d_U(vertices, delta):
                delta)
 
 
+def clamped_point_distance(vertices, delta):
+    """d_U by direct geometry at Delta: the zero-length segment at the
+    origin, clamped at Delta (what ``cell_distances`` dilates from 1)."""
+    return np.maximum(segment_cell_distance(0.0, 0.0, vertices), delta)
+
+
 def test_array_geometry_matches_scalar_oracle():
     """Separately rounded products in place of the oracle's np.dot (fused
     where BLAS uses FMA) move a distance by a few ulps at most."""
@@ -102,7 +107,7 @@ def test_array_geometry_matches_scalar_oracle():
     tol = 8 * np.finfo(float).eps
     np.testing.assert_allclose(got, want, rtol=tol, atol=0)
     np.testing.assert_allclose(
-        d_U(p.vertices, delta),
+        clamped_point_distance(p.vertices, delta),
         [oracle_d_U(v, delta) for v in p.vertices], rtol=tol, atol=0)
 
 
@@ -152,28 +157,27 @@ def test_tiling_unique_cover(part):
 
 
 def test_d_U_layer1_clamps(part):
-    layer1 = part.vertices[part.layers == 1]
+    layer1 = cell_distances(DELTA)[part.layers == 1]
     assert len(layer1) == 6
-    for v in layer1:
-        assert d_U(v, DELTA) == DELTA
+    assert np.all(layer1 == DELTA)
 
 
 def test_d_U_brute_force(part):
     rng = np.random.default_rng(2)
     keep = np.isin(part.layers, (1, 3, 8))
-    for c, v in zip(part.centers[keep], part.vertices[keep]):
+    for c, v, val in zip(part.centers[keep], part.vertices[keep],
+                         cell_distances(DELTA)[keep]):
         # brute-force the constrained min norm by dense sampling
         samp = sample_in_cell(rng, c, v, 4000)
         norms = np.hypot(samp[:, 0], samp[:, 1])
         norms = norms[norms >= DELTA]
-        val = d_U(v, DELTA)
         if len(norms):
             assert val <= norms.min() + 1e-9
             assert val >= norms.min() - 0.05 * DELTA  # oracle resolution
     # layer-3 nearest cell obeys the layer bound
     l3 = np.flatnonzero(part.layers == 3)
     l3 = l3[np.argmin(np.hypot(*part.centers[l3].T))]
-    assert d_U(part.vertices[l3], DELTA) >= (3 * 3 - 2) * DELTA / 4 - 1e-9
+    assert cell_distances(DELTA)[l3] >= (3 * 3 - 2) * DELTA / 4 - 1e-9
 
 
 def test_d_U_scales():
@@ -183,14 +187,15 @@ def test_d_U_scales():
     zero on the same pairs and otherwise within 14.1 eps * Delta absolute
     (relative error grows on the near-zero ones)."""
     pa, pb = build_partition(3.0), build_partition(6.0)
-    assert np.all(np.abs(2 * d_U(pa.vertices, 3.0) - d_U(pb.vertices, 6.0))
-                  < 1e-9)
+    assert np.all(np.abs(2 * clamped_point_distance(pa.vertices, 3.0)
+                         - clamped_point_distance(pb.vertices, 6.0)) < 1e-9)
     eps = np.finfo(float).eps
     n = 100
     for delta in np.round(np.arange(4.0, 6.0 + 1e-9, 0.05), 2):
         p = build_partition(delta)
         np.testing.assert_allclose(cell_distances(delta),
-                                   d_U(p.vertices, delta), rtol=2 * eps, atol=0)
+                                   clamped_point_distance(p.vertices, delta),
+                                   rtol=2 * eps, atol=0)
         edges = np.append(np.arange(n) * delta / n, delta)
         direct = segment_cell_distance(edges[:-1, None], edges[1:, None],
                                        p.vertices)

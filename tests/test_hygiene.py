@@ -14,7 +14,7 @@ NON_TEST = sorted(p for d in ("src", "demos") for p in (ROOT / d).rglob("*.py")
                   ) + sorted((ROOT / "perfbench").glob("*.py"))
 #: definitions only the tests read, each with the reason it stays
 TEST_ONLY = {
-    "tail_chain_sum": "the tests check the eps constants of tail_constants "
+    "tail_chain_sum": "the tests check the tail constants EPS_B and EPS_W "
                       "against this direct sum of the layer chain",
 }
 

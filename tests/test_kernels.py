@@ -3,7 +3,6 @@ import math
 import numpy as np
 
 from deconv2d.kernels import (
-    AIRY_SCALE,
     KERNELS,
     SIGMA0,
     KernelModel,
@@ -46,4 +45,3 @@ def test_units():
     assert KernelModel("gaussian", 2.0).unit == 2.0
     assert KERNELS["microscopy"].unit == SIGMA0 == 0.86
     assert KERNELS["airy"].unit == 1.0
-    assert KERNELS["airy"].scale == AIRY_SCALE

@@ -5,15 +5,13 @@ import pytest
 
 from conftest import desk_envelopes
 from deconv2d.bumpwave import bw_coefficients, nearest_samples
-from deconv2d.envelope import EnvelopeSet, OutOfValidatedRange
+from deconv2d.envelope import EPS_B, EPS_W, EnvelopeSet, OutOfValidatedRange
 from deconv2d.schur import (
-    NonFinite,
     NormBounds,
     SingularSystem,
     block_norm_bounds,
     numeric_certificate,
     schur_bounds,
-    svd_small,
 )
 from test_bumpwave import B, W1, W2, bw_eval, bw_grad
 
@@ -29,21 +27,21 @@ def envs():
 
 @pytest.fixture(scope="module")
 def nb(envs):
-    return block_norm_bounds(DELTA, envs, K1)
+    return block_norm_bounds(DELTA, envs)
 
 
 def test_block_bounds_large_delta_floor(envs):
-    b = block_norm_bounds(50.0, envs, K1)
+    b = block_norm_bounds(50.0, envs)
     # every cell is past radius 10: each sum collapses to 216 tails
     for name in ("i_minus_b", "b_x", "b_y"):
-        assert getattr(b, name) <= 216 * 2e-9 + b.eps_b * 1.001
+        assert getattr(b, name) <= 216 * 2e-9 + EPS_B * 1.001
     for name in ("w1", "w2", "i_minus_w1x", "w2x", "w1y", "i_minus_w2y"):
-        assert getattr(b, name) <= 216 * 2e-9 + b.eps_w * 1.001
+        assert getattr(b, name) <= 216 * 2e-9 + EPS_W * 1.001
 
 
 def test_block_bounds_monotone_in_delta(envs):
-    b1 = block_norm_bounds(4.5, envs, K1)
-    b2 = block_norm_bounds(5.0, envs, K1)
+    b1 = block_norm_bounds(4.5, envs)
+    b2 = block_norm_bounds(5.0, envs)
     for name in ("i_minus_b", "b_x", "b_y", "w1", "w2",
                  "i_minus_w1x", "w2x", "w1y", "i_minus_w2y"):
         assert getattr(b2, name) <= getattr(b1, name) + 1e-15, name
@@ -66,13 +64,12 @@ def test_block_bounds_working_point(nb):
 
 def test_block_bounds_delta_precondition(envs):
     with pytest.raises(OutOfValidatedRange):
-        block_norm_bounds(1.5, envs, K1)
+        block_norm_bounds(1.5, envs)
 
 
 def _nb(**kw):
     base = dict(i_minus_b=0.0, b_x=0.0, b_y=0.0, w1=0.0, w2=0.0,
-                i_minus_w1x=0.0, w2x=0.0, w1y=0.0, i_minus_w2y=0.0,
-                eps_b=0.0, eps_w=0.0)
+                i_minus_w1x=0.0, w2x=0.0, w1y=0.0, i_minus_w2y=0.0)
     base.update(kw)
     return NormBounds(**base)
 
@@ -242,54 +239,3 @@ def test_norm_and_chain_soundness(nb, envs):
         assert np.max(np.abs(cert.beta)) <= rep.beta_inf
         assert np.max(np.abs(cert.gamma)) <= rep.gamma_inf
         assert np.min(np.abs(cert.alpha)) >= rep.alpha_lb
-
-
-# -- svd ---------------------------------------------------------------------
-
-def jacobi_eigvals(S, sweeps=50):
-    """Cyclic Jacobi symmetric eigenvalues (independent oracle)."""
-    A = np.array(S, dtype=float)
-    n = A.shape[0]
-    for _ in range(sweeps):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) < 1e-15:
-                    continue
-                theta = 0.5 * math.atan2(2 * A[p, q], A[q, q] - A[p, p])
-                c, s = math.cos(theta), math.sin(theta)
-                J = np.eye(n)
-                J[p, p] = J[q, q] = c
-                J[p, q] = s
-                J[q, p] = -s
-                A = J.T @ A @ J
-    return np.sort(np.diag(A))[::-1]
-
-
-def test_svd_identity():
-    assert np.allclose(svd_small(np.eye(7)), np.ones(7))
-
-
-def test_svd_duplicate_columns():
-    rng = np.random.default_rng(3)
-    M = rng.normal(size=(6, 4))
-    M[:, 3] = M[:, 0]
-    assert svd_small(M)[-1] < 1e-10 * svd_small(M)[0]
-
-
-def test_svd_random_vs_eigen_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        M = rng.normal(size=(5, 5))
-        sv = svd_small(M)
-        ev = jacobi_eigvals(M.T @ M)
-        assert np.allclose(sv, np.sqrt(np.maximum(ev, 0.0)), atol=1e-9)
-        assert np.all(np.diff(sv) <= 0)
-
-
-def test_svd_wide_and_errors():
-    rng = np.random.default_rng(13)
-    M = rng.normal(size=(3, 8))
-    assert np.allclose(svd_small(M), np.linalg.svd(M, compute_uv=False),
-                       atol=1e-9)
-    with pytest.raises(NonFinite):
-        svd_small(np.array([[1.0, np.nan], [0.0, 1.0]]))

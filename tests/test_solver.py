@@ -102,6 +102,16 @@ def test_basis_pursuit_zero_and_single_atom():
     assert abs(a[0]) < 1e-6 and abs(a[2]) < 1e-6
 
 
+def test_basis_pursuit_zero_operator_has_no_solution():
+    """K = 0 with y != 0: no a meets K a = y, so the zero vector is no
+    answer.  It is a bad input (ValueError), not a solve that failed to
+    converge (NotConverged is a RuntimeError)."""
+    with pytest.raises(ValueError, match="no solution"):
+        basis_pursuit(np.zeros((3, 2)), [1.0, 0.0, 0.0])
+    assert np.array_equal(basis_pursuit(np.zeros((3, 2)), np.zeros(3)),
+                          np.zeros(2))
+
+
 def test_basis_pursuit_multi_spike_oracle():
     rng = np.random.default_rng(7)
     pos = hex_arrangement(9, 2.5)
