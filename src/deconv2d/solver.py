@@ -7,9 +7,10 @@ finite set G, recovery is the linear program
     minimize ||a||_1  subject to  K a = y,
 
 where K[i, j] = K(s_i - t_j).  It is solved with a first-order primal-dual
-splitting (Chambolle-Pock): matrix-free capable, no external solver, and
-accurate enough at this scale that recovery outcomes are decided by the
-geometry, not the optimizer.
+splitting (Chambolle-Pock): no external solver, and accurate enough at this
+scale that recovery outcomes are decided by the geometry, not the optimizer.
+A tall K is first reduced to the triangular factor of its thin QR, so each
+iteration is an n x n product however many samples there are.
 
 ``recovery_trial`` wraps the whole loop: place spikes on a hexagonal
 arrangement with separation delta, assemble K for samples at grid spacing
@@ -97,7 +98,8 @@ def operator_norm(K: np.ndarray) -> float:
 
 
 def _soft_threshold(x, t):
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    """sign(x) max(|x| - t, 0), as x minus its clip to [-t, t]."""
+    return x - np.minimum(np.maximum(x, -t), t)
 
 
 def _primal_dual(K, y, tol, max_iters):
@@ -108,30 +110,44 @@ def _primal_dual(K, y, tol, max_iters):
     feasibility ||K a - y|| <= tol * scale, dual feasibility
     ||K^T z||_inf <= 1 + 10 tol, and the duality-gap surrogate
     | ||a||_1 + y.z | <= tol-scale all hold.
+
+    A tall K (m > n) runs on its thin QR instead: K = Q R with orthonormal
+    columns in Q gives ||K a - y||^2 = ||R a - Q^T y||^2 + ||y - Q Q^T y||^2,
+    K^T z = R^T (Q^T z) and ||R|| = ||K||, so the loop on (R, Q^T y) takes
+    the same steps with n-vectors for z.  The part of y outside range(K)
+    drops out of that loop, so the residual against the original (K, y) is
+    part of the return test too.
     """
+    K0, y0 = K, y
+    scale = max(1.0, math.sqrt(y @ y))
+    if K.shape[0] > K.shape[1]:
+        Q, K = np.linalg.qr(K)
+        y = Q.T @ y
     L = operator_norm(K)
     if L == 0.0:
         raise ValueError("zero operator: K a = y has no solution for y != 0")
     step = 0.99 / L
+    step_y = step * y
     a = np.zeros(K.shape[1])
     a_bar = a.copy()
     z = np.zeros(K.shape[0])
-    scale = max(1.0, float(np.linalg.norm(y)))
     for it in range(max_iters):
-        z = z + step * (K @ a_bar) - step * y
+        z = z + step * (K @ a_bar) - step_y
         Ktz = K.T @ z
         a_new = _soft_threshold(a - step * Ktz, step)
         a_bar = 2.0 * a_new - a
         a = a_new
-        res = float(np.linalg.norm(K @ a - y))
+        r = K @ a - y
+        res = math.sqrt(r @ r)
         if it % 10 == 0 or res <= tol * scale:
             dual_inf = float(np.max(np.abs(Ktz)))
             gap = abs(float(np.sum(np.abs(a)) + float(y @ z)))
             if (res <= tol * scale and dual_inf <= 1.0 + 10.0 * tol
-                    and gap <= tol * scale * max(1.0, dual_inf)):
+                    and gap <= tol * scale * max(1.0, dual_inf)
+                    and np.linalg.norm(K0 @ a - y0) <= tol * scale):
                 return a
-    raise NotConverged(f"no convergence in {max_iters} iterations "
-                       f"(last residual {res:.3e})")
+    raise NotConverged(f"no convergence in {max_iters} iterations (last "
+                       f"residual {np.linalg.norm(K0 @ a - y0):.3e})")
 
 
 def basis_pursuit(K, y, max_iters: int = 10**5):

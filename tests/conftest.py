@@ -1,4 +1,5 @@
 import functools
+import json
 import os
 
 import numpy as np
@@ -15,6 +16,8 @@ from deconv2d.envelope import (
 
 DESK_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir,
                               "perfbench", "data", "envelopes_desk.npz")
+BENCH_REFERENCE = os.path.join(os.path.dirname(DESK_REFERENCE),
+                               "reference.json")
 
 
 @functools.cache
@@ -37,6 +40,14 @@ def desk_reference() -> dict:
             tail=float(f["tail"]), k1=k1, tres=spec.tres, ures=spec.ures)
             for kind, f in kinds.items()}
     return out
+
+
+def phase_reference() -> dict:
+    """``"<kernel>-<Delta>-<seed>"`` -> ``{"recovered", "capped"}``: the
+    outcomes of the benchmark's one-trial phase_diagram calls, read (never
+    written) from ``BENCH_REFERENCE``."""
+    with open(BENCH_REFERENCE) as fh:
+        return json.load(fh)["phase"]
 
 
 def desk_envelopes(k1: int) -> dict:

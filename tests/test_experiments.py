@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import desk_envelopes
+from conftest import desk_envelopes, phase_reference
 from deconv2d import envelope
 from deconv2d.envelope import ALL_KINDS, load_envelope_set, save_envelope_set
 from deconv2d.experiments import (
@@ -50,6 +50,22 @@ def test_phase_diagram_rates_and_determinism():
     (delta, zeta, kernel, pattern, trials, succ, rate), = rows
     assert (delta, zeta, kernel, pattern) == (2.0, 0.5, "gaussian", "full_grid")
     assert succ == trials == 2 and rate == 1.0
+
+
+def test_phase_diagram_benchmark_trials_keep_their_outcomes():
+    """Every uncapped trial of the benchmark pool (full_grid, 25 spikes,
+    zeta 0.5 kernel units, one trial per call) is decided as recorded."""
+    uncapped = {key: ref["recovered"] for key, ref in phase_reference().items()
+                if not ref["capped"]}
+    assert uncapped
+    wrong = []
+    for key, recovered in uncapped.items():
+        kernel, delta, seed = key.rsplit("-", 2)
+        (row,) = phase_diagram(kernel, [float(delta)], [0.5], 1, int(seed),
+                               pattern="full_grid", n_spikes=25)
+        if (row[5] == 1) != recovered:
+            wrong.append(key)
+    assert not wrong, wrong
 
 
 def test_phase_diagram_unknown_kernel():

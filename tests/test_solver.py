@@ -6,6 +6,7 @@ from scipy.spatial.distance import pdist
 
 from deconv2d.kernels import KERNELS, kernel_eval
 from deconv2d.solver import (
+    BP_TOL,
     BudgetExceeded,
     NotConverged,
     SampleGrid,
@@ -143,6 +144,40 @@ def test_basis_pursuit_not_converged():
     K = np.ones((2, 1))
     with pytest.raises(NotConverged):
         basis_pursuit(K, np.array([1.0, -1.0]), max_iters=300)
+
+
+def test_basis_pursuit_no_iterations():
+    """A zero cap leaves a = 0, whose residual is ||y||: not converged."""
+    g, K = _grid_and_operator([[0.0, 0.0], [4.0, 0.0]])
+    with pytest.raises(NotConverged, match="0 iterations"):
+        basis_pursuit(K, K[:, 0], max_iters=0)
+
+
+def _tall_system():
+    rng = np.random.default_rng(21)
+    K = rng.standard_normal((40, 10))
+    a_true = np.zeros(10)
+    a_true[[1, 4, 7]] = [1.5, -0.8, 2.0]
+    return K, K @ a_true
+
+
+def test_basis_pursuit_tall_operator_residual():
+    """A tall K is solved on its thin QR; the answer meets K a = y for the
+    original K, not only for the reduced system."""
+    K, y = _tall_system()
+    a = basis_pursuit(K, y)
+    assert np.linalg.norm(K @ a - y) <= BP_TOL * max(1.0, np.linalg.norm(y))
+
+
+def test_basis_pursuit_tall_operator_out_of_range():
+    """y moved off range(K) by 1e-6 ||y||: Q^T y is unchanged, so the
+    reduced system is still solvable, but K a = y is not."""
+    K, y = _tall_system()
+    Q = np.linalg.qr(K, mode="complete")[0]
+    off = Q[:, -1]  # orthogonal to range(K)
+    y_off = y + 1e-6 * np.linalg.norm(y) * off
+    with pytest.raises(NotConverged):
+        basis_pursuit(K, y_off, max_iters=300)
 
 
 def test_hex_arrangement_geometry():
