@@ -19,10 +19,16 @@ near the spike must be) negative; they carry no floor.
 Construction: everything is evaluated with the outward-rounded (lo, hi)-array
 ops of ``deconv2d.interval``.  The closed-form coefficient and sample
 expressions are evaluated for all u-cells of a box in one batched pass.  Then,
-per u-cell, the t-grid is swept in fixed-size chunks: each sample's products
-with its Gaussian (E, dx E, dy E, m E, g E) are formed once and shared by every
-kind that reads them, and each kind's coefficient sum is max-reduced into
-radial bins.
+per u-cell, the t-grid is swept in chunks of whole x-rows.  The grid is the
+product of its x- and y-intervals, so a chunk holds its x-intervals as a
+column and the y-intervals as a row: the differences s - t and their squares
+are formed once per row and per column and broadcast to the cells only at
+|s - t|^2, and the interval |t| of every cell is computed once with the grid.
+Each cell still sees the same float operations on the same operands, so the
+bits are those of a cell-by-cell evaluation.  Each sample's products with its
+Gaussian (E, dx E, dy E, m E, g E) are formed once and shared by every kind
+that reads them, and each kind's coefficient sum is max-reduced into radial
+bins.
 
 Only ten kinds are evaluated; the four W2 kinds are the W1 kinds mirrored.
 Let M swap x and y.  M maps the samples s1, s3 of offset u onto the samples
@@ -72,8 +78,9 @@ FLOOR = 2e-9
 #: (tres = ures = 40) needs 500 * 40**4 = 1.28e9 cells; 46 and above are
 #: refused.
 MAX_CELLS = 2 * 10**9
-#: t-cells per kernel pass.  Small enough that every temporary of the array
-#: kernel (64 KB per float array) is reused from the heap rather than mapped
+#: t-cells per kernel pass, rounded down to whole x-rows of 20 * tres cells
+#: (at least one row).  Small enough that every temporary of the array kernel
+#: (at most 64 KB per float array) is reused from the heap rather than mapped
 #: fresh and page-faulted in on each operation.
 _CHUNK_CELLS = 8192
 
@@ -204,10 +211,17 @@ class EnvelopeSet:
 
 @dataclass(frozen=True)
 class _TCells:
-    """A run of t-cells: interval coordinates and the bins each one feeds."""
+    """A run of whole x-rows of the t-grid and the bins each cell feeds.
+
+    ``tx`` is the (rows, 1) column of the rows' x-intervals and ``ty`` the
+    (1, n) row of the y-intervals, so interval ops on them broadcast to the
+    (rows, n) cells; ``tn`` is the interval |t| of every cell.  ``bmax_idx``
+    and ``span_bins`` index the cells flattened in row-major order.
+    """
 
     tx: tuple
     ty: tuple
+    tn: tuple
     bmax_idx: np.ndarray
     #: non-monotone kinds: (cells whose span reaches offset o, their bin
     #: at offset o) for o = 0, 1, ...
@@ -217,38 +231,39 @@ class _TCells:
 @functools.cache
 def _t_chunks(tres: int, size: int) -> tuple[_TCells, ...]:
     """The t-grid at ``tres`` cells per unit on [-10, 10]^2, cut into runs
-    of at most ``size`` consecutive cells."""
+    of ``max(1, size // n)`` whole x-rows of n = 20 tres cells."""
     n = 20 * tres
     edges = -10.0 + np.arange(n + 1) / tres
-    XL, YL = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
-    XH, YH = np.meshgrid(edges[1:], edges[1:], indexing="ij")
-    xl, xh = XL.ravel(), XH.ravel()
-    yl, yh = YL.ravel(), YH.ravel()
+    lo, hi = edges[:-1], edges[1:]
+    # outer/inner |coordinate| of each interval; cell (i, j) is x-interval i
+    # and y-interval j
+    far = np.maximum(np.abs(lo), np.abs(hi))
+    near = np.where((lo <= 0) & (hi >= 0), 0.0,
+                    np.minimum(np.abs(lo), np.abs(hi)))
     # outer/inner radius of each cell
-    mx = np.maximum(np.abs(xl), np.abs(xh))
-    my = np.maximum(np.abs(yl), np.abs(yh))
-    rmax = next_up(np.hypot(mx, my))
-    dx = np.where((xl <= 0) & (xh >= 0), 0.0,
-                  np.minimum(np.abs(xl), np.abs(xh)))
-    dy = np.where((yl <= 0) & (yh >= 0), 0.0,
-                  np.minimum(np.abs(yl), np.abs(yh)))
-    rmin = np.maximum(next_down(np.hypot(dx, dy)), 0.0)
+    rmax = next_up(np.hypot(far[:, None], far[None, :])).ravel()
+    rmin = np.maximum(next_down(np.hypot(near[:, None], near[None, :])),
+                      0.0).ravel()
     # monotone kinds: cell feeds bins 1..floor(rmax/delta)+1
     bmax_idx = np.minimum(np.floor(rmax * tres).astype(int), 10 * tres - 1)
     # non-monotone kinds: bins whose annulus meets [rmin, rmax], from
     # blo_idx to bmax_idx; cells entirely beyond radius 10 get an empty
     # (negative) span
     blo_idx = np.maximum(np.ceil(rmin * tres - 1e-9).astype(int) - 1, 0)
+    ty = (lo[None, :], hi[None, :])
+    rows = max(1, size // n)
     out = []
-    for start in range(0, len(xl), size):
-        sl = slice(start, start + size)
+    for start in range(0, n, rows):
+        sl = slice(start * n, (start + rows) * n)
         blo = blo_idx[sl]
         span = bmax_idx[sl] - blo
         reach = [span >= off for off in range(int(np.max(span)) + 1)]
         span_bins = tuple((mask, blo[mask] + off)
                           for off, mask in enumerate(reach))
-        out.append(_TCells(tx=(xl[sl], xh[sl]), ty=(yl[sl], yh[sl]),
-                           bmax_idx=bmax_idx[sl], span_bins=span_bins))
+        tx = (lo[start:start + rows, None], hi[start:start + rows, None])
+        tn = v_sqrt(v_add(v_sqr(tx), v_sqr(ty)))
+        out.append(_TCells(tx=tx, ty=ty, tn=tn, bmax_idx=bmax_idx[sl],
+                           span_bins=span_bins))
     return tuple(out)
 
 
@@ -331,7 +346,7 @@ def _shape(expr, sample, snorm, arrays, cells):
         # (s . t)/|t| - |t|, with a robust fallback when the t-cell
         # touches the origin (the ratio is then only bounded by |s|)
         sx, sy = sample
-        tn = v_sqrt(v_add(v_sqr(cells.tx), v_sqr(cells.ty)))
+        tn = cells.tn
         dot = v_add(v_mul(sx, cells.tx), v_mul(sy, cells.ty))
         safe = tn[0] > 0.0
         ratio = v_div(dot, (np.where(safe, tn[0], 1.0), tn[1]))
@@ -435,7 +450,8 @@ def build_envelopes(spec: EnvelopeGridSpec) -> dict:
                                      arrays[i], cells) if i in arrays else None
                               for i in range(3)]
                     for kind in group:
-                        vals = _kind_values(expr, cell_coeffs[kind], shapes)
+                        vals = _kind_values(expr, cell_coeffs[kind],
+                                            shapes).ravel()
                         if KIND_INFO[kind][2]:
                             np.maximum.at(bins[kind], cells.bmax_idx, vals)
                         else:

@@ -172,17 +172,72 @@ def test_w2_kinds_are_own_copies_of_mirrored_w1():
 
 
 def test_build_independent_of_chunk_size(monkeypatch):
-    """The t-grid is evaluated in chunks; a chunk size that does not divide
-    the grid, with the signed kinds' bin spans crossing chunk boundaries,
-    gives the same bits as one chunk holding the whole grid."""
+    """The t-grid is evaluated in chunks of whole x-rows; one row per chunk
+    (7 cells round up to one row), and three rows per chunk, which does not
+    divide the 40 rows, with the signed kinds' bin spans crossing chunk
+    boundaries, give the same bits as one chunk holding the whole grid."""
     spec = EnvelopeGridSpec(k1=1, tres=2, ures=2)
-    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 7)
-    chunked = build_envelopes(spec)
-    monkeypatch.setattr(envelope, "_CHUNK_CELLS", (20 * spec.tres) ** 2)
-    whole = build_envelopes(spec)
-    for kind in ALL_KINDS:
-        assert (chunked[kind].values.tobytes()
-                == whole[kind].values.tobytes()), kind
+    n = 20 * spec.tres
+    builds = {}
+    for size in (7, 3 * n, n * n):
+        monkeypatch.setattr(envelope, "_CHUNK_CELLS", size)
+        builds[size] = build_envelopes(spec)
+    whole = builds.pop(n * n)
+    for size, chunked in builds.items():
+        for kind in ALL_KINDS:
+            assert (chunked[kind].values.tobytes()
+                    == whole[kind].values.tobytes()), (size, kind)
+
+
+@pytest.mark.parametrize("tres, size",
+                         [(2, 3 * 40), (10, envelope._CHUNK_CELLS)])
+def test_row_chunks_match_per_cell_evaluation(tres, size):
+    """A chunk holds its x-intervals as a (rows, 1) column and the
+    y-intervals as a (1, n) row.  Its sample arrays, every shape and its
+    |t| equal the same expressions on full-size per-cell coordinates bit
+    for bit, for u-cells of the normal and of the extended u-box."""
+    n = 20 * tres
+    edges = -10.0 + np.arange(n + 1) / tres
+    XL, YL = (g.ravel() for g in np.meshgrid(edges[:-1], edges[:-1],
+                                             indexing="ij"))
+    XH, YH = (g.ravel() for g in np.meshgrid(edges[1:], edges[1:],
+                                             indexing="ij"))
+    zlo, zhi = zeta_band(5)
+    j, k = np.array([1, 3, 5, -4]), np.array([1, 5, 2, 5])
+    _, samples = envelope._u_cells(zlo, zhi, j, k, 10)
+
+    def same(chunk_iv, cell_iv):
+        shape = (len(cell_iv[0]) // n, n)
+        return all(np.broadcast_to(c, shape).tobytes() == w.tobytes()
+                   for c, w in zip(chunk_iv, cell_iv))
+
+    row = 0
+    for cells in envelope._t_chunks(tres, size):
+        rows = len(cells.tx[0])
+        assert cells.tx[0].shape == (rows, 1) and cells.ty[0].shape == (1, n)
+        sl = slice(row * n, (row + rows) * n)
+        tx, ty = (XL[sl], XH[sl]), (YL[sl], YH[sl])
+        tn = v_sqrt(v_add(v_sqr(tx), v_sqr(ty)))
+        assert same(cells.tn, tn), row
+        per_cell = envelope._TCells(tx=tx, ty=ty, tn=tn,
+                                    bmax_idx=cells.bmax_idx,
+                                    span_bins=cells.span_bins)
+        for u in range(len(j)):
+            for sx, sy in samples:
+                s = (envelope._pick(sx, u), envelope._pick(sy, u))
+                snorm = v_sqrt(v_add(v_sqr(s[0]), v_sqr(s[1])))[1]
+                got = envelope._sample_arrays(s, cells)
+                want = envelope._sample_arrays(s, per_cell)
+                for g, w in zip(got, want):
+                    assert same(g, w), (row, u)
+                for expr in ("val", "dx", "dy", "eig_abs", "eig_max",
+                             "slope"):
+                    assert same(
+                        envelope._shape(expr, s, snorm, got, cells),
+                        envelope._shape(expr, s, snorm, want, per_cell)), \
+                        (row, u, expr)
+        row += rows
+    assert row == n
 
 
 @pytest.fixture(scope="module")
