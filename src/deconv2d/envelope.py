@@ -28,7 +28,11 @@ Each cell still sees the same float operations on the same operands, so the
 bits are those of a cell-by-cell evaluation.  Each sample's products with its
 Gaussian (E, dx E, dy E, m E, g E) are formed once and shared by every kind
 that reads them, and each kind's coefficient sum is max-reduced into radial
-bins.
+bins.  The u-cells of a box are split by a stride across forked worker
+processes, one per CPU this process may use; each worker evaluates the
+coefficients of the whole box and sweeps its share, and the parent merges
+the workers' bins by an elementwise max.  A max is exact and does not depend
+on order, so the bits do not depend on the number of workers.
 
 Only ten kinds are evaluated; the four W2 kinds are the W1 kinds mirrored.
 Let M swap x and y.  M maps the samples s1, s3 of offset u onto the samples
@@ -67,6 +71,7 @@ from .interval import (
     v_div,
     v_exp_neg_half,
     v_mul,
+    v_mul_nonneg,
     v_neg,
     v_sqr,
     v_sqrt,
@@ -355,7 +360,7 @@ def _shape(expr, sample, snorm, arrays, cells):
         factor = v_sub(ratio, tn)
     else:
         raise ValueError(expr)
-    return v_mul(factor, E)
+    return v_mul_nonneg(factor, E)
 
 
 def _kind_values(expr, coeffs, shapes) -> np.ndarray:
@@ -363,9 +368,16 @@ def _kind_values(expr, coeffs, shapes) -> np.ndarray:
     times shape over the samples with a nonzero coefficient."""
     f = None
     for c, shape in zip(coeffs, shapes):
-        if c is not None:
+        if c is None:
+            continue
+        # c is one u-cell's scalar interval: a known sign halves the products
+        if c[0] >= 0:
+            term = v_mul_nonneg(shape, c)
+        elif c[1] <= 0:
+            term = v_neg(v_mul_nonneg(shape, v_neg(c)))
+        else:
             term = v_mul(c, shape)
-            f = term if f is None else v_add(f, term)
+        f = term if f is None else v_add(f, term)
     if expr in ("slope", "eig_max"):
         return f[1]  # signed upper bound
     return np.maximum(np.abs(f[0]), np.abs(f[1]))  # |f| upper bound
@@ -408,58 +420,135 @@ def tail_chain_sum(zeta: float) -> float:
 # ---------------------------------------------------------------------------
 # build
 
+def _workers() -> int:
+    """Worker processes per envelope build: the CPUs this process may use."""
+    return len(os.sched_getaffinity(0))
+
+
+#: ``prctl`` option of <linux/prctl.h>: the signal a process gets when the
+#: thread that forked it exits
+_PR_SET_PDEATHSIG = 1
+
+
+def _end_with_parent(parent: int) -> None:
+    """Worker initializer: SIGKILL this worker when the thread that forked
+    it exits.  A build killed by a signal that runs no cleanup (SIGKILL, or
+    SIGTERM's default action) would otherwise leave its idle workers
+    waiting on the pool's queue for ever."""
+    import ctypes
+    import signal
+
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG)")
+    if os.getppid() != parent:  # the parent was gone before the prctl
+        os._exit(1)
+
+
+def _accumulate(spec: EnvelopeGridSpec, kinds, lo: int, part: int,
+                parts: int) -> dict:
+    """Bins of ``kinds`` over the u-cells (j, k), lo <= j, k <= ures/2,
+    whose flat index is ``part`` modulo ``parts``.
+
+    The coefficients are evaluated for all u-cells of the box, so each
+    u-cell's bits do not depend on the split; only the sweep is strided.
+    """
+    half = spec.ures // 2
+    zlo, zhi = spec.zeta
+    m = 10 * spec.tres
+    chunks = _t_chunks(spec.tres, _CHUNK_CELLS)
+    bins = {k: np.zeros(m) if KIND_INFO[k][2] else np.full(m, -np.inf)
+            for k in kinds}
+    j, k = (g.ravel() for g in np.mgrid[lo:half + 1, lo:half + 1])
+    coeffs, samples = _u_cells(zlo, zhi, j, k, spec.ures)
+    snorms = [v_sqrt(v_add(v_sqr(sx), v_sqr(sy)))[1] for sx, sy in samples]
+    kind_coeffs, groups = {}, {}
+    for kind in kinds:
+        base, expr, _ = KIND_INFO[kind]
+        kind_coeffs[kind] = tuple(
+            v_abs(c) if expr == "eig_abs" and c is not None else c
+            for c in coeffs[base])
+        groups.setdefault(expr, []).append(kind)
+    # samples that some kind of this pass reads
+    used = [i for i in range(3)
+            if any(cs[i] is not None for cs in kind_coeffs.values())]
+    for u in range(part, len(j), parts):
+        cell_samples = [(_pick(sx, u), _pick(sy, u)) for sx, sy in samples]
+        cell_coeffs = {kind: [_pick(c, u) for c in cs]
+                       for kind, cs in kind_coeffs.items()}
+        for cells in chunks:
+            arrays = {i: _sample_arrays(cell_samples[i], cells)
+                      for i in used}
+            for expr, group in groups.items():
+                # one shape per sample, shared by every kind of the group
+                shapes = [_shape(expr, cell_samples[i], snorms[i][u],
+                                 arrays[i], cells) if i in arrays else None
+                          for i in range(3)]
+                for kind in group:
+                    vals = _kind_values(expr, cell_coeffs[kind],
+                                        shapes).ravel()
+                    if KIND_INFO[kind][2]:
+                        np.maximum.at(bins[kind], cells.bmax_idx, vals)
+                    else:
+                        for mask, idx in cells.span_bins:
+                            np.maximum.at(bins[kind], idx, vals[mask])
+    return bins
+
+
 def build_envelopes(spec: EnvelopeGridSpec) -> dict:
     """Build all fourteen envelopes of one zeta band at once, sharing the
-    per-u-cell Gaussian interval arrays; the W2 kinds are mirrored W1 ones."""
+    per-u-cell Gaussian interval arrays; the W2 kinds are mirrored W1 ones.
+
+    The u-cells of each pass are split across ``_workers()`` forked
+    processes, and their bins are merged by an exact elementwise max.
+    """
     half = spec.ures // 2
     n_cells = (20 * spec.tres) ** 2 * (half * half + spec.ures * spec.ures)
     if n_cells > MAX_CELLS:
         raise ResourceBudgetExceeded(f"{n_cells} cells > cap {MAX_CELLS}")
-    chunks = _t_chunks(spec.tres, _CHUNK_CELLS)
+    # built before forking, so that every worker inherits the cached grid
+    _t_chunks(spec.tres, _CHUNK_CELLS)
     zlo, zhi = spec.zeta
     m = 10 * spec.tres
 
     built = [k for k in ALL_KINDS if k not in _MIRRORED]
-    bins = {k: np.zeros(m) if KIND_INFO[k][2] else np.full(m, -np.inf)
-            for k in built}
+    # (kinds, lowest u index, u-cells) of the normal and the extended u-box
+    passes = [([k for k in built if k not in EXTENDED_U_KINDS], 1, half ** 2),
+              ([k for k in built if k in EXTENDED_U_KINDS], 1 - half,
+               spec.ures ** 2)]
+    workers = _workers()
+    if workers == 1:
+        results = [_accumulate(spec, kinds, lo, 0, 1)
+                   for kinds, lo, _ in passes]
+    else:
+        tasks = [(kinds, lo, part, min(workers, n))
+                 for kinds, lo, n in passes for part in range(min(workers, n))]
+        # imported here, not with the package: they add about 15 ms to
+        # every import of it, including those that never build
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def accumulate(kind_list, lo):
-        j, k = (g.ravel() for g in np.mgrid[lo:half + 1, lo:half + 1])
-        coeffs, samples = _u_cells(zlo, zhi, j, k, spec.ures)
-        snorms = [v_sqrt(v_add(v_sqr(sx), v_sqr(sy)))[1] for sx, sy in samples]
-        kind_coeffs, groups = {}, {}
-        for kind in kind_list:
-            base, expr, _ = KIND_INFO[kind]
-            kind_coeffs[kind] = tuple(
-                v_abs(c) if expr == "eig_abs" and c is not None else c
-                for c in coeffs[base])
-            groups.setdefault(expr, []).append(kind)
-        # samples that some kind of this pass reads
-        used = [i for i in range(3)
-                if any(cs[i] is not None for cs in kind_coeffs.values())]
-        for u in range(len(j)):
-            cell_samples = [(_pick(sx, u), _pick(sy, u)) for sx, sy in samples]
-            cell_coeffs = {kind: [_pick(c, u) for c in cs]
-                           for kind, cs in kind_coeffs.items()}
-            for cells in chunks:
-                arrays = {i: _sample_arrays(cell_samples[i], cells)
-                          for i in used}
-                for expr, group in groups.items():
-                    # one shape per sample, shared by every kind of the group
-                    shapes = [_shape(expr, cell_samples[i], snorms[i][u],
-                                     arrays[i], cells) if i in arrays else None
-                              for i in range(3)]
-                    for kind in group:
-                        vals = _kind_values(expr, cell_coeffs[kind],
-                                            shapes).ravel()
-                        if KIND_INFO[kind][2]:
-                            np.maximum.at(bins[kind], cells.bmax_idx, vals)
-                        else:
-                            for mask, idx in cells.span_bins:
-                                np.maximum.at(bins[kind], idx, vals[mask])
-
-    accumulate([k for k in built if k not in EXTENDED_U_KINDS], 1)
-    accumulate([k for k in built if k in EXTENDED_U_KINDS], 1 - half)
+        # fork: a worker starts in milliseconds with the grid already built,
+        # where a spawned one would re-import numpy and rebuild it; the pool
+        # forks all its workers before it starts its own manager thread
+        with ProcessPoolExecutor(
+                max_workers=min(workers, max(n for _, _, n in passes)),
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_end_with_parent,
+                initargs=(os.getpid(),)) as pool:
+            futures = [pool.submit(_accumulate, spec, *task) for task in tasks]
+            try:
+                results = [f.result() for f in futures]
+            finally:
+                # after a failure, drop the tasks no worker has started
+                pool.shutdown(cancel_futures=True)
+    # a max is exact and commutative: the bits do not depend on the split
+    bins = {}
+    for result in results:
+        for kind, v in result.items():
+            bins[kind] = np.maximum(bins.get(kind, v), v)
 
     edges = np.arange(m + 1) / spec.tres
     out = {}

@@ -100,6 +100,25 @@ def v_mul(a, b):
     return next_down(lo), next_up(hi)
 
 
+def v_mul_nonneg(a, e):
+    """a * e for an interval e with 0 <= e[0]: two products per endpoint.
+
+    Bit-identical to ``v_mul(a, e)`` for finite endpoints.  For x >= 0 the
+    map y -> y x is non-decreasing, and rounding to nearest is monotone, so
+    fl(a0 x) <= fl(a1 x) for x = e0 and x = e1.  The least of v_mul's four
+    rounded products is therefore min(fl(a0 e0), fl(a0 e1)) and the greatest
+    max(fl(a1 e0), fl(a1 e1)).  The values are equal; the float picked can
+    differ only in the sign of a zero, which ``next_down``/``next_up`` fold
+    onto +0.0 before stepping, so the endpoints have the same bits.  A
+    factor with c[1] <= 0 is the negation of one with 0 <= -c[1]:
+    ``v_neg(v_mul_nonneg(a, v_neg(c)))`` has the bits of ``v_mul(c, a)``,
+    since fl(-p) = -fl(p) and next_down(-x) = -next_up(x).
+    """
+    lo = np.minimum(a[0] * e[0], a[0] * e[1])
+    hi = np.maximum(a[1] * e[0], a[1] * e[1])
+    return next_down(lo), next_up(hi)
+
+
 def v_div(a, b):
     """a / b for a divisor interval b with 0 < b[0] <= b[1].
 

@@ -1,6 +1,11 @@
 import math
+import multiprocessing
 import os
 import pathlib
+import select
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -187,6 +192,87 @@ def test_build_independent_of_chunk_size(monkeypatch):
         for kind in ALL_KINDS:
             assert (chunked[kind].values.tobytes()
                     == whole[kind].values.tobytes()), (size, kind)
+
+
+@pytest.mark.parametrize("k1, ures", [(1, 2), (13, 2), (1, 4)])
+def test_parallel_build_matches_serial(monkeypatch, k1, ures):
+    """The u-cells split across 2 workers, or across more workers than
+    either u-box has u-cells (8 against 1 + 4 at ures 2, 4 + 16 at
+    ures 4), give the bits of the in-process build in all 14 kinds and
+    tails, and no worker is left running."""
+    spec = EnvelopeGridSpec(k1=k1, tres=2, ures=ures)
+    builds = {}
+    for workers in (1, 2, 8):
+        monkeypatch.setattr(envelope, "_workers", lambda: workers)
+        builds[workers] = build_envelopes(spec)
+        assert multiprocessing.active_children() == []
+    serial = builds.pop(1)
+    for workers, split in builds.items():
+        for kind in ALL_KINDS:
+            assert (split[kind].values.tobytes()
+                    == serial[kind].values.tobytes()), (workers, kind)
+            assert (np.float64(split[kind].tail).tobytes()
+                    == np.float64(serial[kind].tail).tobytes()), \
+                (workers, kind)
+
+
+def test_failed_worker_reaches_caller_and_leaves_no_process(monkeypatch):
+    """An exception raised in the workers reaches the caller with its type,
+    and the build leaves no worker process behind."""
+    def fail(sample, cells):
+        raise OverflowError("sample arrays")
+
+    monkeypatch.setattr(envelope, "_workers", lambda: 2)
+    monkeypatch.setattr(envelope, "_sample_arrays", fail)  # forked: inherited
+    with pytest.raises(OverflowError, match="sample arrays"):
+        build_envelopes(EnvelopeGridSpec(k1=1, tres=2, ures=4))
+    assert multiprocessing.active_children() == []
+
+
+_HOLD_WORKERS = """
+import os, time
+from deconv2d import envelope
+
+def hold(*args):
+    os.write(1, b"%d\\n" % os.getpid())  # one write: lines never interleave
+    time.sleep(60)
+
+envelope._accumulate = hold
+envelope._workers = lambda: 2
+envelope.build_envelopes(envelope.EnvelopeGridSpec(k1=1, tres=2, ures=4))
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_workers_end_with_a_killed_build():
+    """A build killed by SIGKILL runs no cleanup; its two workers, both busy
+    in a task, end with it instead of waiting on the pool for ever."""
+    proc = subprocess.Popen([sys.executable, "-c", _HOLD_WORKERS],
+                            stdout=subprocess.PIPE)
+    try:
+        out = b""
+        while out.count(b"\n") < 2:
+            assert select.select([proc.stdout], [], [], 30)[0], "no worker"
+            chunk = os.read(proc.stdout.fileno(), 64)
+            assert chunk, "the build ended"
+            out += chunk
+        pids = [int(pid) for pid in out.split()]
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    deadline = time.monotonic() + 10
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_alive, pids))
 
 
 @pytest.mark.parametrize("tres, size",

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deconv2d.interval import exp_outward, next_down, next_up
+from deconv2d.interval import (
+    exp_outward,
+    next_down,
+    next_up,
+    v_mul,
+    v_mul_nonneg,
+    v_neg,
+)
 
 
 class DivisionByZeroInterval(ZeroDivisionError):
@@ -374,3 +381,38 @@ def test_ulp_step_scalars():
                     assert isinstance(got, np.float64) and np.ndim(got) == 0
                     assert _same_bits(np.array([got]),
                                       np.array([_nextafter(x, to)]))
+
+
+def _with_zeros(rng, x):
+    """``x`` with about a tenth of its elements set to +0.0 and a tenth to
+    -0.0."""
+    pick = rng.random(x.shape)
+    return np.where(pick < 0.1, 0.0, np.where(pick < 0.2, -0.0, x))
+
+
+def test_sign_aware_products_match_v_mul_bitwise():
+    """v_mul_nonneg(a, e) for 0 <= e[0], and its negation for a factor
+    c with c[1] <= 0, have the bits of v_mul, on random arrays with zeros
+    of both signs and for the per-u-cell scalar factors of the envelope
+    kernel."""
+    rng = np.random.default_rng(20261019)
+    n = 20000
+    a_lo = _with_zeros(rng, rng.uniform(-4, 4, n)
+                       * 10.0 ** rng.integers(-8, 8, n))
+    a = (a_lo, _with_zeros(rng, a_lo + rng.uniform(0, 3, n)))
+    a = (np.minimum(a[0], a[1]), np.maximum(a[0], a[1]))
+    e_lo = _with_zeros(rng, rng.uniform(0, 2, n))
+    e = (e_lo, e_lo + _with_zeros(rng, rng.uniform(0, 2, n)))
+    neg = v_neg(e)  # c[1] <= 0, with -0.0 and +0.0 upper endpoints
+
+    def same(got, want):
+        return all(np.asarray(g).tobytes() == np.asarray(w).tobytes()
+                   for g, w in zip(got, want))
+
+    assert same(v_mul_nonneg(a, e), v_mul(a, e))
+    assert same(v_neg(v_mul_nonneg(a, v_neg(neg))), v_mul(neg, a))
+    for i in range(0, n, 997):  # scalar factor times an array
+        c = (e[0][i], e[1][i])
+        assert same(v_mul_nonneg(a, c), v_mul(c, a)), i
+        c = v_neg(c)
+        assert same(v_neg(v_mul_nonneg(a, v_neg(c))), v_mul(c, a)), i
