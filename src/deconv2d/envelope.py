@@ -28,11 +28,12 @@ Each cell still sees the same float operations on the same operands, so the
 bits are those of a cell-by-cell evaluation.  Each sample's products with its
 Gaussian (E, dx E, dy E, m E, g E) are formed once and shared by every kind
 that reads them, and each kind's coefficient sum is max-reduced into radial
-bins.  The u-cells of a box are split by a stride across forked worker
-processes, one per CPU this process may use; each worker evaluates the
-coefficients of the whole box and sweeps its share, and the parent merges
-the workers' bins by an elementwise max.  A max is exact and does not depend
-on order, so the bits do not depend on the number of workers.
+bins.  The u-cells of a box are split by a stride into a few tasks per
+forked worker process, one worker per CPU this process may use; each task
+evaluates the coefficients of the whole box and sweeps its share, a worker
+takes the next task when it is done, and the parent merges the tasks' bins
+by an elementwise max.  A max is exact and does not depend on order, so the
+bits do not depend on the number of workers or tasks.
 
 Only ten kinds are evaluated; the four W2 kinds are the W1 kinds mirrored.
 Let M swap x and y.  M maps the samples s1, s3 of offset u onto the samples
@@ -425,6 +426,14 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
+#: tasks per worker in each pass of a split build.  With one task per worker
+#: the build waits for the slowest CPU to finish its fixed share; with
+#: several, a worker that falls behind (its CPU shared with another process,
+#: or not scheduled by a busy host) takes fewer tasks.  Each task evaluates
+#: the coefficients of its whole u-box, which costs about 0.5 ms.
+_TASKS_PER_WORKER = 4
+
+
 #: ``prctl`` option of <linux/prctl.h>: the signal a process gets when the
 #: thread that forked it exits
 _PR_SET_PDEATHSIG = 1
@@ -501,8 +510,9 @@ def build_envelopes(spec: EnvelopeGridSpec) -> dict:
     """Build all fourteen envelopes of one zeta band at once, sharing the
     per-u-cell Gaussian interval arrays; the W2 kinds are mirrored W1 ones.
 
-    The u-cells of each pass are split across ``_workers()`` forked
-    processes, and their bins are merged by an exact elementwise max.
+    The u-cells of each pass are split into ``_TASKS_PER_WORKER`` tasks per
+    worker, run on ``_workers()`` forked processes, and the tasks' bins are
+    merged by an exact elementwise max.
     """
     half = spec.ures // 2
     n_cells = (20 * spec.tres) ** 2 * (half * half + spec.ures * spec.ures)
@@ -523,8 +533,11 @@ def build_envelopes(spec: EnvelopeGridSpec) -> dict:
         results = [_accumulate(spec, kinds, lo, 0, 1)
                    for kinds, lo, _ in passes]
     else:
-        tasks = [(kinds, lo, part, min(workers, n))
-                 for kinds, lo, n in passes for part in range(min(workers, n))]
+        # the costlier pass first, so that the tasks left at the end are short
+        tasks = []
+        for kinds, lo, n in passes:
+            parts = min(n, _TASKS_PER_WORKER * workers)
+            tasks += [(kinds, lo, part, parts) for part in range(parts)]
         # imported here, not with the package: they add about 15 ms to
         # every import of it, including those that never build
         import multiprocessing

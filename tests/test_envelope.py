@@ -196,24 +196,25 @@ def test_build_independent_of_chunk_size(monkeypatch):
 
 @pytest.mark.parametrize("k1, ures", [(1, 2), (13, 2), (1, 4)])
 def test_parallel_build_matches_serial(monkeypatch, k1, ures):
-    """The u-cells split across 2 workers, or across more workers than
-    either u-box has u-cells (8 against 1 + 4 at ures 2, 4 + 16 at
-    ures 4), give the bits of the in-process build in all 14 kinds and
-    tails, and no worker is left running."""
+    """The u-cells split across 2 workers, one task or several each, or
+    across more workers than either u-box has u-cells (8 against 1 + 4 at
+    ures 2, 4 + 16 at ures 4), give the bits of the in-process build in
+    all 14 kinds and tails, and no worker is left running."""
     spec = EnvelopeGridSpec(k1=k1, tres=2, ures=ures)
     builds = {}
-    for workers in (1, 2, 8):
+    for workers, tasks in ((1, 1), (2, 1), (2, 4), (8, 4)):
         monkeypatch.setattr(envelope, "_workers", lambda: workers)
-        builds[workers] = build_envelopes(spec)
+        monkeypatch.setattr(envelope, "_TASKS_PER_WORKER", tasks)
+        builds[workers, tasks] = build_envelopes(spec)
         assert multiprocessing.active_children() == []
-    serial = builds.pop(1)
-    for workers, split in builds.items():
+    serial = builds.pop((1, 1))
+    for split_by, split in builds.items():
         for kind in ALL_KINDS:
             assert (split[kind].values.tobytes()
-                    == serial[kind].values.tobytes()), (workers, kind)
+                    == serial[kind].values.tobytes()), (split_by, kind)
             assert (np.float64(split[kind].tail).tobytes()
                     == np.float64(serial[kind].tail).tobytes()), \
-                (workers, kind)
+                (split_by, kind)
 
 
 def test_failed_worker_reaches_caller_and_leaves_no_process(monkeypatch):
