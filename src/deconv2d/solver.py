@@ -9,8 +9,12 @@ finite set G, recovery is the linear program
 where K[i, j] = K(s_i - t_j).  It is solved with a first-order primal-dual
 splitting (Chambolle-Pock): no external solver, and accurate enough at this
 scale that recovery outcomes are decided by the geometry, not the optimizer.
-A tall K is first reduced to the triangular factor of its thin QR, so each
-iteration is an n x n product however many samples there are.
+A tall K is first reduced to the triangular factor R of one QR of [K y],
+which also yields Q^T y without forming Q, so each iteration works on n x n
+products however many samples there are.  Each iteration makes two of them,
+K^T z and K a: the extrapolated point a_bar = 2 a_new - a enters only through
+K a_bar = 2 K a_new - K a, and the loop carries K a (as a scaled residual)
+from one iteration to the next.
 
 ``recovery_trial`` wraps the whole loop: place spikes on a hexagonal
 arrangement with separation delta, assemble K for samples at grid spacing
@@ -97,11 +101,6 @@ def operator_norm(K: np.ndarray) -> float:
     return float(np.linalg.norm(K, 2))
 
 
-def _soft_threshold(x, t):
-    """sign(x) max(|x| - t, 0), as x minus its clip to [-t, t]."""
-    return x - np.minimum(np.maximum(x, -t), t)
-
-
 def _primal_dual(K, y, tol, max_iters):
     """Chambolle-Pock loop for basis pursuit.
 
@@ -111,38 +110,56 @@ def _primal_dual(K, y, tol, max_iters):
     ||K^T z||_inf <= 1 + 10 tol, and the duality-gap surrogate
     | ||a||_1 + y.z | <= tol-scale all hold.
 
-    A tall K (m > n) runs on its thin QR instead: K = Q R with orthonormal
-    columns in Q gives ||K a - y||^2 = ||R a - Q^T y||^2 + ||y - Q Q^T y||^2,
-    K^T z = R^T (Q^T z) and ||R|| = ||K||, so the loop on (R, Q^T y) takes
-    the same steps with n-vectors for z.  The part of y outside range(K)
-    drops out of that loop, so the residual against the original (K, y) is
-    part of the return test too.
+    A tall K (m > n) runs on its triangular factor instead.  One QR of
+    [K y] = Q [[R, q], [0, rho]] gives ||K a - y||^2 = ||R a - q||^2 +
+    rho^2, K^T z = R^T (Q^T z) and ||R|| = ||K||, with q = Q^T y, so the
+    loop on (R, q) takes the same steps with n-vectors for z and Q is never
+    formed.  The part of y outside range(K) drops out of that loop, so the
+    residual against the original (K, y) is part of the return test too.
+
+    Each iteration makes two products, M^T z and M a, on preallocated
+    vectors.  The loop runs on M = tau K and c = tau y for step tau, so the
+    dual step is z += M a_bar - c and the primal step soft-thresholds
+    a - M^T z at tau.  It carries the scaled residual r = M a - c: by
+    linearity M a_bar - c = 2 r_new - r for a_bar = 2 a_new - a, so a_bar
+    is never formed.  Summed over the iterations, z = h + r, where h is c
+    plus every residual so far (r = -c at a = 0).  The tests undo the
+    scaling: ||K a - y|| = ||r|| / tau and K^T z = M^T z / tau.
     """
     K0, y0 = K, y
     scale = max(1.0, math.sqrt(y @ y))
-    if K.shape[0] > K.shape[1]:
-        Q, K = np.linalg.qr(K)
-        y = Q.T @ y
+    n = K.shape[1]
+    if K.shape[0] > n:
+        Rq = np.linalg.qr(np.column_stack([K, y]), mode="r")
+        K, y = Rq[:n, :n], Rq[:n, n]
     L = operator_norm(K)
     if L == 0.0:
         raise ValueError("zero operator: K a = y has no solution for y != 0")
     step = 0.99 / L
-    step_y = step * y
-    a = np.zeros(K.shape[1])
-    a_bar = a.copy()
-    z = np.zeros(K.shape[0])
+    M = step * K
+    c = step * y
+    res_tol = tol * scale * step
+    a = np.zeros(n)
+    g = np.empty(n)  # M^T z
+    w = np.empty(n)  # the clip of a - M^T z to [-step, step]
+    r = -c
+    h = c.copy()
+    z = np.empty_like(c)
     for it in range(max_iters):
-        z = z + step * (K @ a_bar) - step_y
-        Ktz = K.T @ z
-        a_new = _soft_threshold(a - step * Ktz, step)
-        a_bar = 2.0 * a_new - a
-        a = a_new
-        r = K @ a - y
-        res = math.sqrt(r @ r)
-        if it % 10 == 0 or res <= tol * scale:
-            dual_inf = float(np.max(np.abs(Ktz)))
-            gap = abs(float(np.sum(np.abs(a)) + float(y @ z)))
-            if (res <= tol * scale and dual_inf <= 1.0 + 10.0 * tol
+        h += r
+        np.add(h, r, out=z)
+        np.dot(z, M, out=g)
+        a -= g
+        np.maximum(a, -step, out=w)
+        np.minimum(w, step, out=w)
+        a -= w
+        np.dot(M, a, out=r)
+        r -= c
+        res = math.sqrt(r.dot(r))
+        if it % 10 == 0 or res <= res_tol:
+            dual_inf = max(g.max(), -g.min()) / step
+            gap = abs(np.abs(a).sum() + y.dot(z))
+            if (res <= res_tol and dual_inf <= 1.0 + 10.0 * tol
                     and gap <= tol * scale * max(1.0, dual_inf)
                     and np.linalg.norm(K0 @ a - y0) <= tol * scale):
                 return a

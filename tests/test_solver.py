@@ -10,6 +10,7 @@ from deconv2d.solver import (
     BudgetExceeded,
     NotConverged,
     SampleGrid,
+    _primal_dual,
     _three_nearest_rows,
     assemble_operator,
     basis_pursuit,
@@ -180,6 +181,74 @@ def test_basis_pursuit_tall_operator_out_of_range():
         basis_pursuit(K, y_off, max_iters=300)
 
 
+def _wide_system():
+    K = np.random.default_rng(3).standard_normal((8, 16))
+    return K, K[:, 5] - 0.5 * K[:, 11]
+
+
+def _trial_system(kernel, delta):
+    """K and y of the seed-0 ``full_grid`` recovery trial of 25 spikes at
+    separation delta and grid spacing 0.5, in kernel units."""
+    model = KERNELS[kernel]
+    delta *= model.unit
+    pos = hex_arrangement(25, delta)
+    grid = SampleGrid.covering(pos, 0.5 * model.unit, 3.0 * model.unit)
+    G = candidate_grid(pos, delta)
+    a_true = np.zeros(len(G))
+    a_true[:25] = np.random.default_rng(0).standard_normal(25)
+    K = assemble_operator(G, grid, model)
+    return K, K @ a_true
+
+
+def _primal_dual_oracle(K, y, tol, max_iters):
+    """The three-product Chambolle-Pock loop: K a_bar is made afresh in
+    every iteration, and a tall K is reduced with Q formed.  Same stopping
+    rule as ``_primal_dual``; returns (a, iterations)."""
+    K0, y0 = K, y
+    scale = max(1.0, math.sqrt(y @ y))
+    if K.shape[0] > K.shape[1]:
+        Q, K = np.linalg.qr(K)
+        y = Q.T @ y
+    step = 0.99 / operator_norm(K)
+    step_y = step * y
+    a = np.zeros(K.shape[1])
+    a_bar = a.copy()
+    z = np.zeros(K.shape[0])
+    for it in range(max_iters):
+        z = z + step * (K @ a_bar) - step_y
+        Ktz = K.T @ z
+        x = a - step * Ktz
+        a_new = x - np.minimum(np.maximum(x, -step), step)
+        a_bar = 2.0 * a_new - a
+        a = a_new
+        r = K @ a - y
+        res = math.sqrt(r @ r)
+        if it % 10 == 0 or res <= tol * scale:
+            dual_inf = float(np.max(np.abs(Ktz)))
+            gap = abs(float(np.sum(np.abs(a)) + float(y @ z)))
+            if (res <= tol * scale and dual_inf <= 1.0 + 10.0 * tol
+                    and gap <= tol * scale * max(1.0, dual_inf)
+                    and np.linalg.norm(K0 @ a - y0) <= tol * scale):
+                return a, it + 1
+    raise NotConverged(f"no convergence in {max_iters} iterations")
+
+
+@pytest.mark.parametrize("system", [
+    _tall_system, _wide_system,
+    lambda: _trial_system("gaussian", 2.0),
+    lambda: _trial_system("airy", 3.0),
+], ids=["tall", "wide", "gaussian-2.0", "airy-3.0"])
+def test_primal_dual_matches_three_product_oracle(system):
+    """The two-product loop on the Q-free reduction stops at the oracle's
+    iteration, not one sooner, with the oracle's amplitudes."""
+    K, y = system()
+    ref, n = _primal_dual_oracle(K, y, BP_TOL, 10**5)
+    a = _primal_dual(K, y, BP_TOL, n)
+    with pytest.raises(NotConverged):
+        _primal_dual(K, y, BP_TOL, n - 1)
+    assert np.linalg.norm(a - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
+
+
 def test_hex_arrangement_geometry():
     pts = hex_arrangement(25, 2.0)
     assert pts.shape == (25, 2)
@@ -255,8 +324,7 @@ def test_recovery_trial_determinism_and_pattern():
     bit for bit."""
     a = recovery_trial(2.0, 0.5, 25, "three_nearest", 0)
     assert a and a == recovery_trial(2.0, 0.5, 25, "three_nearest", 0)
-    wide = np.random.default_rng(3).standard_normal((8, 16))
-    for K, y in (_tall_system(), (wide, wide[:, 5] - 0.5 * wide[:, 11])):
+    for K, y in (_tall_system(), _wide_system()):
         assert basis_pursuit(K, y).tobytes() == basis_pursuit(K, y).tobytes()
     with pytest.raises(ValueError):
         recovery_trial(2.0, 0.5, 25, "diagonal", 0)
