@@ -17,9 +17,12 @@ the bump -- bound the supremum over the circle |t| = r only and may be (and
 near the spike must be) negative; they carry no floor.
 
 Construction: everything is evaluated with the outward-rounded (lo, hi)-array
-ops of ``deconv2d.interval``.  The closed-form coefficient and sample
-expressions are evaluated for all u-cells of a box in one batched pass.  Then,
-per u-cell, the t-grid is swept in chunks of whole x-rows.  The grid is the
+ops of ``deconv2d.interval``.  One sweep covers the extended u-box
+[-zeta/2, zeta/2]^2 of ``EXTENDED_U_KINDS``.  Its u-cells inside the normal
+box [0, zeta/2]^2 (a quarter of them) evaluate every kind; the others only
+the extended-box kinds.  The closed-form coefficient and sample expressions are
+evaluated for all u-cells of the box in one batched pass.  Then, per u-cell,
+the t-grid is swept in chunks of whole x-rows.  The grid is the
 product of its x- and y-intervals, so a chunk holds its x-intervals as a
 column and the y-intervals as a row: the differences s - t and their squares
 are formed once per row and per column and broadcast to the cells only at
@@ -27,12 +30,14 @@ are formed once per row and per column and broadcast to the cells only at
 Each cell still sees the same float operations on the same operands, so the
 bits are those of a cell-by-cell evaluation.  Each sample's products with its
 Gaussian (E, dx E, dy E, m E, g E) are formed once and shared by every kind
-that reads them, and each kind's coefficient sum is max-reduced into radial
-bins.  The u-cells of a box are split by a stride into a few tasks per
-forked worker process, one worker per CPU this process may use; each task
-evaluates the coefficients of the whole box and sweeps its share, a worker
-takes the next task when it is done, and the parent merges the tasks' bins
-by an elementwise max.  A max is exact and does not depend on order, so the
+that reads them (so in the normal box ``wave1_eig`` reads the sample arrays
+and m E that ``bump_eig`` forms), and each kind's coefficient sum is
+max-reduced into radial bins.  The u-cells are split by a stride, the
+costlier normal-box ones first, into a few tasks per forked worker process,
+one worker per CPU this process may use; each task evaluates the
+coefficients of the whole box and sweeps its share, a worker takes the next
+task when it is done, and the parent merges the tasks' bins by an
+elementwise max.  A max is exact and does not depend on order, so the
 bits do not depend on the number of workers or tasks.
 
 Only ten kinds are evaluated; the four W2 kinds are the W1 kinds mirrored.
@@ -85,10 +90,13 @@ FLOOR = 2e-9
 #: refused.
 MAX_CELLS = 2 * 10**9
 #: t-cells per kernel pass, rounded down to whole x-rows of 20 * tres cells
-#: (at least one row).  Small enough that every temporary of the array kernel
-#: (at most 64 KB per float array) is reused from the heap rather than mapped
-#: fresh and page-faulted in on each operation.
-_CHUNK_CELLS = 8192
+#: (at least one row); the desk grid of 200 x 200 cells is one pass.  Fewer,
+#: larger passes save numpy's per-call overhead until the working arrays
+#: outgrow the cache.  Median two-worker desk build (ures = 10) on a 2-vCPU
+#: Xeon with 2 MB of L2 per core, at 8 192 / 16 384 / 24 000 / 40 000 cells:
+#: 0.84 / 0.79 / 0.74 / 0.71 s at tres = 10; at tres = 20, 3.18 s at 8 192,
+#: 2.51 s at both 24 000 and 40 000, and 2.79 s at 80 000.
+_CHUNK_CELLS = 40000
 
 #: all fourteen envelope kinds; (base, expr, monotone)
 KIND_INFO = {
@@ -381,7 +389,8 @@ def _kind_values(expr, coeffs, shapes) -> np.ndarray:
         f = term if f is None else v_add(f, term)
     if expr in ("slope", "eig_max"):
         return f[1]  # signed upper bound
-    return np.maximum(np.abs(f[0]), np.abs(f[1]))  # |f| upper bound
+    lo, hi = f  # arrays of this call's own, so |f| is formed in them
+    return np.maximum(np.abs(lo, out=lo), np.abs(hi, out=hi), out=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -456,37 +465,51 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _accumulate(spec: EnvelopeGridSpec, kinds, lo: int, part: int,
-                parts: int) -> dict:
-    """Bins of ``kinds`` over the u-cells (j, k), lo <= j, k <= ures/2,
-    whose flat index is ``part`` modulo ``parts``.
+def _accumulate(spec: EnvelopeGridSpec, part: int, parts: int) -> dict:
+    """Bins of the ten built kinds over the u-cells of the extended u-box
+    whose place in the sweep order is ``part`` modulo ``parts``.
 
-    The coefficients are evaluated for all u-cells of the box, so each
-    u-cell's bits do not depend on the split; only the sweep is strided.
+    The sweep order puts the u-cells of the normal u-box (j, k >= 1) first,
+    so that the strided tasks share those costlier cells evenly.  There
+    every kind is evaluated; elsewhere only the extended-box kinds.  The
+    coefficients are evaluated for all u-cells of the box, so each u-cell's
+    bits do not depend on the split; only the sweep is strided.
     """
     half = spec.ures // 2
     zlo, zhi = spec.zeta
     m = 10 * spec.tres
     chunks = _t_chunks(spec.tres, _CHUNK_CELLS)
-    bins = {k: np.zeros(m) if KIND_INFO[k][2] else np.full(m, -np.inf)
-            for k in kinds}
-    j, k = (g.ravel() for g in np.mgrid[lo:half + 1, lo:half + 1])
+    built = [kind for kind in ALL_KINDS if kind not in _MIRRORED]
+    bins = {kind: np.zeros(m) if KIND_INFO[kind][2] else np.full(m, -np.inf)
+            for kind in built}
+    j, k = (g.ravel() for g in np.mgrid[1 - half:half + 1, 1 - half:half + 1])
     coeffs, samples = _u_cells(zlo, zhi, j, k, spec.ures)
     snorms = [v_sqrt(v_add(v_sqr(sx), v_sqr(sy)))[1] for sx, sy in samples]
-    kind_coeffs, groups = {}, {}
-    for kind in kinds:
+    kind_coeffs = {}
+    for kind in built:
         base, expr, _ = KIND_INFO[kind]
         kind_coeffs[kind] = tuple(
             v_abs(c) if expr == "eig_abs" and c is not None else c
             for c in coeffs[base])
-        groups.setdefault(expr, []).append(kind)
-    # samples that some kind of this pass reads
-    used = [i for i in range(3)
-            if any(cs[i] is not None for cs in kind_coeffs.values())]
-    for u in range(part, len(j), parts):
+
+    def plan(kinds):
+        """(expr -> kinds, the samples those kinds read)"""
+        groups = {}
+        for kind in kinds:
+            groups.setdefault(KIND_INFO[kind][1], []).append(kind)
+        used = [i for i in range(3)
+                if any(kind_coeffs[kind][i] is not None for kind in kinds)]
+        return groups, used
+
+    normal = (j >= 1) & (k >= 1)
+    plans = {True: plan(built),
+             False: plan([kind for kind in built if kind in EXTENDED_U_KINDS])}
+    order = np.argsort(~normal, kind="stable")
+    for u in order[part::parts]:
+        groups, used = plans[bool(normal[u])]
         cell_samples = [(_pick(sx, u), _pick(sy, u)) for sx, sy in samples]
-        cell_coeffs = {kind: [_pick(c, u) for c in cs]
-                       for kind, cs in kind_coeffs.items()}
+        cell_coeffs = {kind: [_pick(c, u) for c in kind_coeffs[kind]]
+                       for group in groups.values() for kind in group}
         for cells in chunks:
             arrays = {i: _sample_arrays(cell_samples[i], cells)
                       for i in used}
@@ -510,9 +533,9 @@ def build_envelopes(spec: EnvelopeGridSpec) -> dict:
     """Build all fourteen envelopes of one zeta band at once, sharing the
     per-u-cell Gaussian interval arrays; the W2 kinds are mirrored W1 ones.
 
-    The u-cells of each pass are split into ``_TASKS_PER_WORKER`` tasks per
-    worker, run on ``_workers()`` forked processes, and the tasks' bins are
-    merged by an exact elementwise max.
+    The u-cells of the extended u-box are split into ``_TASKS_PER_WORKER``
+    tasks per worker, run on ``_workers()`` forked processes, and the tasks'
+    bins are merged by an exact elementwise max.
     """
     half = spec.ures // 2
     n_cells = (20 * spec.tres) ** 2 * (half * half + spec.ures * spec.ures)
@@ -523,21 +546,12 @@ def build_envelopes(spec: EnvelopeGridSpec) -> dict:
     zlo, zhi = spec.zeta
     m = 10 * spec.tres
 
-    built = [k for k in ALL_KINDS if k not in _MIRRORED]
-    # (kinds, lowest u index, u-cells) of the normal and the extended u-box
-    passes = [([k for k in built if k not in EXTENDED_U_KINDS], 1, half ** 2),
-              ([k for k in built if k in EXTENDED_U_KINDS], 1 - half,
-               spec.ures ** 2)]
     workers = _workers()
     if workers == 1:
-        results = [_accumulate(spec, kinds, lo, 0, 1)
-                   for kinds, lo, _ in passes]
+        results = [_accumulate(spec, 0, 1)]
     else:
-        # the costlier pass first, so that the tasks left at the end are short
-        tasks = []
-        for kinds, lo, n in passes:
-            parts = min(n, _TASKS_PER_WORKER * workers)
-            tasks += [(kinds, lo, part, parts) for part in range(parts)]
+        u_cells = spec.ures ** 2
+        parts = min(u_cells, _TASKS_PER_WORKER * workers)
         # imported here, not with the package: they add about 15 ms to
         # every import of it, including those that never build
         import multiprocessing
@@ -547,11 +561,12 @@ def build_envelopes(spec: EnvelopeGridSpec) -> dict:
         # where a spawned one would re-import numpy and rebuild it; the pool
         # forks all its workers before it starts its own manager thread
         with ProcessPoolExecutor(
-                max_workers=min(workers, max(n for _, _, n in passes)),
+                max_workers=min(workers, u_cells),
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_end_with_parent,
                 initargs=(os.getpid(),)) as pool:
-            futures = [pool.submit(_accumulate, spec, *task) for task in tasks]
+            futures = [pool.submit(_accumulate, spec, part, parts)
+                       for part in range(parts)]
             try:
                 results = [f.result() for f in futures]
             finally:

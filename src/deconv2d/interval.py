@@ -20,13 +20,20 @@ slack because they are upper bounds by construction.  The step is
 +0.0).  That is bit-identical to ``np.nextafter`` toward +-inf, without a
 libm call per element: +inf (-inf for ``next_down``) and every NaN pass
 through unchanged, the largest finite float steps to infinity and the least
-subnormal to a signed zero.  Negation, ``v_abs`` and halving are exact and
-are not widened.
+subnormal to a signed zero.  ``next_up`` and ``next_down`` step a copy and
+never write into their argument; the interval ops step the fresh result of
+their own operation in place (a fold, a shift, an or and an add per
+element), and only an array holding +inf (-inf) or a NaN takes the copying
+route.  Negation, ``v_abs`` and halving are exact and are not widened.
 
 ``exp`` is the one elementary function whose result is not correctly rounded.
 Every exp goes through ``exp_outward``.  It evaluates ``np.exp`` (whichever
 SIMD loop numpy dispatches to on the running CPU) and widens each endpoint by
-two ulps.  That covers an ``np.exp`` error below one ulp on top of our own
+two ulps.  ``np.exp`` returns floats >= +0.0, whose int64 views are ordered
+like the floats, so the widening is one +-2 step on that view: clamped at
++0.0 below, saturating at +inf above, NaNs unchanged.  That has the bits of
+two rounds of ``next_down`` / ``next_up`` and a clamp of the lower endpoint
+at 0.  Two ulps cover an ``np.exp`` error below one ulp on top of our own
 rounding step; the bound is checked against a 200-bit mpmath reference in
 ``tests/test_interval.py``, where a scalar interval class serves as the
 containment oracle for these array operations.
@@ -42,26 +49,96 @@ import numpy as np
 _INF = np.inf
 
 
+def _step(b):
+    """Move each float of the int64 view ``b`` one float away from zero when
+    positive and toward it when negative, in place."""
+    s = b >> 63
+    s |= 1
+    b += s
+
+
 def next_up(x):
     """The next float above each element of ``x``: ``np.nextafter(x, inf)``.
 
     Takes floats or arrays and returns numpy types (a numpy scalar for
-    scalar or 0-d input).  The work is done on a 1-d view so that no numpy
-    scalar arithmetic (which warns on int64 overflow) is involved.
+    scalar or 0-d input); ``x`` itself is never written.  The work is done
+    on a 1-d array so that no numpy scalar arithmetic (which warns on int64
+    overflow) is involved.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     r = flat + 0.0  # folds -0.0 onto +0.0
-    b = r.view(np.int64)
-    b += (b >> 63) | 1  # away from zero when positive, toward it when negative
+    _step(r.view(np.int64))
     # +inf would step to NaN and a NaN payload to another NaN, -inf or -0.0
-    np.copyto(r, flat, where=~(flat < _INF))
+    finite = flat < _INF
+    if not finite.all():
+        np.copyto(r, flat, where=~finite)
     return r.reshape(x.shape)[()]
 
 
 def next_down(x):
-    """The next float below each element of ``x``: ``np.nextafter(x, -inf)``."""
-    return -next_up(-np.asarray(x, dtype=float))
+    """The next float below each element of ``x``: ``np.nextafter(x, -inf)``.
+
+    The step of ``next_up`` on -x, negated back.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    r = np.subtract(0.0, flat)  # -x, with -0.0 and +0.0 both onto +0.0
+    _step(r.view(np.int64))
+    np.negative(r, out=r)
+    finite = flat > -_INF
+    if not finite.all():
+        np.copyto(r, flat, where=~finite)
+    return r.reshape(x.shape)[()]
+
+
+def _owned(x) -> bool:
+    """Whether ``x`` is an array that the ulp step may overwrite: the
+    caller's own fresh result with at least one dimension."""
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
+def _up(r):
+    """``next_up(r)`` for an array result that nothing else reads: stepped
+    in place when every element is below +inf (and none is NaN)."""
+    if not (_owned(r) and (r < _INF).all()):
+        return next_up(r)
+    r += 0.0
+    _step(r.view(np.int64))
+    return r
+
+
+def _down(r):
+    """``next_down(r)``, in place like ``_up``."""
+    if not (_owned(r) and (r > -_INF).all()):
+        return next_down(r)
+    np.subtract(0.0, r, out=r)
+    _step(r.view(np.int64))
+    np.negative(r, out=r)
+    return r
+
+
+#: int64 view of +inf, the largest pattern of a float >= +0.0 that is no NaN
+_INF_BITS = np.array(_INF).view(np.int64)[()]
+
+
+def _widen_exp(e, ulps: int):
+    """``e`` (a 1-d array of ``np.exp`` results, each >= +0.0 or NaN) moved
+    ``ulps`` floats, in place: clamped at +0.0 below, saturating at +inf
+    above, NaNs unchanged.  On floats >= +0.0 the int64 view is monotone and
+    one float is one unit, so this is ``abs(ulps)`` rounds of ``next_up`` or
+    ``next_down`` followed by the clamp at 0, bit for bit."""
+    number = e <= _INF
+    kept = None if number.all() else e[~number]
+    b = e.view(np.int64)
+    b += ulps
+    if ulps < 0:
+        np.maximum(b, 0, out=b)
+    else:
+        np.minimum(b, _INF_BITS, out=b)
+    if kept is not None:
+        e[~number] = kept
+    return e
 
 
 def exp_outward(lo, hi):
@@ -73,19 +150,19 @@ def exp_outward(lo, hi):
     overflow threshold saturate at +inf without a warning (still sound); the
     lower endpoint is clamped at 0.
     """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     with np.errstate(over="ignore"):
-        elo, ehi = np.exp(lo), np.exp(hi)
-    for _ in range(2):
-        elo, ehi = next_down(elo), next_up(ehi)
-    return np.maximum(elo, 0.0), ehi
+        elo, ehi = np.exp(lo.reshape(-1)), np.exp(hi.reshape(-1))
+    return (_widen_exp(elo, -2).reshape(lo.shape)[()],
+            _widen_exp(ehi, 2).reshape(hi.shape)[()])
 
 
 def v_add(a, b):
-    return next_down(a[0] + b[0]), next_up(a[1] + b[1])
+    return _down(a[0] + b[0]), _up(a[1] + b[1])
 
 
 def v_sub(a, b):
-    return next_down(a[0] - b[1]), next_up(a[1] - b[0])
+    return _down(a[0] - b[1]), _up(a[1] - b[0])
 
 
 def v_neg(a):
@@ -97,7 +174,7 @@ def v_mul(a, b):
     p3, p4 = a[1] * b[0], a[1] * b[1]
     lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
     hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return next_down(lo), next_up(hi)
+    return _down(lo), _up(hi)
 
 
 def v_mul_nonneg(a, e):
@@ -116,7 +193,7 @@ def v_mul_nonneg(a, e):
     """
     lo = np.minimum(a[0] * e[0], a[0] * e[1])
     hi = np.maximum(a[1] * e[0], a[1] * e[1])
-    return next_down(lo), next_up(hi)
+    return _down(lo), _up(hi)
 
 
 def v_div(a, b):
@@ -127,7 +204,7 @@ def v_div(a, b):
     """
     lo = np.where(a[0] >= 0, a[0] / b[1], a[0] / b[0])
     hi = np.where(a[1] >= 0, a[1] / b[0], a[1] / b[1])
-    return next_down(lo), next_up(hi)
+    return _down(lo), _up(hi)
 
 
 def v_abs(a):
@@ -141,13 +218,13 @@ def v_abs(a):
 def v_sqr(a):
     """x^2; tighter than v_mul(a, a) when 0 is inside (lower endpoint 0)."""
     m, M = v_abs(a)
-    return np.where(m > 0, next_down(m * m), 0.0), next_up(M * M)
+    return np.where(m > 0, _down(m * m), 0.0), _up(M * M)
 
 
 def v_sqrt(a):
     lo = np.sqrt(np.maximum(a[0], 0.0))
     hi = np.sqrt(np.maximum(a[1], 0.0))
-    return np.maximum(next_down(lo), 0.0), next_up(hi)
+    return np.maximum(_down(lo), 0.0), _up(hi)
 
 
 def v_exp_neg_half(n2):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deconv2d import envelope, interval
 from deconv2d.interval import (
     exp_outward,
     next_down,
@@ -416,3 +417,79 @@ def test_sign_aware_products_match_v_mul_bitwise():
         assert same(v_mul_nonneg(a, c), v_mul(c, a)), i
         c = v_neg(c)
         assert same(v_neg(v_mul_nonneg(a, v_neg(c))), v_mul(c, a)), i
+
+
+def _exp_outward_two_rounds(lo, hi):
+    """The oracle: np.exp, then two rounds of next_down / next_up and the
+    clamp of the lower endpoint at 0."""
+    with np.errstate(over="ignore"):
+        elo, ehi = np.exp(lo), np.exp(hi)
+    for _ in range(2):
+        elo, ehi = next_down(elo), next_up(ehi)
+    return np.maximum(elo, 0.0), ehi
+
+
+def test_exp_outward_one_step_matches_two_rounds():
+    """exp_outward widens by one +-2 step on the int64 view; its bits equal
+    the two-round chain's on 10^6 random bit patterns, on the arguments
+    whose exp overflows or ends in the subnormals or at zero (where the
+    clamp and the saturation act), and on +-inf and NaN payloads."""
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                        10**6, dtype=np.int64, endpoint=True)
+    overflow = math.log(DBL_MAX)  # the largest argument with a finite exp
+    underflow = math.log(5e-324)  # exp(x) rounds to zero below about this
+    edges = [overflow, overflow - 1e-12, overflow + 1e-12, 710.0, 1e308,
+             underflow, underflow - 0.5, underflow + 0.5, -745.2, -744.4,
+             -708.4, -708.3, -1e308, math.log(2 * 5e-324),
+             math.log(3 * 5e-324), 0.0, -0.0, 5e-324, -5e-324]
+    near = np.concatenate([np.array(edges), rng.uniform(-746.0, -707.0, 10**4),
+                           rng.uniform(708.0, 710.0, 10**4)])
+    x = np.concatenate([bits.view(float), near, EDGES])
+    assert np.isnan(x).sum() > 100
+    with np.errstate(over="ignore"):
+        e = np.exp(near)
+    # the edges reach zero, every subnormal count from 1 to 3, and +inf
+    assert e.min() == 0.0 and e.max() == math.inf
+    assert {1, 2, 3} <= set(e.view(np.int64)[e < 1e-322].tolist())
+    with np.errstate(invalid="ignore"):
+        want = _exp_outward_two_rounds(x, x)
+        got = exp_outward(x, x)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        for v in [*edges, math.inf, -math.inf, math.nan]:
+            for g, w in zip(exp_outward(v, v), _exp_outward_two_rounds(v, v)):
+                assert isinstance(g, np.float64)
+                assert np.float64(g).tobytes() == np.float64(w).tobytes(), v
+
+
+def test_steps_never_write_into_their_argument():
+    """next_up, next_down and exp_outward, and the interval ops built on
+    the in-place ulp step, leave their arguments unchanged: arrays (with
+    and without non-finite elements), 0-d arrays, scalars, and the
+    broadcast (rows, 1) / (1, n) views of the t-grid that every worker
+    shares."""
+    cells = envelope._t_chunks(2, 3 * 40)[1]
+    arrays = [np.linspace(-3.0, 3.0, 7), EDGES.copy(),
+              np.array(-0.0), np.array(2.5), cells.tx[0], cells.tx[1],
+              cells.ty[0], cells.ty[1], cells.tn[0]]
+    scalars = [1.5, -0.0, math.inf, np.float64(-2.0)]
+    grid = [a.base if a.base is not None else a for a in arrays[4:]]
+    before = [a.tobytes() for a in arrays + grid]
+    with np.errstate(invalid="ignore"):
+        for x in arrays + scalars:
+            next_up(x)
+            next_down(x)
+            exp_outward(x, x)
+        pairs = [(cells.tx[0], cells.tx[1]), (cells.ty[0], cells.ty[1]),
+                 cells.tn]
+        for a in pairs:
+            for b in pairs:
+                for op in (interval.v_add, interval.v_sub, interval.v_mul,
+                           interval.v_mul_nonneg):
+                    op(a, b)
+            interval.v_div(a, (np.float64(0.5), np.float64(2.0)))
+            interval.v_sqr(a)
+            interval.v_sqrt(interval.v_abs(a))
+            interval.v_exp_neg_half(interval.v_sqr(a))
+    assert [a.tobytes() for a in arrays + grid] == before
