@@ -62,59 +62,46 @@ def next_up(x):
 
     Takes floats or arrays and returns numpy types (a numpy scalar for
     scalar or 0-d input); ``x`` itself is never written.  The work is done
-    on a 1-d array so that no numpy scalar arithmetic (which warns on int64
+    on a 1-d copy so that no numpy scalar arithmetic (which warns on int64
     overflow) is involved.
     """
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    r = flat + 0.0  # folds -0.0 onto +0.0
-    _step(r.view(np.int64))
-    # +inf would step to NaN and a NaN payload to another NaN, -inf or -0.0
-    finite = flat < _INF
-    if not finite.all():
-        np.copyto(r, flat, where=~finite)
-    return r.reshape(x.shape)[()]
+    return _up(x.flatten()).reshape(x.shape)[()]
 
 
 def next_down(x):
-    """The next float below each element of ``x``: ``np.nextafter(x, -inf)``.
-
-    The step of ``next_up`` on -x, negated back.
-    """
+    """The next float below each element of ``x``: ``np.nextafter(x, -inf)``."""
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    r = np.subtract(0.0, flat)  # -x, with -0.0 and +0.0 both onto +0.0
-    _step(r.view(np.int64))
-    np.negative(r, out=r)
-    finite = flat > -_INF
-    if not finite.all():
-        np.copyto(r, flat, where=~finite)
-    return r.reshape(x.shape)[()]
-
-
-def _owned(x) -> bool:
-    """Whether ``x`` is an array that the ulp step may overwrite: the
-    caller's own fresh result with at least one dimension."""
-    return isinstance(x, np.ndarray) and x.ndim > 0
+    return _down(x.flatten()).reshape(x.shape)[()]
 
 
 def _up(r):
-    """``next_up(r)`` for an array result that nothing else reads: stepped
-    in place when every element is below +inf (and none is NaN)."""
-    if not (_owned(r) and (r < _INF).all()):
+    """``next_up(r)`` for a result ``r`` that nothing else reads: an array
+    is stepped in place."""
+    if not (isinstance(r, np.ndarray) and r.ndim):
         return next_up(r)
-    r += 0.0
+    # +inf would step to NaN and a NaN payload to another NaN, -inf or -0.0
+    finite = r < _INF
+    kept = None if finite.all() else r[~finite]
+    r += 0.0  # folds -0.0 onto +0.0
     _step(r.view(np.int64))
+    if kept is not None:
+        r[~finite] = kept
     return r
 
 
 def _down(r):
-    """``next_down(r)``, in place like ``_up``."""
-    if not (_owned(r) and (r > -_INF).all()):
+    """``next_down(r)``, in place like ``_up``: the step of ``_up`` on -r,
+    negated back."""
+    if not (isinstance(r, np.ndarray) and r.ndim):
         return next_down(r)
-    np.subtract(0.0, r, out=r)
+    finite = r > -_INF
+    kept = None if finite.all() else r[~finite]
+    np.subtract(0.0, r, out=r)  # -r, with -0.0 and +0.0 both onto +0.0
     _step(r.view(np.int64))
     np.negative(r, out=r)
+    if kept is not None:
+        r[~finite] = kept
     return r
 
 
