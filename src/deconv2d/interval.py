@@ -20,11 +20,12 @@ slack because they are upper bounds by construction.  The step is
 +0.0).  That is bit-identical to ``np.nextafter`` toward +-inf, without a
 libm call per element: +inf (-inf for ``next_down``) and every NaN pass
 through unchanged, the largest finite float steps to infinity and the least
-subnormal to a signed zero.  ``next_up`` and ``next_down`` step a copy and
-never write into their argument; the interval ops step the fresh result of
+subnormal to a signed zero.  The interval ops step the fresh result of
 their own operation in place (a fold, a shift, an or and an add per
-element), and only an array holding +inf (-inf) or a NaN takes the copying
-route.  Negation, ``v_abs`` and halving are exact and are not widened.
+element); the elements that pass through are set aside before the step and
+put back after it, only when there are any.  ``next_up`` and ``next_down``
+step a copy and never write into their argument.  Negation, ``v_abs`` and
+halving are exact and are not widened.
 
 ``exp`` is the one elementary function whose result is not correctly rounded.
 Every exp goes through ``exp_outward``.  It evaluates ``np.exp`` (whichever
