@@ -277,10 +277,12 @@ def test_workers_end_with_a_killed_build():
 
 
 @pytest.mark.parametrize("tres, size",
-                         [(2, 3 * 40), (10, envelope._CHUNK_CELLS)])
+                         [(2, 3 * 40), (10, 8192),
+                          (10, envelope._CHUNK_CELLS)])
 def test_row_chunks_match_per_cell_evaluation(tres, size):
     """A chunk holds its x-intervals as a (rows, 1) column and the
-    y-intervals as a (1, n) row.  Its sample arrays, every shape and its
+    y-intervals as a (1, n) row (at desk resolution: the grid in five
+    chunks, and in the chunks the build uses).  Its sample arrays, every shape and its
     |t| equal the same expressions on full-size per-cell coordinates bit
     for bit, for u-cells of the normal and of the extended u-box."""
     n = 20 * tres
