@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import EnvelopeSet, load_envelope_set
+from .envelope import EnvelopeSet
 from .hexgeom import segment_distances
 from .schur import NormBounds, SchurReport, block_norm_bounds, schur_bounds
 
@@ -215,11 +215,6 @@ class CertifyConfig:
         self.tables = {k1: EnvelopeSet(envs)
                        for k1, envs in envelopes_by_k1.items()}
         self.n_segments = n_segments
-
-    @staticmethod
-    def from_cache(directory: str, k1_set) -> "CertifyConfig":
-        return CertifyConfig({k1: load_envelope_set(directory, k1)
-                              for k1 in k1_set})
 
 
 def certify_cell(delta: float, k1: int, config: CertifyConfig) -> CertificateReport:

@@ -135,10 +135,6 @@ class FormatError(ValueError):
     """Malformed envelope cache file."""
 
 
-class VersionMismatch(FormatError):
-    """Envelope cache file with an unsupported schema version."""
-
-
 def zeta_band(k1: int) -> tuple[float, float]:
     """The k1-th grid-spacing band, k1 = 1..16."""
     if not 1 <= k1 <= 16:
@@ -164,16 +160,6 @@ class EnvelopeGridSpec:
             raise ValueError("resolutions must be >= 1")
         if self.ures % 2:
             raise ValueError("ures must be even (u box is [0, zeta/2])")
-
-    @property
-    def zeta(self) -> tuple[float, float]:
-        return zeta_band(self.k1)
-
-
-def bin_index(breakpoints, r) -> np.ndarray:
-    """Bin of each radius over the m + 1 edges ``breakpoints``: i for r in
-    (r_i, r_i+1] (bin 0 also takes r <= r_0), and m, the tail, for r > r_m."""
-    return np.maximum(np.searchsorted(breakpoints, r, side="left") - 1, 0)
 
 
 @dataclass
@@ -217,7 +203,11 @@ class EnvelopeSet:
                        for kind, env in envelopes.items()}
 
     def bins(self, r) -> np.ndarray:
-        return bin_index(self.breakpoints, r)
+        """Bin of each radius over the m + 1 edges ``breakpoints``: i for r
+        in (r_i, r_i+1] (bin 0 also takes r <= r_0), and m, the tail, for
+        r > r_m.  That is the count of edges r_1, ..., r_m below r, one
+        search that allocates only the result."""
+        return np.searchsorted(self.breakpoints[1:], r, side="left")
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +341,11 @@ def _shape(expr, sample, snorm, arrays, cells):
         factor = dx
     elif expr == "dy":
         factor = dy
-    elif expr == "eig_abs":
-        factor = (np.maximum(next_down(n2[0] - 1.0), 1.0),
-                  np.maximum(next_up(n2[1] - 1.0), 1.0))
-    elif expr == "eig_max":
-        factor = (next_down(n2[0] - 1.0), next_up(n2[1] - 1.0))
+    elif expr in ("eig_abs", "eig_max"):
+        factor = v_sub(n2, (1.0, 1.0))
+        if expr == "eig_abs":
+            for end in factor:
+                np.maximum(end, 1.0, out=end)
     elif expr == "slope":
         # (s . t)/|t| - |t|, with a robust fallback when the t-cell
         # touches the origin (the ratio is then only bounded by |s|)
@@ -439,7 +429,10 @@ def _workers() -> int:
 #: the build waits for the slowest CPU to finish its fixed share; with
 #: several, a worker that falls behind (its CPU shared with another process,
 #: or not scheduled by a busy host) takes fewer tasks.  Each task evaluates
-#: the coefficients of its whole u-box, which costs about 0.5 ms.
+#: the coefficients of its whole u-box, which costs about 0.5 ms.  A task is
+#: a strided run of u-cells, not one u-cell: when a task returns, its
+#: temporaries are freed and glibc trims the heap, so the next task faults
+#: its working arrays back in page by page.
 _TASKS_PER_WORKER = 4
 
 
@@ -476,7 +469,7 @@ def _accumulate(spec: EnvelopeGridSpec, part: int, parts: int) -> dict:
     bits do not depend on the split; only the sweep is strided.
     """
     half = spec.ures // 2
-    zlo, zhi = spec.zeta
+    zlo, zhi = zeta_band(spec.k1)
     m = 10 * spec.tres
     chunks = _t_chunks(spec.tres, _CHUNK_CELLS)
     built = [kind for kind in ALL_KINDS if kind not in _MIRRORED]
@@ -543,7 +536,7 @@ def build_envelopes(spec: EnvelopeGridSpec) -> dict:
         raise ResourceBudgetExceeded(f"{n_cells} cells > cap {MAX_CELLS}")
     # built before forking, so that every worker inherits the cached grid
     _t_chunks(spec.tres, _CHUNK_CELLS)
-    zlo, zhi = spec.zeta
+    zlo, zhi = zeta_band(spec.k1)
     m = 10 * spec.tres
 
     workers = _workers()
@@ -627,8 +620,8 @@ def load_envelope_set(dirpath: str, k1: int) -> dict:
     """All fourteen envelopes of band ``k1`` saved by ``save_envelope_set``.
 
     A file that is not a readable npz, holds another band, lacks a kind or
-    has values that do not fill its bins raises ``FormatError``; another
-    schema version raises ``VersionMismatch``.
+    has values that do not fill its bins, or another schema version, raises
+    ``FormatError``.
     """
     path = _cache_path(dirpath, k1)
     try:
@@ -644,8 +637,8 @@ def load_envelope_set(dirpath: str, k1: int) -> dict:
 
     version = field("version")
     if version.item() != CACHE_VERSION:
-        raise VersionMismatch(f"{path}: version {version.item()!r}, "
-                              f"expected {CACHE_VERSION}")
+        raise FormatError(f"{path}: version {version.item()!r}, "
+                          f"expected {CACHE_VERSION}")
     stored_k1 = int(field("k1"))
     if stored_k1 != k1:
         raise FormatError(f"{path}: holds band {stored_k1}, expected {k1}")

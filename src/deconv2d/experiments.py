@@ -21,6 +21,7 @@ from .certify import CertifyConfig, recovery_sweep
 from .envelope import (
     EnvelopeGridSpec,
     build_envelopes,
+    load_envelope_set,
     save_envelope_set,
     zeta_band,
 )
@@ -128,7 +129,8 @@ def parse_config(path: str) -> dict:
 
 def _certify_config(k1_set, resolution: int, cache: str | None) -> CertifyConfig:
     if cache:
-        return CertifyConfig.from_cache(cache, k1_set)
+        return CertifyConfig({k1: load_envelope_set(cache, k1)
+                              for k1 in k1_set})
     return CertifyConfig({k1: build_envelopes(
         EnvelopeGridSpec(k1=k1, tres=resolution, ures=resolution))
         for k1 in k1_set})

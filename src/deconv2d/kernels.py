@@ -12,8 +12,8 @@ Three radially symmetric point-spread models are supported:
   K(r) = (2 J1(3.8317 r) / (3.8317 r))^2, normalized so K(0) = 1 and the first
   zero sits at r = 1.
 
-J1 is ``scipy.special.j1``, imported on the first Airy evaluation: loading
-``scipy.special`` adds about a third to the package's import time.
+J1 is ``scipy.special.j1``, imported on the first Airy evaluation, so that
+only Airy users load ``scipy.special``.
 """
 
 from __future__ import annotations
