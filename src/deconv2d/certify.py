@@ -102,41 +102,34 @@ def qtri_segment_bounds(delta: float, n_segments: int, table: EnvelopeSet,
                      np.maximum(a, delta - b)[:, None])
     al, be, ga = schur.alpha_inf, schur.beta_inf, schur.gamma_inf
 
-    # Every combination of kinds is formed on the per-bin tables and then
-    # read at the bins of d_u or a: elementwise the same arithmetic as
-    # reading each kind first.  np.sum along the contiguous rows (axis=1)
-    # adds each row in the same pairwise order as a 1-D sum of that row, so
-    # a segment's bounds do not depend on how many segments are evaluated
-    # together.
+    # One (3, m + 1) table per base stacks its value, gradient-norm and eig
+    # rows in bound order (Q, grad Q . t_hat, eig), so each Lemma Qtri term
+    # is formed once for all three bounds: on the per-bin tables, then read
+    # at the bins of d_u or a (elementwise the arithmetic of reading each
+    # kind first).  np.take(axis=1) gathers each row contiguously (x[:, near]
+    # does not), so the sum over the last axis adds a row in the pairwise
+    # order of its 1-D sum: a segment's bounds do not depend on how many
+    # segments are evaluated together.
     T = table.tables
     near, at, bt = table.bins(d_u), table.bins(a), table.bins(b)
-    # the bins meeting segment i are at[i]..bt[i]; shorter runs repeat bt[i]
-    span = np.minimum(at[:, None] + np.arange(int(np.max(bt - at)) + 1),
-                      bt[:, None])
-    gnorm = {p: np.sqrt(T[p + "_dx"] * T[p + "_dx"]
-                        + T[p + "_dy"] * T[p + "_dy"])
-             for p in ("bump", "wave1", "wave2")}
+    # the bins meeting segment i are span[:, i]: at[i]..bt[i], shorter runs
+    # repeating bt[i]
+    span = np.minimum(at + np.arange(int(np.max(bt - at)) + 1)[:, None], bt)
+    bump, wave1, wave2 = (
+        np.array((T[p], np.sqrt(T[p + "_dx"] * T[p + "_dx"]
+                                + T[p + "_dy"] * T[p + "_dy"]), T[p + "_eig"]))
+        for p in ("bump", "wave1", "wave2"))
 
-    neighbor_q = np.sum((al * T["bump"] + be * T["wave1"]
-                         + ga * T["wave2"])[near], axis=1)
-    wave_self = (be * T["wave1"] + ga * T["wave2"])[at]
-    bump_self = al * T["bump"][at]
-    q_ub = bump_self + wave_self + neighbor_q + EPS_SEG
-    q_lb = -(wave_self + neighbor_q + EPS_SEG)
-
-    omega = np.max(T["bump_slope"][span], axis=1)
-    grad_self = np.maximum(schur.alpha_lb * omega, al * omega)
-    grad_neighbor = np.sum((al * gnorm["bump"] + be * gnorm["wave1"]
-                            + ga * gnorm["wave2"])[near], axis=1)
-    grad_wave_self = (be * gnorm["wave1"] + ga * gnorm["wave2"])[at]
-    grad_ub = grad_self + grad_wave_self + grad_neighbor + EPS_SEG
-
-    eta = np.max(T["bump_eig_max"][span], axis=1)
-    eig_self = np.maximum(schur.alpha_lb * eta, al * eta)
-    eig_neighbor = np.sum((al * T["bump_eig"] + be * T["wave1_eig"]
-                           + ga * T["wave2_eig"])[near], axis=1)
-    eig_wave_self = (be * T["wave1_eig"] + ga * T["wave2_eig"])[at]
-    eig_ub = eig_self + eig_wave_self + eig_neighbor + EPS_SEG
+    neighbor = np.sum(np.take(al * bump + be * wave1 + ga * wave2, near,
+                              axis=1), axis=2)
+    wave_self = np.take(be * wave1 + ga * wave2, at, axis=1)
+    # omega and eta: the bump's largest slope and eig over each segment
+    peak = np.max(np.take(np.array((T["bump_slope"], T["bump_eig_max"])),
+                          span, axis=1), axis=1)
+    bump_self = np.concatenate(([al * bump[0, at]],
+                                np.maximum(schur.alpha_lb * peak, al * peak)))
+    q_ub, grad_ub, eig_ub = bump_self + wave_self + neighbor + EPS_SEG
+    q_lb = -(wave_self[0] + neighbor[0] + EPS_SEG)
 
     return SegmentBounds(edges, q_ub, q_lb, grad_ub, eig_ub)
 

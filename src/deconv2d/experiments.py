@@ -237,8 +237,8 @@ def _build_parser():
     sp.set_defaults(run=_cmd_envelopes)
 
     sp = sub.add_parser("certify", help="sweep the recovery certifier")
-    sp.add_argument("--delta-min", type=float, required=True)
-    sp.add_argument("--delta-max", type=float, required=True)
+    sp.add_argument("--delta-min", type=_finite(float), required=True)
+    sp.add_argument("--delta-max", type=_finite(float), required=True)
     sp.add_argument("--delta-step", type=_finite(float, 0), default=0.05)
     sp.add_argument("--zeta-bands", type=int, choices=BANDS, nargs="+",
                     metavar="K1", required=True)

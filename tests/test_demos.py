@@ -3,7 +3,7 @@
 The demos read the package's public results (for example
 ``CertificateReport.segments``), so an API change that breaks one shows up
 here.  ``recovery_phase.py`` is left out: its solver trials take about
-two minutes, against about 5 s for the four demos here.
+30 s on two cores, against about 5 s for the four demos here.
 """
 
 import os

@@ -33,7 +33,7 @@ from deconv2d.schur import (
     schur_bounds,
 )
 
-BANDS = (1, 13)
+BANDS = (1, 5, 9, 13)   # the bands of the desk reference
 DELTAS = (4.0, 4.65, 5.0, 5.5, 5.749999999999994, 6.0, 7.3)
 
 
@@ -166,11 +166,13 @@ def test_seg_max_matches_per_kind_oracle(k1):
 @pytest.mark.parametrize("k1", BANDS)
 def test_certifier_sums_match_per_kind_oracle(k1):
     """At 100 segments a segment meets at most 2 desk bins; at 10 it meets
-    up to 9, so the segment maxima are checked over longer runs of bins."""
+    up to 9, so the segment maxima are checked over longer runs of bins.
+    Besides DELTAS, every Delta of the grid of ``deconv2d certify
+    --delta-min 4.0 --delta-max 6.0`` (the benchmark's sweep) is checked."""
     envs = desk_envelopes(k1)
     table = EnvelopeSet(envs)
     segment_cells = 0
-    for delta in DELTAS:
+    for delta in sorted({*DELTAS, *np.arange(4.0, 6.0 + 1e-12, 0.05)}):
         nb = block_norm_bounds(delta, table)
         assert repr(nb) == repr(oracle_block_norm_bounds(delta, envs))
         rep = schur_bounds(nb)
@@ -184,7 +186,8 @@ def test_certifier_sums_match_per_kind_oracle(k1):
             for f in ("edges", "q_ub", "q_lb", "grad_ub", "eig_ub"):
                 assert (getattr(got, f).tobytes()
                         == getattr(want, f).tobytes()), (delta, n, f)
-    assert segment_cells >= 4
+    # every cell but the few outside the Schur chain or coefficient budget
+    assert segment_cells == {1: 46, 5: 46, 9: 45, 13: 41}[k1]
 
 
 def _envelope(**kw):

@@ -307,6 +307,10 @@ def test_cli_exit_codes(tmp_path):
       "--zeta-bands", "5", "--resolution", "7"], "--resolution"),
     (["svd", "--dprime", "nan", "--zeta", "0.5"], "--dprime"),
     (["svd", "--dprime", "2.0", "inf", "--zeta", "0.5"], "--dprime"),
+    (["certify", "--delta-min", "nan", "--delta-max", "5.0",
+      "--zeta-bands", "5"], "--delta-min"),
+    (["certify", "--delta-min", "5.0", "--delta-max", "inf",
+      "--zeta-bands", "5"], "--delta-max"),
 ])
 def test_cli_rejects_nonpositive_counts_and_spacings(tmp_path, capsys, argv,
                                                       flag):
