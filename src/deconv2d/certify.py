@@ -106,12 +106,11 @@ def qtri_segment_bounds(delta: float, n_segments: int, table: EnvelopeSet,
     # rows in bound order (Q, grad Q . t_hat, eig), so each Lemma Qtri term
     # is formed once for all three bounds: on the per-bin tables, then read
     # at the bins of d_u or a (elementwise the arithmetic of reading each
-    # kind first).  np.take(axis=1) gathers each row contiguously (x[:, near]
-    # does not), so the sum over the last axis adds a row in the pairwise
-    # order of its 1-D sum: a segment's bounds do not depend on how many
-    # segments are evaluated together.
+    # kind first).  The neighbour sums go through ``EnvelopeSet.sums``, so a
+    # segment's bounds do not depend on how many segments are evaluated
+    # together.
     T = table.tables
-    near, at, bt = table.bins(d_u), table.bins(a), table.bins(b)
+    at, bt = table.bins(a), table.bins(b)
     # the bins meeting segment i are span[:, i]: at[i]..bt[i], shorter runs
     # repeating bt[i]
     span = np.minimum(at + np.arange(int(np.max(bt - at)) + 1)[:, None], bt)
@@ -120,8 +119,7 @@ def qtri_segment_bounds(delta: float, n_segments: int, table: EnvelopeSet,
                                 + T[p + "_dy"] * T[p + "_dy"]), T[p + "_eig"]))
         for p in ("bump", "wave1", "wave2"))
 
-    neighbor = np.sum(np.take(al * bump + be * wave1 + ga * wave2, near,
-                              axis=1), axis=2)
+    neighbor = table.sums(al * bump + be * wave1 + ga * wave2, d_u)
     wave_self = np.take(be * wave1 + ga * wave2, at, axis=1)
     # omega and eta: the bump's largest slope and eig over each segment
     peak = np.max(np.take(np.array((T["bump_slope"], T["bump_eig_max"])),
@@ -201,13 +199,12 @@ def far_field_check(schur: SchurReport, nb: NormBounds) -> bool:
 
 
 class CertifyConfig:
-    """Everything certify_cell needs besides (delta, k1): the segment count
-    and one ``EnvelopeSet`` per band of ``{k1: {kind: StepEnvelope}}``."""
+    """Everything certify_cell needs besides (delta, k1): one
+    ``EnvelopeSet`` per band of ``{k1: {kind: StepEnvelope}}``."""
 
-    def __init__(self, envelopes_by_k1: dict, n_segments: int = N_SEGMENTS):
+    def __init__(self, envelopes_by_k1: dict):
         self.tables = {k1: EnvelopeSet(envs)
                        for k1, envs in envelopes_by_k1.items()}
-        self.n_segments = n_segments
 
 
 def certify_cell(delta: float, k1: int, config: CertifyConfig) -> CertificateReport:
@@ -227,7 +224,7 @@ def certify_cell(delta: float, k1: int, config: CertifyConfig) -> CertificateRep
     if not ff:
         return fail("far_field")
 
-    segments = qtri_segment_bounds(delta, config.n_segments, table, rep)
+    segments = qtri_segment_bounds(delta, N_SEGMENTS, table, rep)
     u1, u2 = find_u1_u2(segments)
     if u1 is None:
         return fail(u2, segments, ff=True)

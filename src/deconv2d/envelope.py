@@ -209,6 +209,15 @@ class EnvelopeSet:
         search that allocates only the result."""
         return np.searchsorted(self.breakpoints[1:], r, side="left")
 
+    def sums(self, stack: np.ndarray, r) -> np.ndarray:
+        """Each row of ``stack``, (rows, m + 1) tables formed from
+        ``tables``, read at the bins of ``r`` and summed over the last axis
+        of ``r``.  np.take(axis=1) gathers each row contiguously (x[:, bins]
+        does not), so the last-axis sum adds each row in the pairwise order
+        of its 1-D sum: the bits of one sum do not depend on how many others
+        are formed with it."""
+        return np.sum(np.take(stack, self.bins(r), axis=1), axis=-1)
+
 
 # ---------------------------------------------------------------------------
 # t-cell grid (shared by all kinds and u-cells at one resolution)
@@ -619,9 +628,13 @@ def save_envelope_set(dirpath: str, envs: dict) -> str:
 def load_envelope_set(dirpath: str, k1: int) -> dict:
     """All fourteen envelopes of band ``k1`` saved by ``save_envelope_set``.
 
-    A file that is not a readable npz, holds another band, lacks a kind or
-    has values that do not fill its bins, or another schema version, raises
-    ``FormatError``.
+    Anything but what the builder writes raises ``FormatError`` naming the
+    file and the field: a file that is not a readable npz, another schema
+    version or band, a missing kind, header fields that are not integers
+    ``EnvelopeGridSpec`` accepts, breakpoints that do not rise strictly
+    from 0.0 to 10.0, values that do not fill the bins or are not finite
+    floats, monotone kinds below ``FLOOR`` or increasing, and tails that
+    are not finite floats > 0.  The certifier trusts every bin it reads.
     """
     path = _cache_path(dirpath, k1)
     try:
@@ -630,28 +643,50 @@ def load_envelope_set(dirpath: str, k1: int) -> dict:
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: not an envelope cache ({exc})") from exc
 
-    def field(key):
+    def field(key, ndim, kinds):
+        """Field ``key``: an array of ``ndim`` dimensions whose dtype kind
+        is in ``kinds``, all finite."""
         if key not in data:
             raise FormatError(f"{path}: no {key!r}")
-        return data[key]
+        v = data[key]
+        if (v.ndim != ndim or v.dtype.kind not in kinds
+                or not np.all(np.isfinite(v))):
+            what = "integers" if kinds == "iu" else "floats"
+            raise FormatError(f"{path}: {key} is not {ndim}-D finite {what} "
+                              f"({v.dtype}, shape {v.shape})")
+        return v
 
-    version = field("version")
-    if version.item() != CACHE_VERSION:
-        raise FormatError(f"{path}: version {version.item()!r}, "
+    version = int(field("version", 0, "iu"))
+    if version != CACHE_VERSION:
+        raise FormatError(f"{path}: version {version!r}, "
                           f"expected {CACHE_VERSION}")
-    stored_k1 = int(field("k1"))
+    stored_k1 = int(field("k1", 0, "iu"))
     if stored_k1 != k1:
         raise FormatError(f"{path}: holds band {stored_k1}, expected {k1}")
-    breakpoints = field("breakpoints")
-    tres, ures = int(field("tres")), int(field("ures"))
+    tres, ures = int(field("tres", 0, "iu")), int(field("ures", 0, "iu"))
+    try:
+        EnvelopeGridSpec(k1, tres, ures)
+    except ValueError as exc:
+        raise FormatError(f"{path}: tres {tres}, ures {ures}: {exc}") from None
+    breakpoints = field("breakpoints", 1, "f")
+    if not (len(breakpoints) > 1 and breakpoints[0] == 0.0
+            and breakpoints[-1] == 10.0 and np.all(np.diff(breakpoints) > 0)):
+        raise FormatError(f"{path}: breakpoints do not rise strictly from "
+                          f"0.0 to 10.0")
     out = {}
     for kind, (_, _, monotone) in KIND_INFO.items():
-        values = field(f"{kind}.values")
+        values = field(f"{kind}.values", 1, "f")
         if values.shape != (len(breakpoints) - 1,):
             raise FormatError(f"{path}: {kind} has {values.shape} values "
                               f"for {len(breakpoints)} breakpoints")
+        if monotone and not (np.all(values >= FLOOR)
+                             and np.all(np.diff(values) <= 0)):
+            raise FormatError(f"{path}: {kind}.values are not >= {FLOOR} "
+                              f"and non-increasing")
+        tail = float(field(f"{kind}.tail", 0, "f"))
+        if not tail > 0:
+            raise FormatError(f"{path}: {kind}.tail {tail!r} is not > 0")
         out[kind] = StepEnvelope(kind=kind, monotone=monotone,
                                  breakpoints=breakpoints, values=values,
-                                 tail=float(field(f"{kind}.tail")), k1=k1,
-                                 tres=tres, ures=ures)
+                                 tail=tail, k1=k1, tres=tres, ures=ures)
     return out

@@ -129,8 +129,14 @@ def parse_config(path: str) -> dict:
 
 def _certify_config(k1_set, resolution: int, cache: str | None) -> CertifyConfig:
     if cache:
-        return CertifyConfig({k1: load_envelope_set(cache, k1)
-                              for k1 in k1_set})
+        config = CertifyConfig({k1: load_envelope_set(cache, k1)
+                                for k1 in k1_set})
+        for k1, table in config.tables.items():
+            if (table.tres, table.ures) != (resolution, resolution):
+                raise ValueError(
+                    f"{cache}: band {k1} was built at tres {table.tres}, "
+                    f"ures {table.ures}, not at --resolution {resolution}")
+        return config
     return CertifyConfig({k1: build_envelopes(
         EnvelopeGridSpec(k1=k1, tres=resolution, ures=resolution))
         for k1 in k1_set})
@@ -293,9 +299,15 @@ def cli_main(argv) -> int:
     # the file's values become the flags' defaults: argparse converts them
     # with each flag's type, explicit flags override them, and a required
     # flag stays required
-    for sp in commands.values():
-        flags = {a.dest for a in sp._actions if a.option_strings}
-        sp.set_defaults(**{k: v for k, v in config.items() if k in flags})
+    flags = {sp: {a.dest for a in sp._actions if a.option_strings}
+             for sp in commands.values()}
+    unknown = config.keys() - set().union(*flags.values())
+    if unknown:
+        print(f"error: bad config file: {path}: no flag of any command is "
+              f"named {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 1
+    for sp, names in flags.items():
+        sp.set_defaults(**{k: v for k, v in config.items() if k in names})
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -34,18 +34,11 @@ class SingularSystem(ValueError):
     """Numeric block system is singular (spikes too close or degenerate)."""
 
 
-# block name -> (envelope kind, whether the wave epsilon applies)
-_BLOCK_ENVELOPES = {
-    "i_minus_b": ("bump", False),
-    "b_x": ("bump_dx", False),
-    "b_y": ("bump_dy", False),
-    "w1": ("wave1", True),
-    "w2": ("wave2", True),
-    "i_minus_w1x": ("wave1_dx", True),
-    "w2x": ("wave2_dx", True),
-    "w1y": ("wave1_dy", True),
-    "i_minus_w2y": ("wave2_dy", True),
-}
+# the envelope kind of each block, in NormBounds field order, and the
+# far-tail constant its sum holds
+_BLOCK_KINDS = ("bump", "bump_dx", "bump_dy", "wave1", "wave2", "wave1_dx",
+                "wave2_dx", "wave1_dy", "wave2_dy")
+_BLOCK_EPS = (EPS_B,) * 3 + (EPS_W,) * 6
 
 
 @dataclass(frozen=True)
@@ -96,12 +89,9 @@ def block_norm_bounds(delta: float, table: EnvelopeSet) -> NormBounds:
     """
     if delta < 2.0:
         raise OutOfValidatedRange(f"delta {delta} < 2")
-    cells = table.bins(cell_distances(delta))
-    vals = {}
-    for name, (kind, is_wave) in _BLOCK_ENVELOPES.items():
-        s = float(np.sum(table.tables[kind][cells]))
-        vals[name] = s + (EPS_W if is_wave else EPS_B)
-    return NormBounds(**vals)
+    stack = np.array([table.tables[kind] for kind in _BLOCK_KINDS])
+    sums = table.sums(stack, cell_distances(delta))
+    return NormBounds(*(sums + _BLOCK_EPS).tolist())
 
 
 def schur_bounds(nb: NormBounds) -> SchurReport:

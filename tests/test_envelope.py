@@ -396,7 +396,7 @@ def test_tail_chain_direct_summation():
 
 def test_cache_round_trip(tmp_path):
     """All 14 kinds of bands 1/5/9/13 come back bit for bit, with band and
-    resolutions."""
+    resolutions, and the builder's fresh files load."""
     for k1 in BANDS:
         envs = desk_envelopes(k1)
         path = save_envelope_set(str(tmp_path), envs)
@@ -412,6 +412,11 @@ def test_cache_round_trip(tmp_path):
             assert (np.float64(b.tail).tobytes()
                     == np.float64(e.tail).tobytes()), (k1, kind)
             assert (b.k1, b.tres, b.ures) == (k1, 10, 10), (k1, kind)
+    # fresh builds at another resolution, the widest band included
+    for k1 in (1, 16):
+        save_envelope_set(str(tmp_path), build_envelopes(
+            EnvelopeGridSpec(k1, tres=2, ures=2)))
+        assert set(load_envelope_set(str(tmp_path), k1)) == set(ALL_KINDS)
 
 
 def test_cache_errors(tmp_path):
@@ -436,6 +441,56 @@ def test_cache_errors(tmp_path):
         pathlib.Path(path).write_bytes(data[:size])
         with pytest.raises(FormatError):
             load_envelope_set(str(tmp_path), 5)
+
+
+def _swapped(a, i, j):
+    a = a.copy()
+    a[[i, j]] = a[[j, i]]
+    return a
+
+
+def _nan_at(a, i):
+    a = a.copy()
+    a[i] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("match, change", [
+    # header fields: 0-d integers that EnvelopeGridSpec accepts
+    ("k1 is not 0-D", lambda f: {"k1": np.array([5])}),
+    ("version is not 0-D", lambda f: {"version": 2.0}),
+    ("tres 0", lambda f: {"tres": 0}),
+    ("ures 3", lambda f: {"ures": 3}),
+    # breakpoints: 1-D, strictly increasing, from 0.0 to 10.0
+    ("breakpoints is not 1-D", lambda f: {"breakpoints": f["breakpoints"][None]}),
+    ("breakpoints do not rise", lambda f: {"breakpoints": f["breakpoints"][::-1]}),
+    ("breakpoints do not rise",
+     lambda f: {"breakpoints": _swapped(f["breakpoints"], 3, 4)}),
+    ("breakpoints do not rise",
+     lambda f: {"breakpoints": f["breakpoints"] / 2}),
+    # every value finite (here a signed kind, which carries no floor)
+    ("bump_slope.values is not 1-D finite",
+     lambda f: {"bump_slope.values": _nan_at(f["bump_slope.values"], 7)}),
+    # monotone kinds: >= FLOOR and non-increasing
+    ("bump.values are not", lambda f: {"bump.values": -f["bump.values"]}),
+    ("wave1_dx.values are not",
+     lambda f: {"wave1_dx.values": f["wave1_dx.values"][::-1]}),
+    # tails: finite and > 0
+    ("wave2.tail 0.0 is not > 0", lambda f: {"wave2.tail": 0.0}),
+    ("wave2.tail is not 0-D", lambda f: {"wave2.tail": np.inf}),
+    ("wave2.tail is not 0-D", lambda f: {"wave2.tail": f["wave2.values"]}),
+])
+def test_cache_refuses_what_the_builder_never_writes(tmp_path, match, change):
+    """Each load rule refuses a file that breaks it alone, naming the file
+    and the field (the builder's own files meet every rule:
+    ``test_cache_round_trip``)."""
+    path = save_envelope_set(str(tmp_path), desk_envelopes(5))
+    with np.load(path, allow_pickle=False) as npz:
+        fields = {key: npz[key] for key in npz.files}
+    np.savez(path, **{**fields, **change(fields)})
+    with pytest.raises(FormatError, match=match) as exc:
+        load_envelope_set(str(tmp_path), 5)
+    assert str(exc.value).startswith(path)
 
 
 def test_cache_set_refuses_another_band_or_kind(tmp_path):

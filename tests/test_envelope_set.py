@@ -26,12 +26,7 @@ from deconv2d.envelope import (
     StepEnvelope,
 )
 from deconv2d.hexgeom import cell_distances, segment_distances
-from deconv2d.schur import (
-    _BLOCK_ENVELOPES,
-    NormBounds,
-    block_norm_bounds,
-    schur_bounds,
-)
+from deconv2d.schur import NormBounds, block_norm_bounds, schur_bounds
 
 BANDS = (1, 5, 9, 13)   # the bands of the desk reference
 DELTAS = (4.0, 4.65, 5.0, 5.5, 5.749999999999994, 6.0, 7.3)
@@ -99,10 +94,25 @@ def oracle_segment_bounds(delta, n, envs, schur):
     return SegmentBounds(edges, q_ub, q_lb, grad_ub, eig_ub)
 
 
+#: block -> (envelope kind, whether the wave epsilon applies), written out
+#: here so that a wrong block-to-kind mapping in ``schur`` fails the oracle
+ORACLE_BLOCKS = {
+    "i_minus_b": ("bump", False),
+    "b_x": ("bump_dx", False),
+    "b_y": ("bump_dy", False),
+    "w1": ("wave1", True),
+    "w2": ("wave2", True),
+    "i_minus_w1x": ("wave1_dx", True),
+    "w2x": ("wave2_dx", True),
+    "w1y": ("wave1_dy", True),
+    "i_minus_w2y": ("wave2_dy", True),
+}
+
+
 def oracle_block_norm_bounds(delta, envs):
     dists = cell_distances(delta)
     vals = {}
-    for name, (kind, is_wave) in _BLOCK_ENVELOPES.items():
+    for name, (kind, is_wave) in ORACLE_BLOCKS.items():
         s = float(np.sum(oracle_query(envs[kind], dists)))
         vals[name] = s + (EPS_W if is_wave else EPS_B)
     return NormBounds(**vals)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import desk_envelopes, phase_reference
@@ -202,6 +203,41 @@ def test_cli_certify_refuses_v1_cache(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_certify_refuses_a_broken_cache(tmp_path, capsys):
+    """A band-5 cache whose nine block kinds hold negated values certified
+    Delta = 3.0, 3.5 and 4.0 before the loader checked its values (the real
+    cache fails them); now it is a computation error naming the field."""
+    path = save_envelope_set(str(tmp_path), desk_envelopes(5))
+    with np.load(path, allow_pickle=False) as npz:
+        fields = {key: npz[key] for key in npz.files}
+    for kind in ("bump", "bump_dx", "bump_dy", "wave1", "wave2", "wave1_dx",
+                 "wave2_dx", "wave1_dy", "wave2_dy"):
+        fields[f"{kind}.values"] = -fields[f"{kind}.values"]
+    np.savez(path, **fields)
+    out = tmp_path / "c.csv"
+    rc = cli_main(["certify", "--delta-min", "3.0", "--delta-max", "4.0",
+                   "--delta-step", "0.5", "--zeta-bands", "5",
+                   "--envelope-cache", str(tmp_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "k05.npz: bump.values" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_certify_resolution_must_match_the_cache(tmp_path, capsys):
+    """A desk cache is not read as a paper-resolution one: the command is a
+    computation error that names both resolutions, and writes nothing."""
+    save_envelope_set(str(tmp_path), desk_envelopes(5))
+    out = tmp_path / "c.csv"
+    rc = cli_main(["certify", "--delta-min", "5.5", "--delta-max", "5.5",
+                   "--zeta-bands", "5", "--resolution", "paper",
+                   "--envelope-cache", str(tmp_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "tres 10, ures 10" in err and "--resolution 40" in err
+    assert not out.exists()
+
+
 def test_cli_svd_and_demo(tmp_path):
     """A lattice spacing of 0 (coincident spikes) is a valid input."""
     out = tmp_path / "s.csv"
@@ -355,6 +391,27 @@ def test_cli_config_precedence(tmp_path):
     bad.write_text("broken line\n")
     assert cli_main(["--config", str(bad), "recover", "--delta", "2",
                      "--zeta", "0.5", "--out", str(out)]) == 1
+
+
+def test_cli_config_refuses_unknown_keys(tmp_path, capsys):
+    """A key that names no flag of any command (a misspelt ``delta_step``)
+    is a bad config file, not a silently kept default; a key of another
+    command's flag stays allowed."""
+    save_envelope_set(str(tmp_path), desk_envelopes(5))
+    cfg = tmp_path / "cfg"
+    out = tmp_path / "c.csv"
+    certify = ["--config", str(cfg), "certify", "--delta-min", "5.4",
+               "--delta-max", "5.6", "--zeta-bands", "5",
+               "--envelope-cache", str(tmp_path), "--out", str(out)]
+    cfg.write_text("delta_stp = 0.5\n")
+    assert cli_main(certify) == 1
+    err = capsys.readouterr().err
+    assert "bad config file" in err and "delta_stp" in err
+    assert not out.exists()
+    cfg.write_text("trials = 3\ndelta_step = 0.1\n")
+    assert cli_main(certify) == 0
+    with open(out, newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 3
 
 
 def test_cli_config_cannot_supply_required_flags(tmp_path, capsys):
