@@ -632,7 +632,8 @@ def load_envelope_set(dirpath: str, k1: int) -> dict:
     file and the field: a file that is not a readable npz, another schema
     version or band, a missing kind, header fields that are not integers
     ``EnvelopeGridSpec`` accepts, breakpoints that do not rise strictly
-    from 0.0 to 10.0, values that do not fill the bins or are not finite
+    from 0.0 to 10.0 or are not the builder's ``np.arange(10 * tres + 1) /
+    tres``, values that do not fill the bins or are not finite
     floats, monotone kinds below ``FLOOR`` or increasing, and tails that
     are not finite floats > 0.  The certifier trusts every bin it reads.
     """
@@ -673,6 +674,9 @@ def load_envelope_set(dirpath: str, k1: int) -> dict:
             and breakpoints[-1] == 10.0 and np.all(np.diff(breakpoints) > 0)):
         raise FormatError(f"{path}: breakpoints do not rise strictly from "
                           f"0.0 to 10.0")
+    if not np.array_equal(breakpoints, np.arange(10 * tres + 1) / tres):
+        raise FormatError(f"{path}: breakpoints are not the tres {tres} grid "
+                          f"np.arange(10 * tres + 1) / tres")
     out = {}
     for kind, (_, _, monotone) in KIND_INFO.items():
         values = field(f"{kind}.values", 1, "f")

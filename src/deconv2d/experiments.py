@@ -308,6 +308,15 @@ def cli_main(argv) -> int:
         return 1
     for sp, names in flags.items():
         sp.set_defaults(**{k: v for k, v in config.items() if k in names})
+        # argparse converts a string default but never checks its choices
+        for a in sp._actions:
+            if a.dest in config and a.choices is not None:
+                try:
+                    sp._check_value(a, sp._get_value(a, config[a.dest]))
+                except argparse.ArgumentError as exc:
+                    print(f"error: bad config file: {path}: {exc}",
+                          file=sys.stderr)
+                    return 1
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

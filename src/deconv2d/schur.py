@@ -10,7 +10,8 @@ matching radial envelope over the hexagonal partition.
 
 A numeric (floating-point LU) construction of the same certificate is also
 provided; it is not part of the rigorous chain but serves as a cross-check
-and produces the contour-plot style evaluator used by the demos.
+and produces the contour-plot style evaluator used by the demos.  Its LU
+comes from ``scipy.linalg``, imported there, so the bound chain loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-# Not imported lazily: loading scipy.linalg raises glibc's mmap/trim
-# thresholds; without it each certify_cell trims and regrows the heap (about
-# 500 000 vs 13 000 minor faults per 10-s certify_sweep run; ROADMAP, Small).
-from scipy.linalg import LinAlgWarning, block_diag, lu_factor, lu_solve
 
 from .bumpwave import bw_coefficients, gaussians, nearest_samples
 from .envelope import EPS_B, EPS_W, EnvelopeSet, OutOfValidatedRange
@@ -151,6 +148,8 @@ def numeric_certificate(T, tau, zeta: float, origin=(0.0, 0.0)) -> NumericCertif
     Q(t_i) = tau_i and grad Q(t_i) = 0.  Not rigorous: this is the
     cross-check construction, not the certified bound chain.
     """
+    from scipy.linalg import LinAlgWarning, block_diag, lu_factor, lu_solve
+
     T = np.asarray(T, dtype=float)
     tau = np.asarray(tau, dtype=float)
     n = len(T)

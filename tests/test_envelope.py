@@ -449,6 +449,12 @@ def _swapped(a, i, j):
     return a
 
 
+def _nudged(a, i):
+    a = a.copy()
+    a[i] = np.nextafter(a[i], np.inf)
+    return a
+
+
 def _nan_at(a, i):
     a = a.copy()
     a[i] = np.nan
@@ -461,13 +467,17 @@ def _nan_at(a, i):
     ("version is not 0-D", lambda f: {"version": 2.0}),
     ("tres 0", lambda f: {"tres": 0}),
     ("ures 3", lambda f: {"ures": 3}),
-    # breakpoints: 1-D, strictly increasing, from 0.0 to 10.0
+    # breakpoints: 1-D, strictly increasing, from 0.0 to 10.0 ...
     ("breakpoints is not 1-D", lambda f: {"breakpoints": f["breakpoints"][None]}),
     ("breakpoints do not rise", lambda f: {"breakpoints": f["breakpoints"][::-1]}),
     ("breakpoints do not rise",
      lambda f: {"breakpoints": _swapped(f["breakpoints"], 3, 4)}),
     ("breakpoints do not rise",
      lambda f: {"breakpoints": f["breakpoints"] / 2}),
+    # ... and are the builder's grid of the stored tres, to the last bit
+    ("breakpoints are not the tres 40 grid", lambda f: {"tres": 40, "ures": 40}),
+    ("breakpoints are not the tres 10 grid",
+     lambda f: {"breakpoints": _nudged(f["breakpoints"], 37)}),
     # every value finite (here a signed kind, which carries no floor)
     ("bump_slope.values is not 1-D finite",
      lambda f: {"bump_slope.values": _nan_at(f["bump_slope.values"], 7)}),

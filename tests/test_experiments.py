@@ -225,9 +225,10 @@ def test_cli_certify_refuses_a_broken_cache(tmp_path, capsys):
 
 
 def test_cli_certify_resolution_must_match_the_cache(tmp_path, capsys):
-    """A desk cache is not read as a paper-resolution one: the command is a
-    computation error that names both resolutions, and writes nothing."""
-    save_envelope_set(str(tmp_path), desk_envelopes(5))
+    """A desk cache is not read as a paper-resolution one, whatever its
+    header says: the command is a computation error that names the
+    mismatch, and writes nothing."""
+    path = save_envelope_set(str(tmp_path), desk_envelopes(5))
     out = tmp_path / "c.csv"
     rc = cli_main(["certify", "--delta-min", "5.5", "--delta-max", "5.5",
                    "--zeta-bands", "5", "--resolution", "paper",
@@ -235,6 +236,17 @@ def test_cli_certify_resolution_must_match_the_cache(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "tres 10, ures 10" in err and "--resolution 40" in err
+    assert not out.exists()
+    # a desk cache whose header claims paper resolution is not read either:
+    # its breakpoints are not the tres 40 grid
+    with np.load(path, allow_pickle=False) as npz:
+        fields = {key: npz[key] for key in npz.files}
+    np.savez(path, **{**fields, "tres": 40, "ures": 40})
+    rc = cli_main(["certify", "--delta-min", "5.5", "--delta-max", "5.5",
+                   "--zeta-bands", "5", "--resolution", "paper",
+                   "--envelope-cache", str(tmp_path), "--out", str(out)])
+    assert rc == 2
+    assert "breakpoints are not the tres 40 grid" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -412,6 +424,24 @@ def test_cli_config_refuses_unknown_keys(tmp_path, capsys):
     assert cli_main(certify) == 0
     with open(out, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 3
+
+
+@pytest.mark.parametrize("line, flag", [("kernel = gausian", "--kernel"),
+                                        ("pattern = full", "--pattern")])
+def test_cli_config_refuses_values_outside_choices(tmp_path, capsys, line,
+                                                   flag):
+    """A config value that the flag's ``choices`` refuse is a bad config
+    file (exit 1), as the same value on the command line is a usage error;
+    argparse converts string defaults but does not check their choices."""
+    cfg = tmp_path / "cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "r.csv"
+    rc = cli_main(["--config", str(cfg), "phase-diagram", "--delta", "2.0",
+                   "--zeta", "0.5", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "bad config file" in err and f"argument {flag}" in err
+    assert not out.exists()
 
 
 def test_cli_config_cannot_supply_required_flags(tmp_path, capsys):

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -239,3 +243,41 @@ def test_norm_and_chain_soundness(nb, envs):
         assert np.max(np.abs(cert.beta)) <= rep.beta_inf
         assert np.max(np.abs(cert.gamma)) <= rep.gamma_inf
         assert np.min(np.abs(cert.alpha)) >= rep.alpha_lb
+
+
+#: run in a fresh interpreter: the proof and solver paths load no scipy, a
+#: numeric certificate loads scipy.linalg and an Airy kernel scipy.special
+_SCIPY_PROBE = """
+import importlib, pkgutil, sys
+import deconv2d
+for m in pkgutil.iter_modules(deconv2d.__path__):
+    importlib.import_module("deconv2d." + m.name)
+from deconv2d.certify import CertifyConfig, certify_cell
+from deconv2d.envelope import EnvelopeGridSpec, build_envelopes
+from deconv2d.kernels import KERNELS, kernel_eval
+from deconv2d.schur import numeric_certificate
+from deconv2d.solver import hex_arrangement, recovery_trial
+
+def scipy_loaded():
+    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+
+config = CertifyConfig({5: build_envelopes(EnvelopeGridSpec(5, tres=2, ures=2))})
+certify_cell(5.5, 5, config)
+recovery_trial(2.0, 0.5, 4, "full_grid", 0)
+assert not scipy_loaded(), scipy_loaded()
+numeric_certificate(hex_arrangement(3, 4.5), [1, -1, 1], 0.5)
+assert "scipy.linalg" in sys.modules, scipy_loaded()
+kernel_eval(KERNELS["airy"], [0.5, 0.0])
+assert "scipy.special" in sys.modules, scipy_loaded()
+"""
+
+
+def test_scipy_is_loaded_only_where_it_is_used():
+    """Importing the package and running the certifier and a Gaussian trial
+    load no scipy; only a numeric certificate and the Airy kernel do.  A
+    subprocess, because other test modules import scipy themselves."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
