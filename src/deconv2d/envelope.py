@@ -22,23 +22,25 @@ ops of ``deconv2d.interval``.  One sweep covers the extended u-box
 box [0, zeta/2]^2 (a quarter of them) evaluate every kind; the others only
 the extended-box kinds.  The closed-form coefficient and sample expressions are
 evaluated for all u-cells of the box in one batched pass.  Then, per u-cell,
-the t-grid is swept in chunks of whole x-rows.  The grid is the
-product of its x- and y-intervals, so a chunk holds its x-intervals as a
-column and the y-intervals as a row: the differences s - t and their squares
-are formed once per row and per column and broadcast to the cells only at
-|s - t|^2, and the interval |t| of every cell is computed once with the grid.
-Each cell still sees the same float operations on the same operands, so the
-bits are those of a cell-by-cell evaluation.  Each sample's products with its
-Gaussian (E, dx E, dy E, m E, g E) are formed once and shared by every kind
-that reads them (so in the normal box ``wave1_eig`` reads the sample arrays
-and m E that ``bump_eig`` forms), and each kind's coefficient sum is
-max-reduced into radial bins.  The u-cells are split by a stride, the
-costlier normal-box ones first, into a few tasks per forked worker process,
-one worker per CPU this process may use; each task evaluates the
-coefficients of the whole box and sweeps its share, a worker takes the next
-task when it is done, and the parent merges the tasks' bins by an
-elementwise max.  A max is exact and does not depend on order, so the
-bits do not depend on the number of workers or tasks.
+the t-cells that meet the disc r <= 10 (beyond it the tail bounds every
+kind) are swept in row-major chunks of ``_CHUNK_CELLS`` cells.  The grid is
+the product of its x- and y-intervals, so the differences s - t, their
+squares and the products s t of the slope are formed once on the tables of
+x- and y-intervals and gathered to the cells, and the interval |t| of every
+cell is computed once with the grid.  Each cell still sees the same float
+operations on the same operands, so the bits are those of a cell-by-cell
+evaluation.  The eig_abs kinds, whose factors are >= 0, form only upper
+endpoints, and skip E's lower end where no other kind reads it.  Each
+sample's products with its Gaussian (E, dx E, dy E, m E, g E) are formed
+once and shared by every kind that reads them (so in the normal box
+``wave1_eig`` reads the sample arrays and m E that ``bump_eig`` forms), and
+each kind's coefficient sum is max-reduced into radial bins.  The u-cells
+are split by a stride, the costlier normal-box ones first, into a few tasks
+per forked worker process, one worker per CPU this process may use; each
+task evaluates the coefficients of the whole box and sweeps its share, a
+worker takes the next task when it is done, and the parent merges the tasks'
+bins by an elementwise max.  A max is exact and does not depend on order, so
+the bits do not depend on the number of workers or tasks.
 
 Only ten kinds are evaluated; the four W2 kinds are the W1 kinds mirrored.
 Let M swap x and y.  M maps the samples s1, s3 of offset u onto the samples
@@ -70,8 +72,10 @@ import numpy as np
 
 from .interval import (
     exp_outward,
+    exp_up,
     next_down,
     next_up,
+    up,
     v_abs,
     v_add,
     v_div,
@@ -89,13 +93,13 @@ FLOOR = 2e-9
 #: (tres = ures = 40) needs 500 * 40**4 = 1.28e9 cells; 46 and above are
 #: refused.
 MAX_CELLS = 2 * 10**9
-#: t-cells per kernel pass, rounded down to whole x-rows of 20 * tres cells
-#: (at least one row); the desk grid of 200 x 200 cells is one pass.  Fewer,
-#: larger passes save numpy's per-call overhead until the working arrays
-#: outgrow the cache.  Median two-worker desk build (ures = 10) on a 2-vCPU
-#: Xeon with 2 MB of L2 per core, at 8 192 / 16 384 / 24 000 / 40 000 cells:
-#: 0.84 / 0.79 / 0.74 / 0.71 s at tres = 10; at tres = 20, 3.18 s at 8 192,
-#: 2.51 s at both 24 000 and 40 000, and 2.79 s at 80 000.
+#: t-cells per kernel pass; the desk grid's 31 812 cells inside the disc are
+#: one pass.  Fewer, larger passes save numpy's per-call overhead until the
+#: working arrays outgrow the cache.  Median of 5 two-worker band-1 builds
+#: (ures = 10) on a 2-vCPU Xeon with 2 MB of L2 per core, at 8 192 /
+#: 16 384 / 24 000 / 40 000 / 80 000 cells: 0.36 / 0.31 / 0.34 / 0.34 /
+#: 0.33 s at tres = 10, 1.39 / 1.15 / 1.10 / 1.15 / 1.23 s at tres = 20
+#: and 5.39 / 4.53 / 4.42 / 4.04 / 4.36 s at tres = 40.
 _CHUNK_CELLS = 40000
 
 #: all fourteen envelope kinds; (base, expr, monotone)
@@ -224,16 +228,19 @@ class EnvelopeSet:
 
 @dataclass(frozen=True)
 class _TCells:
-    """A run of whole x-rows of the t-grid and the bins each cell feeds.
+    """A run of t-cells and the bins each cell feeds.
 
-    ``tx`` is the (rows, 1) column of the rows' x-intervals and ``ty`` the
-    (1, n) row of the y-intervals, so interval ops on them broadcast to the
-    (rows, n) cells; ``tn`` is the interval |t| of every cell.  ``bmax_idx``
-    and ``span_bins`` index the cells flattened in row-major order.
+    ``tx`` and ``ty`` are the tables of the grid's x- and y-intervals, and
+    cell i is the rectangle ``tx[row[i]]`` x ``ty[col[i]]``: interval work on
+    one coordinate is done on a table and gathered to the cells by
+    ``_pick``.  ``tn`` is the interval |t| of every cell.  ``bmax_idx`` and
+    ``span_bins`` index the cells in their order.
     """
 
     tx: tuple
     ty: tuple
+    row: np.ndarray
+    col: np.ndarray
     tn: tuple
     bmax_idx: np.ndarray
     #: non-monotone kinds: (cells whose span reaches offset o, their bin
@@ -243,8 +250,11 @@ class _TCells:
 
 @functools.cache
 def _t_chunks(tres: int, size: int) -> tuple[_TCells, ...]:
-    """The t-grid at ``tres`` cells per unit on [-10, 10]^2, cut into runs
-    of ``max(1, size // n)`` whole x-rows of n = 20 tres cells."""
+    """The t-cells of the grid at ``tres`` cells per unit on [-10, 10]^2
+    that meet the disc r <= 10 (rmin <= 10: a non-empty span of signed bins),
+    in row-major order, cut into runs of ``size`` cells.  The others, about
+    20.5 % at every tres, would feed only the last monotone bin: beyond
+    r = 10 the tail bounds every kind, and ``_tail_value`` <= ``FLOOR``."""
     n = 20 * tres
     edges = -10.0 + np.arange(n + 1) / tres
     lo, hi = edges[:-1], edges[1:]
@@ -260,23 +270,23 @@ def _t_chunks(tres: int, size: int) -> tuple[_TCells, ...]:
     # monotone kinds: cell feeds bins 1..floor(rmax/delta)+1
     bmax_idx = np.minimum(np.floor(rmax * tres).astype(int), 10 * tres - 1)
     # non-monotone kinds: bins whose annulus meets [rmin, rmax], from
-    # blo_idx to bmax_idx; cells entirely beyond radius 10 get an empty
-    # (negative) span
+    # blo_idx to bmax_idx; empty (negative) for cells beyond radius 10
     blo_idx = np.maximum(np.ceil(rmin * tres - 1e-9).astype(int) - 1, 0)
-    ty = (lo[None, :], hi[None, :])
-    rows = max(1, size // n)
+    keep = np.flatnonzero(blo_idx <= bmax_idx)
+    t = (lo, hi)
+    tsq = v_sqr(t)
     out = []
-    for start in range(0, n, rows):
-        sl = slice(start * n, (start + rows) * n)
-        blo = blo_idx[sl]
-        span = bmax_idx[sl] - blo
+    for start in range(0, len(keep), size):
+        cell = keep[start:start + size]
+        row, col = np.divmod(cell, n)
+        blo, bmax = blo_idx[cell], bmax_idx[cell]
+        span = bmax - blo
         reach = [span >= off for off in range(int(np.max(span)) + 1)]
         span_bins = tuple((mask, blo[mask] + off)
                           for off, mask in enumerate(reach))
-        tx = (lo[start:start + rows, None], hi[start:start + rows, None])
-        tn = v_sqrt(v_add(v_sqr(tx), v_sqr(ty)))
-        out.append(_TCells(tx=tx, ty=ty, tn=tn, bmax_idx=bmax_idx[sl],
-                           span_bins=span_bins))
+        tn = v_sqrt(v_add(_pick(tsq, row), _pick(tsq, col)))
+        out.append(_TCells(tx=t, ty=t, row=row, col=col, tn=tn,
+                           bmax_idx=bmax, span_bins=span_bins))
     return tuple(out)
 
 
@@ -321,46 +331,52 @@ def _u_cells(zlo: float, zhi: float, j, k, ures: int):
     return coeffs, samples
 
 
-def _pick(iv, u: int):
-    """Element ``u`` of an interval array (None stays None)."""
-    return None if iv is None else (iv[0][u], iv[1][u])
+def _pick(iv, idx):
+    """Element(s) ``idx`` of an interval array (None stays None): one
+    u-cell's scalar interval, or a table gathered to t-cells."""
+    return None if iv is None else (np.take(iv[0], idx), np.take(iv[1], idx))
 
 
 # ---------------------------------------------------------------------------
 # per-cell kind evaluation
 
-def _sample_arrays(sample, cells):
-    """dx, dy, n2 = |s - t|^2 and E = exp(-n2/2) of one sample s over the
-    t-cells ``cells``."""
+def _sample_arrays(sample, cells, lower):
+    """dx and dy = s - t of one sample s on the x- and y-interval tables of
+    the t-cells ``cells``, and on the cells n2 = |s - t|^2 and
+    E = exp(-n2/2); without ``lower``, E is (None, its upper endpoint)."""
     sx, sy = sample
-    dx = v_sub(sx, cells.tx)
-    dy = v_sub(sy, cells.ty)
-    n2 = v_add(v_sqr(dx), v_sqr(dy))
-    return dx, dy, n2, v_exp_neg_half(n2)
+    dx, dy = v_sub(sx, cells.tx), v_sub(sy, cells.ty)
+    n2 = v_add(_pick(v_sqr(dx), cells.row), _pick(v_sqr(dy), cells.col))
+    E = v_exp_neg_half(n2) if lower else (None, exp_up(-0.5 * n2[0]))
+    return dx, dy, n2, E
 
 
 def _shape(expr, sample, snorm, arrays, cells):
     """E times the factor that ``expr`` reads: 1, dx, dy, m = n2 - 1
     (clamped at 1 for eig_abs) or the radial slope g.  ``snorm`` bounds
-    |s| above."""
+    |s| above.  For eig_abs, whose factors are >= 0, the upper endpoint
+    alone is formed and returned, as one array."""
     dx, dy, n2, E = arrays
     if expr == "val":
         return E
+    if expr == "eig_abs":
+        m = up(n2[1] - 1.0)
+        np.maximum(m, 1.0, out=m)
+        m *= E[1]
+        return up(m)
     if expr == "dx":
-        factor = dx
+        factor = _pick(dx, cells.row)
     elif expr == "dy":
-        factor = dy
-    elif expr in ("eig_abs", "eig_max"):
+        factor = _pick(dy, cells.col)
+    elif expr == "eig_max":
         factor = v_sub(n2, (1.0, 1.0))
-        if expr == "eig_abs":
-            for end in factor:
-                np.maximum(end, 1.0, out=end)
     elif expr == "slope":
         # (s . t)/|t| - |t|, with a robust fallback when the t-cell
         # touches the origin (the ratio is then only bounded by |s|)
         sx, sy = sample
         tn = cells.tn
-        dot = v_add(v_mul(sx, cells.tx), v_mul(sy, cells.ty))
+        dot = v_add(_pick(v_mul(sx, cells.tx), cells.row),
+                    _pick(v_mul(sy, cells.ty), cells.col))
         safe = tn[0] > 0.0
         ratio = v_div(dot, (np.where(safe, tn[0], 1.0), tn[1]))
         ratio = (np.where(safe, ratio[0], -snorm),
@@ -373,19 +389,30 @@ def _shape(expr, sample, snorm, arrays, cells):
 
 def _kind_values(expr, coeffs, shapes) -> np.ndarray:
     """Per-t-cell envelope contribution of one kind: the sum of coefficient
-    times shape over the samples with a nonzero coefficient."""
+    times shape over the samples with a nonzero coefficient.  For eig_abs
+    every shape and coefficient (|c|) is >= 0, so max(|lo|, |hi|) of the
+    sum is its upper endpoint, and only upper endpoints are formed."""
     f = None
     for c, shape in zip(coeffs, shapes):
         if c is None:
             continue
-        # c is one u-cell's scalar interval: a known sign halves the products
-        if c[0] >= 0:
+        if expr == "eig_abs":
+            term = up(shape * c[1])
+            f = term if f is None else up(np.add(f, term, out=f))
+            continue
+        # c is one u-cell's scalar interval: a known sign halves the
+        # products, and for a shape E >= 0 c's signs pick them
+        if expr == "val":
+            term = v_mul_nonneg(c, shape)
+        elif c[0] >= 0:
             term = v_mul_nonneg(shape, c)
         elif c[1] <= 0:
             term = v_neg(v_mul_nonneg(shape, v_neg(c)))
         else:
             term = v_mul(c, shape)
         f = term if f is None else v_add(f, term)
+    if expr == "eig_abs":
+        return f
     if expr in ("slope", "eig_max"):
         return f[1]  # signed upper bound
     lo, hi = f  # arrays of this call's own, so |f| is formed in them
@@ -495,25 +522,26 @@ def _accumulate(spec: EnvelopeGridSpec, part: int, parts: int) -> dict:
             for c in coeffs[base])
 
     def plan(kinds):
-        """(expr -> kinds, the samples those kinds read)"""
+        """(expr -> kinds, the samples those kinds read, whether they
+        read the lower endpoint of E)"""
         groups = {}
         for kind in kinds:
             groups.setdefault(KIND_INFO[kind][1], []).append(kind)
         used = [i for i in range(3)
                 if any(kind_coeffs[kind][i] is not None for kind in kinds)]
-        return groups, used
+        return groups, used, set(groups) != {"eig_abs"}
 
     normal = (j >= 1) & (k >= 1)
     plans = {True: plan(built),
              False: plan([kind for kind in built if kind in EXTENDED_U_KINDS])}
     order = np.argsort(~normal, kind="stable")
     for u in order[part::parts]:
-        groups, used = plans[bool(normal[u])]
+        groups, used, lower = plans[bool(normal[u])]
         cell_samples = [(_pick(sx, u), _pick(sy, u)) for sx, sy in samples]
         cell_coeffs = {kind: [_pick(c, u) for c in kind_coeffs[kind]]
                        for group in groups.values() for kind in group}
         for cells in chunks:
-            arrays = {i: _sample_arrays(cell_samples[i], cells)
+            arrays = {i: _sample_arrays(cell_samples[i], cells, lower)
                       for i in used}
             for expr, group in groups.items():
                 # one shape per sample, shared by every kind of the group
@@ -521,8 +549,7 @@ def _accumulate(spec: EnvelopeGridSpec, part: int, parts: int) -> dict:
                                  arrays[i], cells) if i in arrays else None
                           for i in range(3)]
                 for kind in group:
-                    vals = _kind_values(expr, cell_coeffs[kind],
-                                        shapes).ravel()
+                    vals = _kind_values(expr, cell_coeffs[kind], shapes)
                     if KIND_INFO[kind][2]:
                         np.maximum.at(bins[kind], cells.bmax_idx, vals)
                     else:
@@ -589,8 +616,10 @@ def build_envelopes(spec: EnvelopeGridSpec) -> dict:
         if mono:
             v = np.maximum.accumulate(v[::-1])[::-1]
             v = np.maximum(v, FLOOR)
-        else:
-            assert np.all(np.isfinite(v)), f"empty bins for {kind}"
+        elif not np.all(np.isfinite(v)):
+            # the certifier would read a -inf bin as an upper bound
+            raise RuntimeError(f"{kind}: no t-cell reaches bins "
+                               f"{np.flatnonzero(~np.isfinite(v)).tolist()}")
         out[kind] = StepEnvelope(kind=kind, monotone=mono, breakpoints=edges,
                                  values=v, tail=_tail_value(kind, zlo, zhi),
                                  k1=spec.k1, tres=spec.tres, ures=spec.ures)

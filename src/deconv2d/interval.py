@@ -24,11 +24,13 @@ subnormal to a signed zero.  The interval ops step the fresh result of
 their own operation in place (a fold, a shift, an or and an add per
 element); the elements that pass through are set aside before the step and
 put back after it, only when there are any.  ``next_up`` and ``next_down``
-step a copy and never write into their argument.  Negation, ``v_abs`` and
-halving are exact and are not widened.
+step a copy and never write into their argument; ``up`` is that step of a
+fresh result, for a caller that forms an upper endpoint alone.  Negation,
+``v_abs`` and halving are exact and are not widened.
 
 ``exp`` is the one elementary function whose result is not correctly rounded.
-Every exp goes through ``exp_outward``.  It evaluates ``np.exp`` (whichever
+Every exp goes through ``exp_outward`` (or ``exp_up``, its upper endpoint
+alone).  It evaluates ``np.exp`` (whichever
 SIMD loop numpy dispatches to on the running CPU) and widens each endpoint by
 two ulps.  ``np.exp`` returns floats >= +0.0, whose int64 views are ordered
 like the floats, so the widening is one +-2 step on that view: clamped at
@@ -67,7 +69,7 @@ def next_up(x):
     overflow) is involved.
     """
     x = np.asarray(x, dtype=float)
-    return _up(x.flatten()).reshape(x.shape)[()]
+    return up(x.flatten()).reshape(x.shape)[()]
 
 
 def next_down(x):
@@ -76,9 +78,9 @@ def next_down(x):
     return _down(x.flatten()).reshape(x.shape)[()]
 
 
-def _up(r):
+def up(r):
     """``next_up(r)`` for a result ``r`` that nothing else reads: an array
-    is stepped in place."""
+    is stepped in place.  It forms an op's upper endpoint alone."""
     if not (isinstance(r, np.ndarray) and r.ndim):
         return next_up(r)
     # +inf would step to NaN and a NaN payload to another NaN, -inf or -0.0
@@ -92,7 +94,7 @@ def _up(r):
 
 
 def _down(r):
-    """``next_down(r)``, in place like ``_up``: the step of ``_up`` on -r,
+    """``next_down(r)``, in place like ``up``: the step of ``up`` on -r,
     negated back."""
     if not (isinstance(r, np.ndarray) and r.ndim):
         return next_down(r)
@@ -110,12 +112,15 @@ def _down(r):
 _INF_BITS = np.array(_INF).view(np.int64)[()]
 
 
-def _widen_exp(e, ulps: int):
-    """``e`` (a 1-d array of ``np.exp`` results, each >= +0.0 or NaN) moved
-    ``ulps`` floats, in place: clamped at +0.0 below, saturating at +inf
-    above, NaNs unchanged.  On floats >= +0.0 the int64 view is monotone and
-    one float is one unit, so this is ``abs(ulps)`` rounds of ``next_up`` or
-    ``next_down`` followed by the clamp at 0, bit for bit."""
+def _widened_exp(x, ulps: int):
+    """``np.exp(x)`` (each element >= +0.0 or NaN) moved ``ulps`` floats:
+    clamped at +0.0 below, saturating at +inf above (without an overflow
+    warning), NaNs unchanged.  On floats >= +0.0 the int64 view is monotone
+    and one float is one unit, so this is ``abs(ulps)`` rounds of
+    ``next_up`` or ``next_down`` followed by the clamp at 0, bit for bit."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        e = np.exp(x.reshape(-1))
     number = e <= _INF
     kept = None if number.all() else e[~number]
     b = e.view(np.int64)
@@ -126,7 +131,7 @@ def _widen_exp(e, ulps: int):
         np.minimum(b, _INF_BITS, out=b)
     if kept is not None:
         e[~number] = kept
-    return e
+    return e.reshape(x.shape)[()]
 
 
 def exp_outward(lo, hi):
@@ -138,19 +143,20 @@ def exp_outward(lo, hi):
     overflow threshold saturate at +inf without a warning (still sound); the
     lower endpoint is clamped at 0.
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    with np.errstate(over="ignore"):
-        elo, ehi = np.exp(lo.reshape(-1)), np.exp(hi.reshape(-1))
-    return (_widen_exp(elo, -2).reshape(lo.shape)[()],
-            _widen_exp(ehi, 2).reshape(hi.shape)[()])
+    return _widened_exp(lo, -2), _widened_exp(hi, 2)
+
+
+def exp_up(x):
+    """``exp_outward(x, x)[1]``, the upper endpoint alone: one exp."""
+    return _widened_exp(x, 2)
 
 
 def v_add(a, b):
-    return _down(a[0] + b[0]), _up(a[1] + b[1])
+    return _down(a[0] + b[0]), up(a[1] + b[1])
 
 
 def v_sub(a, b):
-    return _down(a[0] - b[1]), _up(a[1] - b[0])
+    return _down(a[0] - b[1]), up(a[1] - b[0])
 
 
 def v_neg(a):
@@ -162,7 +168,7 @@ def v_mul(a, b):
     p3, p4 = a[1] * b[0], a[1] * b[1]
     lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
     hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return _down(lo), _up(hi)
+    return _down(lo), up(hi)
 
 
 def v_mul_nonneg(a, e):
@@ -177,11 +183,18 @@ def v_mul_nonneg(a, e):
     onto +0.0 before stepping, so the endpoints have the same bits.  A
     factor with c[1] <= 0 is the negation of one with 0 <= -c[1]:
     ``v_neg(v_mul_nonneg(a, v_neg(c)))`` has the bits of ``v_mul(c, a)``,
-    since fl(-p) = -fl(p) and next_down(-x) = -next_up(x).
+    since fl(-p) = -fl(p) and next_down(-x) = -next_up(x).  By the same
+    argument a scalar ``a`` of any sign picks one product per endpoint:
+    fl(a0 e0) if a0 >= 0, else fl(a0 e1); fl(a1 e1) if a1 >= 0, else
+    fl(a1 e0).
     """
-    lo = np.minimum(a[0] * e[0], a[0] * e[1])
-    hi = np.maximum(a[1] * e[0], a[1] * e[1])
-    return _down(lo), _up(hi)
+    if np.ndim(a[0]):
+        lo = np.minimum(a[0] * e[0], a[0] * e[1])
+        hi = np.maximum(a[1] * e[0], a[1] * e[1])
+    else:
+        lo = a[0] * (e[0] if a[0] >= 0 else e[1])
+        hi = a[1] * (e[1] if a[1] >= 0 else e[0])
+    return _down(lo), up(hi)
 
 
 def v_div(a, b):
@@ -192,7 +205,7 @@ def v_div(a, b):
     """
     lo = np.where(a[0] >= 0, a[0] / b[1], a[0] / b[0])
     hi = np.where(a[1] >= 0, a[1] / b[0], a[1] / b[1])
-    return _down(lo), _up(hi)
+    return _down(lo), up(hi)
 
 
 def v_abs(a):
@@ -206,13 +219,13 @@ def v_abs(a):
 def v_sqr(a):
     """x^2; tighter than v_mul(a, a) when 0 is inside (lower endpoint 0)."""
     m, M = v_abs(a)
-    return np.where(m > 0, _down(m * m), 0.0), _up(M * M)
+    return np.where(m > 0, _down(m * m), 0.0), up(M * M)
 
 
 def v_sqrt(a):
     lo = np.sqrt(np.maximum(a[0], 0.0))
     hi = np.sqrt(np.maximum(a[1], 0.0))
-    return np.maximum(_down(lo), 0.0), _up(hi)
+    return np.maximum(_down(lo), 0.0), up(hi)
 
 
 def v_exp_neg_half(n2):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -26,11 +27,14 @@ from deconv2d.envelope import (
     zeta_band,
 )
 from deconv2d.interval import (
+    next_down,
+    next_up,
     v_abs,
     v_add,
     v_div,
     v_exp_neg_half,
     v_mul,
+    v_mul_nonneg,
     v_neg,
     v_sqr,
     v_sqrt,
@@ -176,10 +180,11 @@ def test_w2_kinds_are_own_copies_of_mirrored_w1():
 
 
 def test_build_independent_of_chunk_size(monkeypatch):
-    """The t-grid is evaluated in chunks of whole x-rows; one row per chunk
-    (7 cells round up to one row), and three rows per chunk, which does not
-    divide the 40 rows, with the signed kinds' bin spans crossing chunk
-    boundaries, give the same bits as one chunk holding the whole grid."""
+    """The t-cells are evaluated in runs of ``_CHUNK_CELLS`` cells; runs of
+    7 cells, and of 120 cells (about three x-rows), neither dividing the
+    1 332 cells kept at tres 2, cutting rows and the signed kinds' bin spans
+    at chunk boundaries, give the same bits as one chunk holding them
+    all."""
     spec = EnvelopeGridSpec(k1=1, tres=2, ures=2)
     n = 20 * spec.tres
     builds = {}
@@ -219,7 +224,7 @@ def test_parallel_build_matches_serial(monkeypatch, k1, ures):
 def test_failed_worker_reaches_caller_and_leaves_no_process(monkeypatch):
     """An exception raised in the workers reaches the caller with its type,
     and the build leaves no worker process behind."""
-    def fail(sample, cells):
+    def fail(sample, cells, lower):
         raise OverflowError("sample arrays")
 
     monkeypatch.setattr(envelope, "_workers", lambda: 2)
@@ -279,53 +284,179 @@ def test_workers_end_with_a_killed_build():
                          [(2, 3 * 40), (10, 8192),
                           (10, envelope._CHUNK_CELLS)])
 def test_row_chunks_match_per_cell_evaluation(tres, size):
-    """A chunk holds its x-intervals as a (rows, 1) column and the
-    y-intervals as a (1, n) row (at desk resolution: the grid in five
-    chunks, and in the chunks the build uses).  Its sample arrays, every shape and its
-    |t| equal the same expressions on full-size per-cell coordinates bit
-    for bit, for u-cells of the normal and of the extended u-box."""
+    """The chunks hold the cells with rmin <= 10 in row-major order, in
+    runs of ``size`` cells (at desk resolution: in four chunks, and in the
+    chunk the build uses), and gather the interval work on each coordinate
+    from the grid's x- and y-interval tables.  On every kept cell, a
+    chunk's sample arrays (with and without the lower end of E), every
+    shape and its |t| equal the same expressions on full-size per-cell
+    coordinates bit for bit, for u-cells of the normal and of the extended
+    u-box."""
     n = 20 * tres
     edges = -10.0 + np.arange(n + 1) / tres
     XL, YL = (g.ravel() for g in np.meshgrid(edges[:-1], edges[:-1],
                                              indexing="ij"))
     XH, YH = (g.ravel() for g in np.meshgrid(edges[1:], edges[1:],
                                              indexing="ij"))
+    near = [np.where((lo <= 0) & (hi >= 0), 0.0,
+                     np.minimum(np.abs(lo), np.abs(hi)))
+            for lo, hi in ((XL, XH), (YL, YH))]
+    rmin = np.maximum(next_down(np.hypot(*near)), 0.0)
     zlo, zhi = zeta_band(5)
     j, k = np.array([1, 3, 5, -4]), np.array([1, 5, 2, 5])
     _, samples = envelope._u_cells(zlo, zhi, j, k, 10)
 
-    def same(chunk_iv, cell_iv):
-        shape = (len(cell_iv[0]) // n, n)
-        return all(np.broadcast_to(c, shape).tobytes() == w.tobytes()
-                   for c, w in zip(chunk_iv, cell_iv))
+    def same(got, want):
+        if isinstance(got, np.ndarray):
+            return got.tobytes() == want.tobytes()
+        return all(g is w is None or same(g, w) for g, w in zip(got, want))
 
-    row = 0
-    for cells in envelope._t_chunks(tres, size):
-        rows = len(cells.tx[0])
-        assert cells.tx[0].shape == (rows, 1) and cells.ty[0].shape == (1, n)
-        sl = slice(row * n, (row + rows) * n)
-        tx, ty = (XL[sl], XH[sl]), (YL[sl], YH[sl])
+    chunks = envelope._t_chunks(tres, size)
+    assert all(len(cells.row) == size for cells in chunks[:-1])
+    kept = np.concatenate([cells.row * n + cells.col for cells in chunks])
+    assert kept.tobytes() == np.flatnonzero(rmin <= 10).tobytes()
+    for cells in chunks:
+        cell = cells.row * n + cells.col
+        tx, ty = (XL[cell], XH[cell]), (YL[cell], YH[cell])
         tn = v_sqrt(v_add(v_sqr(tx), v_sqr(ty)))
-        assert same(cells.tn, tn), row
-        per_cell = envelope._TCells(tx=tx, ty=ty, tn=tn,
+        assert same(cells.tn, tn)
+        each = np.arange(len(cell))
+        per_cell = envelope._TCells(tx=tx, ty=ty, row=each, col=each, tn=tn,
                                     bmax_idx=cells.bmax_idx,
                                     span_bins=cells.span_bins)
         for u in range(len(j)):
             for sx, sy in samples:
                 s = (envelope._pick(sx, u), envelope._pick(sy, u))
                 snorm = v_sqrt(v_add(v_sqr(s[0]), v_sqr(s[1])))[1]
-                got = envelope._sample_arrays(s, cells)
-                want = envelope._sample_arrays(s, per_cell)
-                for g, w in zip(got, want):
-                    assert same(g, w), (row, u)
-                for expr in ("val", "dx", "dy", "eig_abs", "eig_max",
-                             "slope"):
+                got, want = {}, {}
+                for lower in (True, False):
+                    got[lower] = envelope._sample_arrays(s, cells, lower)
+                    want[lower] = envelope._sample_arrays(s, per_cell, lower)
+                    g, w = got[lower], want[lower]
+                    assert same(envelope._pick(g[0], cells.row), w[0])
+                    assert same(envelope._pick(g[1], cells.col), w[1])
+                    assert same(g[2:], w[2:]), (u, lower)
+                exprs = ("val", "dx", "dy", "eig_abs", "eig_max", "slope")
+                for expr in exprs:
                     assert same(
-                        envelope._shape(expr, s, snorm, got, cells),
-                        envelope._shape(expr, s, snorm, want, per_cell)), \
-                        (row, u, expr)
-        row += rows
-    assert row == n
+                        envelope._shape(expr, s, snorm, got[True], cells),
+                        envelope._shape(expr, s, snorm, want[True],
+                                        per_cell)), (u, expr)
+                assert same(
+                    envelope._shape("eig_abs", s, snorm, got[False], cells),
+                    envelope._shape("eig_abs", s, snorm, want[True],
+                                    per_cell)), u
+
+
+def _full_square(tres, size):
+    """``_t_chunks`` without the trim: every cell of [-10, 10]^2, in one
+    chunk, with the bins of its radii."""
+    n = 20 * tres
+    edges = -10.0 + np.arange(n + 1) / tres
+    t = (edges[:-1], edges[1:])
+    row, col = np.divmod(np.arange(n * n), n)
+    far = np.maximum(np.abs(t[0]), np.abs(t[1]))
+    near = np.where((t[0] <= 0) & (t[1] >= 0), 0.0,
+                    np.minimum(np.abs(t[0]), np.abs(t[1])))
+    rmax = next_up(np.hypot(far[row], far[col]))
+    rmin = np.maximum(next_down(np.hypot(near[row], near[col])), 0.0)
+    bmax = np.minimum(np.floor(rmax * tres).astype(int), 10 * tres - 1)
+    blo = np.maximum(np.ceil(rmin * tres - 1e-9).astype(int) - 1, 0)
+    span_bins = tuple((blo + off <= bmax, (blo + off)[blo + off <= bmax])
+                      for off in range(int(np.max(bmax - blo)) + 1))
+    tsq = v_sqr(t)
+    tn = v_sqrt(v_add(envelope._pick(tsq, row), envelope._pick(tsq, col)))
+    return (envelope._TCells(tx=t, ty=t, row=row, col=col, tn=tn,
+                             bmax_idx=bmax, span_bins=span_bins),)
+
+
+@pytest.mark.parametrize("k1", [1, 16])
+@pytest.mark.parametrize("ures", [2, 4])
+def test_trimmed_build_matches_full_square(monkeypatch, k1, ures):
+    """Sweeping only the cells that meet the disc r <= 10 gives the bits of
+    a sweep of the whole [-10, 10]^2 square in all 14 kinds and tails."""
+    spec = EnvelopeGridSpec(k1=k1, tres=2, ures=ures)
+    trimmed = build_envelopes(spec)
+    kept = envelope._t_chunks(2, envelope._CHUNK_CELLS)
+    assert sum(len(c.row) for c in kept) < 40 * 40
+    monkeypatch.setattr(envelope, "_t_chunks", _full_square)
+    full = build_envelopes(spec)
+    for kind in ALL_KINDS:
+        assert (trimmed[kind].values.tobytes()
+                == full[kind].values.tobytes()), kind
+        assert trimmed[kind].tail == full[kind].tail, kind
+
+
+@pytest.mark.parametrize("k1", [1, 16])
+def test_upper_only_eig_abs_matches_full_interval(k1):
+    """The eig_abs kinds form only the upper end of their sum; on every kept
+    cell it equals max(|lo|, |hi|) of the whole interval evaluation
+    (v_sub, the clamp at 1 of both ends, v_mul_nonneg, v_mul by the
+    coefficient's absolute value, v_add), for u-cells of the normal and of
+    the extended u-box, with and without the lower end of E."""
+    ures = 10
+    zlo, zhi = zeta_band(k1)
+    j, k = np.array([1, 5, 3, -4, 0, 2]), np.array([1, 5, 4, -4, 3, -1])
+    coeffs, samples = envelope._u_cells(zlo, zhi, j, k, ures)
+    (cells,) = envelope._t_chunks(ures, envelope._CHUNK_CELLS)
+    for u in range(len(j)):
+        s = [(envelope._pick(sx, u), envelope._pick(sy, u))
+             for sx, sy in samples]
+        snorms = [v_sqrt(v_add(v_sqr(x), v_sqr(y)))[1] for x, y in s]
+        for base in ("B", "W1"):
+            cs = [None if c is None else envelope._pick(v_abs(c), u)
+                  for c in coeffs[base]]
+            want = None
+            for c, sample in zip(cs, s):
+                if c is not None:
+                    *_, n2, E = envelope._sample_arrays(sample, cells, True)
+                    m = v_sub(n2, (1.0, 1.0))
+                    m = (np.maximum(m[0], 1.0), np.maximum(m[1], 1.0))
+                    term = v_mul(c, v_mul_nonneg(m, E))
+                    want = term if want is None else v_add(want, term)
+            want = np.maximum(np.abs(want[0]), np.abs(want[1]))
+            for lower in (True, False):
+                shapes = [envelope._shape(
+                    "eig_abs", sample, snorm,
+                    envelope._sample_arrays(sample, cells, lower), cells)
+                    for sample, snorm in zip(s, snorms)]
+                got = envelope._kind_values("eig_abs", cs, shapes)
+                assert got.tobytes() == want.tobytes(), (u, base, lower)
+
+
+@pytest.mark.parametrize("tres", [1, 2, 10, 40])
+def test_kept_cells_reach_every_bin(tres):
+    """The kept cells' spans reach every signed bin 0..m-1, so no signed
+    kind is left with an empty (-inf) bin, and the monotone kinds' bins
+    lie in 0..m-1."""
+    m = 10 * tres
+    reached = np.zeros(m, dtype=bool)
+    for cells in envelope._t_chunks(tres, envelope._CHUNK_CELLS):
+        assert cells.bmax_idx.min() >= 0 and cells.bmax_idx.max() < m
+        for mask, idx in cells.span_bins:
+            reached[idx] = True
+    assert reached.all()
+
+
+def test_unreached_signed_bin_is_refused(monkeypatch):
+    """A signed kind's bin that no t-cell reaches stays -inf; the build
+    raises (under ``python -O`` too) instead of returning it as a bound."""
+    chunks = envelope._t_chunks(2, envelope._CHUNK_CELLS)
+    monkeypatch.setattr(envelope, "_workers", lambda: 1)
+    monkeypatch.setattr(envelope, "_t_chunks", lambda tres, size: tuple(
+        dataclasses.replace(c, span_bins=c.span_bins[1:]) for c in chunks))
+    with pytest.raises(RuntimeError, match="bump_slope: no t-cell reaches"):
+        build_envelopes(EnvelopeGridSpec(k1=1, tres=2, ures=2))
+
+
+def test_tails_below_floor_on_every_band():
+    """The premise of the trim: on every band, each monotone kind's tail,
+    its bound beyond r = 10, is at most FLOOR, the least bin value."""
+    for k1 in range(1, 17):
+        for kind in ALL_KINDS:
+            if envelope.KIND_INFO[kind][2]:
+                tail = envelope._tail_value(kind, *zeta_band(k1))
+                assert 0 < tail <= envelope.FLOOR, (k1, kind)
 
 
 @pytest.fixture(scope="module")

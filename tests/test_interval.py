@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from deconv2d import envelope, interval
 from deconv2d.interval import (
     exp_outward,
+    exp_up,
     next_down,
     next_up,
     v_mul,
@@ -395,7 +396,8 @@ def test_sign_aware_products_match_v_mul_bitwise():
     """v_mul_nonneg(a, e) for 0 <= e[0], and its negation for a factor
     c with c[1] <= 0, have the bits of v_mul, on random arrays with zeros
     of both signs and for the per-u-cell scalar factors of the envelope
-    kernel."""
+    kernel; so does v_mul_nonneg(c, e) for a scalar c of either sign or
+    straddling 0, whose signs pick the products."""
     rng = np.random.default_rng(20261019)
     n = 20000
     a_lo = _with_zeros(rng, rng.uniform(-4, 4, n)
@@ -417,6 +419,12 @@ def test_sign_aware_products_match_v_mul_bitwise():
         assert same(v_mul_nonneg(a, c), v_mul(c, a)), i
         c = v_neg(c)
         assert same(v_neg(v_mul_nonneg(a, v_neg(c))), v_mul(c, a)), i
+    signs = [0.0, -0.0, 1e-300, -1e-300, 2.5, -2.5]
+    for lo in signs + [a_lo[i] for i in range(0, n, 1999)]:
+        for hi in signs + [lo, lo + 1.5, -lo]:
+            if lo <= hi:  # a scalar factor times an array e >= 0
+                c = (np.float64(lo), np.float64(hi))
+                assert same(v_mul_nonneg(c, e), v_mul(c, e)), c
 
 
 def _exp_outward_two_rounds(lo, hi):
@@ -457,6 +465,7 @@ def test_exp_outward_one_step_matches_two_rounds():
         got = exp_outward(x, x)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+        assert exp_up(x).tobytes() == want[1].tobytes()
         for v in [*edges, math.inf, -math.inf, math.nan]:
             for g, w in zip(exp_outward(v, v), _exp_outward_two_rounds(v, v)):
                 assert isinstance(g, np.float64)
@@ -464,15 +473,17 @@ def test_exp_outward_one_step_matches_two_rounds():
 
 
 def test_steps_never_write_into_their_argument():
-    """next_up, next_down and exp_outward, and the interval ops built on
-    the in-place ulp step, leave their arguments unchanged: arrays (with
-    and without non-finite elements), 0-d arrays, scalars, and the
-    broadcast (rows, 1) / (1, n) views of the t-grid that every worker
-    shares."""
+    """next_up, next_down, exp_outward and exp_up, and the interval ops
+    built on the in-place ulp step, leave their arguments unchanged: arrays
+    (with and without non-finite elements), 0-d arrays, scalars, the
+    x- and y-interval tables of the t-grid (views of one edge array, shared
+    by every chunk and every worker) and the |t| of a chunk's cells, also
+    as the second factor of a scalar interval like a sample's."""
     cells = envelope._t_chunks(2, 3 * 40)[1]
+    assert cells.tx is cells.ty
     arrays = [np.linspace(-3.0, 3.0, 7), EDGES.copy(),
               np.array(-0.0), np.array(2.5), cells.tx[0], cells.tx[1],
-              cells.ty[0], cells.ty[1], cells.tn[0]]
+              cells.tn[0], cells.tn[1]]
     scalars = [1.5, -0.0, math.inf, np.float64(-2.0)]
     grid = [a.base if a.base is not None else a for a in arrays[4:]]
     before = [a.tobytes() for a in arrays + grid]
@@ -481,13 +492,13 @@ def test_steps_never_write_into_their_argument():
             next_up(x)
             next_down(x)
             exp_outward(x, x)
-        pairs = [(cells.tx[0], cells.tx[1]), (cells.ty[0], cells.ty[1]),
-                 cells.tn]
-        for a in pairs:
-            for b in pairs:
-                for op in (interval.v_add, interval.v_sub, interval.v_mul,
-                           interval.v_mul_nonneg):
-                    op(a, b)
+            exp_up(x)
+        scalar = (np.float64(-0.5), np.float64(0.25))
+        for a in (cells.tx, cells.tn):
+            for op in (interval.v_add, interval.v_sub, interval.v_mul,
+                       interval.v_mul_nonneg):
+                op(a, a)
+                op(scalar, a)
             interval.v_div(a, (np.float64(0.5), np.float64(2.0)))
             interval.v_sqr(a)
             interval.v_sqrt(interval.v_abs(a))
