@@ -21,39 +21,48 @@ ops of ``deconv2d.interval``.  One sweep covers the extended u-box
 [-zeta/2, zeta/2]^2 of ``EXTENDED_U_KINDS``.  Its u-cells inside the normal
 box [0, zeta/2]^2 (a quarter of them) evaluate every kind; the others only
 the extended-box kinds.  The closed-form coefficient and sample expressions are
-evaluated for all u-cells of the box in one batched pass.  Then, per u-cell,
-the t-cells that meet the disc r <= 10 (beyond it the tail bounds every
-kind) are swept in row-major chunks of ``_CHUNK_CELLS`` cells.  The grid is
-the product of its x- and y-intervals, so the differences s - t, their
-squares and the products s t of the slope are formed once on the tables of
-x- and y-intervals and gathered to the cells, and the interval |t| of every
-cell is computed once with the grid.  Each cell still sees the same float
-operations on the same operands, so the bits are those of a cell-by-cell
-evaluation.  The eig_abs kinds, whose factors are >= 0, form only upper
-endpoints, and skip E's lower end where no other kind reads it.  Each
-sample's products with its Gaussian (E, dx E, dy E, m E, g E) are formed
-once and shared by every kind that reads them (so in the normal box
+evaluated for all u-cells of the box in one batched pass.  Then, per owner
+u-cell (below), the t-cells that meet the disc r <= 10 (beyond it the tail
+bounds every kind) are swept in row-major chunks of ``_CHUNK_CELLS`` cells.
+The grid is the product of its x- and y-intervals, so the differences s - t,
+their squares and the products s t of the slope are formed once on the
+tables of x- and y-intervals and gathered to the cells, and the interval |t|
+of every cell is computed once with the grid.  Each cell still sees the same
+float operations on the same operands, so the bits are those of a
+cell-by-cell evaluation.  The eig_abs kinds, whose factors are >= 0, form
+only upper endpoints, and skip E's lower end where no other kind reads it.
+Each sample's products with its Gaussian (E, dx E, dy E, m E, g E) are
+formed once and shared by every kind that reads them (so in the normal box
 ``wave1_eig`` reads the sample arrays and m E that ``bump_eig`` forms), and
-each kind's coefficient sum is max-reduced into radial bins.  The u-cells
-are split by a stride, the costlier normal-box ones first, into a few tasks
-per forked worker process, one worker per CPU this process may use; each
-task evaluates the coefficients of the whole box and sweeps its share, a
-worker takes the next task when it is done, and the parent merges the tasks'
-bins by an elementwise max.  A max is exact and does not depend on order, so
-the bits do not depend on the number of workers or tasks.
+each kind's coefficient sum is max-reduced into radial bins.  The owners are
+split by a stride, the costlier normal-box pairs first, into a few tasks per
+forked worker process, one worker per CPU this process may use; each task
+evaluates the coefficients of the whole box and sweeps its share, a worker
+takes the next task when it is done, and the parent merges the tasks' bins
+by an elementwise max.  A max is exact and does not depend on order, so the
+bits do not depend on the number of workers or tasks.
 
-Only ten kinds are evaluated; the four W2 kinds are the W1 kinds mirrored.
-Let M swap x and y.  M maps the samples s1, s3 of offset u onto the samples
-s1, s2 of offset M u and keeps their norms, so the W2 of offset u and the W1
-of offset M u carry the same coefficients on the same two Gaussians, moved by
-M: W2_u(M t) = W1_Mu(t), grad W2_u(M t) = M grad W1_Mu(t) (dx and dy
-exchange), and the per-Gaussian eigenvalue sum of the eig kinds is the same
-at M t and at t.  M preserves |t|, the box [0, zeta/2]^2 and the box
-[-zeta/2, zeta/2]^2, so the suprema of |wave2|, |wave2_dx|, |wave2_dy| and
-wave2_eig over a band, a u-box and the radii >= r are those of |wave1|,
-|wave1_dy|, |wave1_dx| and wave1_eig over the same sets.  A sound W1
-envelope therefore bounds W2, whatever the float symmetry of the t-grid,
-and is returned under the W2 name as its own copy.
+Let M swap x and y.  M preserves |t| and both u-boxes, maps the u-cell
+(j, k) onto (k, j) and the samples s1, s2, s3 of offset u onto the samples
+s1, s3, s2 of offset M u, with their norms.  It is used twice.
+
+* Only ten kinds are evaluated; the four W2 kinds are the W1 kinds mirrored.
+  The W2 of offset u and the W1 of offset M u carry the same coefficients on
+  the same two Gaussians, moved by M: W2_u(M t) = W1_Mu(t), grad W2_u(M t) =
+  M grad W1_Mu(t) (dx and dy exchange), and the per-Gaussian eigenvalue sum
+  of the eig kinds is the same at M t and at t.  So the suprema of |wave2|,
+  |wave2_dx|, |wave2_dy| and wave2_eig over a band, a u-box and the radii
+  >= r are those of |wave1|, |wave1_dy|, |wave1_dx| and wave1_eig over the
+  same sets: a sound W1 envelope bounds W2, whatever the float symmetry of
+  the t-grid, and is returned under the W2 name as its own copy.
+* Only the owner u-cells (j <= k) are swept; each mirror U' = (k, j) reads
+  its owner U's sample arrays and shapes, bit for bit.  x and y read one
+  interval table, so U''s arrays and shapes at t-cell (r, c) are U's at
+  (c, r) with dx and dy exchanged (|s|, |s - t|^2, s . t and |t| only swap
+  the operands of a commutative add), and np.hypot is symmetric, so a cell
+  and its transpose are both kept and feed the same bins.  U''s values are
+  binned where they are formed; U' keeps its own coefficients and sums its
+  terms in its own sample order.
 
 Beyond r = 10 everything is controlled by closed-form tail bounds
 (g(r) = 6 r^2 exp(-r^2/2 + sqrt(2) zeta r), waves carry an extra 1/zeta), so
@@ -125,6 +134,8 @@ EXTENDED_U_KINDS = ("wave1_eig", "wave2_eig")
 #: W2 kind -> the W1 kind it equals under the x <-> y mirror (see Construction)
 _MIRRORED = {"wave2": "wave1", "wave2_dx": "wave1_dy", "wave2_dy": "wave1_dx",
              "wave2_eig": "wave1_eig"}
+#: expr -> the expr it becomes under the x <-> y mirror
+_SWAP = {"dx": "dy", "dy": "dx"}
 
 
 class OutOfValidatedRange(ValueError):
@@ -466,9 +477,11 @@ def _workers() -> int:
 #: several, a worker that falls behind (its CPU shared with another process,
 #: or not scheduled by a busy host) takes fewer tasks.  Each task evaluates
 #: the coefficients of its whole u-box, which costs about 0.5 ms.  A task is
-#: a strided run of u-cells, not one u-cell: when a task returns, its
-#: temporaries are freed and glibc trims the heap, so the next task faults
-#: its working arrays back in page by page.
+#: a strided run of owner u-cells (each swept with its mirror), not one
+#: owner: when a task returns, its temporaries are freed and glibc trims the
+#: heap, so the next task faults its working arrays back in page by page.
+#: The task count is capped at the owner count, ures (ures + 1) / 2 (3 at
+#: ures 2), so that no task is empty.
 _TASKS_PER_WORKER = 4
 
 
@@ -495,12 +508,17 @@ def _end_with_parent(parent: int) -> None:
 
 
 def _accumulate(spec: EnvelopeGridSpec, part: int, parts: int) -> dict:
-    """Bins of the ten built kinds over the u-cells of the extended u-box
-    whose place in the sweep order is ``part`` modulo ``parts``.
+    """Bins of the ten built kinds over the owner u-cells (j <= k) of the
+    extended u-box whose place in the sweep order is ``part`` modulo
+    ``parts``, and over their mirrors (k, j).
 
-    The sweep order puts the u-cells of the normal u-box (j, k >= 1) first,
-    so that the strided tasks share those costlier cells evenly.  There
-    every kind is evaluated; elsewhere only the extended-box kinds.  The
+    A mirror U' reads its owner U's shapes (see the module docstring): U''s
+    sample i is U's sample (0, 2, 1)[i], and U''s kinds of an expr read U's
+    shapes of the swapped expr.  One expr's shapes are alive at a time.
+
+    The sweep order puts the costlier owners first: the pairs of the normal
+    u-box (j, k >= 1), where every kind is evaluated, then its diagonal,
+    then the extended box, where only the extended-box kinds are.  The
     coefficients are evaluated for all u-cells of the box, so each u-cell's
     bits do not depend on the split; only the sweep is strided.
     """
@@ -534,37 +552,49 @@ def _accumulate(spec: EnvelopeGridSpec, part: int, parts: int) -> dict:
     normal = (j >= 1) & (k >= 1)
     plans = {True: plan(built),
              False: plan([kind for kind in built if kind in EXTENDED_U_KINDS])}
-    order = np.argsort(~normal, kind="stable")
+    # the index of (k, j) in the square u-box, for each u-cell (j, k)
+    mirror = np.arange(j.size).reshape(spec.ures, -1).T.ravel()
+    owners = np.flatnonzero(j <= k)
+    order = owners[np.lexsort((j[owners] == k[owners], ~normal[owners]))]
     for u in order[part::parts]:
         groups, used, lower = plans[bool(normal[u])]
+        # (u-cell, its samples in the owner's order, expr map) per u-cell
+        swept = [(u, (0, 1, 2), {})]
+        if mirror[u] != u:
+            swept.append((mirror[u], (0, 2, 1), _SWAP))
         cell_samples = [(_pick(sx, u), _pick(sy, u)) for sx, sy in samples]
-        cell_coeffs = {kind: [_pick(c, u) for c in kind_coeffs[kind]]
+        cell_coeffs = {(v, kind): [_pick(c, v) for c in kind_coeffs[kind]]
+                       for v, _, _ in swept
                        for group in groups.values() for kind in group}
+        need = {perm[i] for _, perm, _ in swept for i in used}
         for cells in chunks:
             arrays = {i: _sample_arrays(cell_samples[i], cells, lower)
-                      for i in used}
-            for expr, group in groups.items():
-                # one shape per sample, shared by every kind of the group
+                      for i in need}
+            for expr in groups:
+                # one shape per sample, shared by every kind of both u-cells
                 shapes = [_shape(expr, cell_samples[i], snorms[i][u],
                                  arrays[i], cells) if i in arrays else None
                           for i in range(3)]
-                for kind in group:
-                    vals = _kind_values(expr, cell_coeffs[kind], shapes)
-                    if KIND_INFO[kind][2]:
-                        np.maximum.at(bins[kind], cells.bmax_idx, vals)
-                    else:
-                        for mask, idx in cells.span_bins:
-                            np.maximum.at(bins[kind], idx, vals[mask])
+                for v, perm, swap in swept:
+                    own = [shapes[i] for i in perm]
+                    for kind in groups[swap.get(expr, expr)]:
+                        vals = _kind_values(expr, cell_coeffs[v, kind], own)
+                        if KIND_INFO[kind][2]:
+                            np.maximum.at(bins[kind], cells.bmax_idx, vals)
+                        else:
+                            for mask, idx in cells.span_bins:
+                                np.maximum.at(bins[kind], idx, vals[mask])
     return bins
 
 
 def build_envelopes(spec: EnvelopeGridSpec) -> dict:
     """Build all fourteen envelopes of one zeta band at once, sharing the
-    per-u-cell Gaussian interval arrays; the W2 kinds are mirrored W1 ones.
+    per-u-cell Gaussian interval arrays; the W2 kinds are mirrored W1 ones,
+    and each mirror u-cell reads its owner's arrays.
 
-    The u-cells of the extended u-box are split into ``_TASKS_PER_WORKER``
-    tasks per worker, run on ``_workers()`` forked processes, and the tasks'
-    bins are merged by an exact elementwise max.
+    The owner u-cells of the extended u-box are split into at most
+    ``_TASKS_PER_WORKER`` tasks per worker, run on ``_workers()`` forked
+    processes, and the tasks' bins are merged by an exact elementwise max.
     """
     half = spec.ures // 2
     n_cells = (20 * spec.tres) ** 2 * (half * half + spec.ures * spec.ures)
@@ -579,8 +609,9 @@ def build_envelopes(spec: EnvelopeGridSpec) -> dict:
     if workers == 1:
         results = [_accumulate(spec, 0, 1)]
     else:
-        u_cells = spec.ures ** 2
-        parts = min(u_cells, _TASKS_PER_WORKER * workers)
+        # the owner u-cells (j <= k) of the extended u-box
+        owners = spec.ures * (spec.ures + 1) // 2
+        parts = min(owners, _TASKS_PER_WORKER * workers)
         # imported here, not with the package: they add about 15 ms to
         # every import of it, including those that never build
         import multiprocessing
@@ -590,7 +621,7 @@ def build_envelopes(spec: EnvelopeGridSpec) -> dict:
         # where a spawned one would re-import numpy and rebuild it; the pool
         # forks all its workers before it starts its own manager thread
         with ProcessPoolExecutor(
-                max_workers=min(workers, u_cells),
+                max_workers=min(workers, parts),
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_end_with_parent,
                 initargs=(os.getpid(),)) as pool:

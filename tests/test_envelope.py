@@ -27,6 +27,7 @@ from deconv2d.envelope import (
     zeta_band,
 )
 from deconv2d.interval import (
+    exp_outward,
     next_down,
     next_up,
     v_abs,
@@ -198,15 +199,28 @@ def test_build_independent_of_chunk_size(monkeypatch):
                     == whole[kind].values.tobytes()), (size, kind)
 
 
-@pytest.mark.parametrize("k1, ures", [(1, 2), (13, 2), (1, 4)])
+_ACCUMULATE = envelope._accumulate
+
+
+def _nonempty_task(spec, part, parts):
+    """``_accumulate`` that refuses a task holding no owner u-cell (a
+    module-level function, so that the pool can pickle it)."""
+    assert 0 <= part < parts <= spec.ures * (spec.ures + 1) // 2, (part, parts)
+    return _ACCUMULATE(spec, part, parts)
+
+
+@pytest.mark.parametrize("k1, ures", [(1, 2), (13, 2), (1, 4), (1, 6)])
 def test_parallel_build_matches_serial(monkeypatch, k1, ures):
-    """The u-cells split across 2 workers, one task or several each, or
-    across more workers than either u-box has u-cells (8 against 1 + 4 at
-    ures 2, 4 + 16 at ures 4), give the bits of the in-process build in
-    all 14 kinds and tails, and no worker is left running."""
+    """The owner u-cells (j <= k: 3, 10 and 21 at ures 2, 4 and 6) split
+    across 2 workers, one task or several each, across more workers than
+    the u-box has owners (8 at ures 2), or into more tasks than owners (8
+    workers x 4 and 2 x 16 tasks at every ures), give the bits of the
+    in-process build in all 14 kinds and tails; the task count is capped at
+    the owner count, so no task is empty, and no worker is left running."""
     spec = EnvelopeGridSpec(k1=k1, tres=2, ures=ures)
+    monkeypatch.setattr(envelope, "_accumulate", _nonempty_task)
     builds = {}
-    for workers, tasks in ((1, 1), (2, 1), (2, 4), (8, 4)):
+    for workers, tasks in ((1, 1), (2, 1), (2, 4), (8, 4), (2, 16)):
         monkeypatch.setattr(envelope, "_workers", lambda: workers)
         monkeypatch.setattr(envelope, "_TASKS_PER_WORKER", tasks)
         builds[workers, tasks] = build_envelopes(spec)
@@ -385,6 +399,197 @@ def test_trimmed_build_matches_full_square(monkeypatch, k1, ures):
         assert (trimmed[kind].values.tobytes()
                 == full[kind].values.tobytes()), kind
         assert trimmed[kind].tail == full[kind].tail, kind
+
+
+def _cell_table(chunks):
+    """The kept cells of ``chunks`` in order: their ids row * n + col, and
+    for each its monotone bin, its first signed bin and its signed span."""
+    ids, bmax, blo, span = [], [], [], []
+    for cells in chunks:
+        ids.append(cells.row * cells.tx[0].size + cells.col)
+        bmax.append(cells.bmax_idx)
+        (first, idx), = cells.span_bins[:1]
+        assert first.all()  # every kept cell reaches its first signed bin
+        blo.append(idx)
+        span.append(sum(mask.astype(int) for mask, _ in cells.span_bins))
+    return tuple(np.concatenate(a) for a in (ids, bmax, blo, span))
+
+
+@pytest.mark.parametrize("tres", [1, 2, 3, 10, 40])
+def test_t_grid_is_transpose_closed(tres):
+    """The premise of the pair sweep: x and y read one interval table, the
+    kept cells are closed under (r, c) -> (c, r), and a cell's transpose
+    feeds the same monotone bin and the same span of signed bins.  The
+    grid's edges -10 + i / tres need not be symmetric about 0."""
+    n = 20 * tres
+    chunks = envelope._t_chunks(tres, envelope._CHUNK_CELLS)
+    assert all(cells.tx is cells.ty for cells in chunks)
+    ids, bmax, blo, span = _cell_table(chunks)
+    where = np.full(n * n, -1)
+    where[ids] = np.arange(ids.size)
+    row, col = np.divmod(ids, n)
+    t = where[col * n + row]
+    assert np.all(t >= 0)
+    for a in (bmax, blo, span):
+        assert a[t].tobytes() == a.tobytes()
+
+
+def _transposed(cells):
+    """Index of each cell's transpose in one chunk holding every kept
+    cell."""
+    n = cells.tx[0].size
+    where = np.full(n * n, -1)
+    where[cells.row * n + cells.col] = np.arange(cells.row.size)
+    return where[cells.col * n + cells.row]
+
+
+def _mirror_pair(k1, j, k, ures):
+    """Coefficients, samples and sample norms of u-cell (j, k) (index 0)
+    and of its mirror (k, j) (index 1)."""
+    zlo, zhi = zeta_band(k1)
+    coeffs, samples = envelope._u_cells(zlo, zhi, np.array([j, k]),
+                                        np.array([k, j]), ures)
+    out = []
+    for u in (0, 1):
+        s = [(envelope._pick(sx, u), envelope._pick(sy, u))
+             for sx, sy in samples]
+        c = {base: [envelope._pick(iv, u) for iv in cs]
+             for base, cs in coeffs.items()}
+        out.append((c, s, [v_sqrt(v_add(v_sqr(x), v_sqr(y)))[1]
+                           for x, y in s]))
+    return out
+
+
+def _bits(a):
+    """The bytes of an array or scalar, or of each part of a tuple or list
+    (None stays None)."""
+    if a is None:
+        return None
+    if isinstance(a, (tuple, list)):
+        return tuple(_bits(x) for x in a)
+    return np.asarray(a).tobytes()
+
+
+def _at(a, idx):
+    """An array, or each end of an interval, gathered at ``idx``."""
+    return a[idx] if isinstance(a, np.ndarray) else envelope._pick(a, idx)
+
+
+@pytest.mark.parametrize("k1", [1, 16])
+@pytest.mark.parametrize("j, k", [(1, 2), (2, 5), (-4, 5), (-1, 3), (-3, 0)],
+                         ids=["normal-1-2", "normal-2-5", "extended--4-5",
+                              "extended--1-3", "extended--3-0"])
+def test_mirror_u_cell_from_owner_shapes(k1, j, k):
+    """U' = (k, j) against U = (j, k), on every kept desk t-cell: U''s
+    sample i is U's sample (0, 2, 1)[i] mirrored, and its sample arrays,
+    each shape and each kind on its own samples have, at every cell, the
+    bits of U's at the transposed cell, with dx and dy exchanged.  Of the
+    coefficients, B's c2 and c3 exchange and W1(U') is (-inv eu, inv e3) of
+    U; B's c1 of U' rounds otherwise, and U' reads its own."""
+    ures = 10
+    (cu, su, nu), (cm, sm, nm) = _mirror_pair(k1, j, k, ures)
+    perm = (0, 2, 1)
+    # samples and their norms
+    for i in range(3):
+        (x, y), (mx, my) = su[perm[i]], sm[i]
+        assert _bits((mx, my)) == _bits((y, x)), i
+        assert _bits(nm[i]) == _bits(nu[perm[i]]), i
+    # coefficients
+    zlo, zhi = zeta_band(k1)
+    one, Z = (1.0, 1.0), (zlo, zhi)
+    f1 = (next_down((j - 1) / ures), next_up(j / ures))
+    f2 = (next_down((k - 1) / ures), next_up(k / ures))
+    e3 = exp_outward(*v_mul(v_mul(
+        v_add(v_sqr(f1), v_sqr(v_sub(one, f2))), v_sqr(Z)), (0.5, 0.5)))
+    inv = v_div(one, Z)
+    assert _bits(cm["B"][1:]) == _bits(cu["B"][:0:-1])
+    assert _bits(cm["W1"]) == _bits([cu["W1"][0], v_mul(inv, e3), None])
+    # arrays, shapes and kinds, cell by cell
+    (cells,) = envelope._t_chunks(ures, envelope._CHUNK_CELLS)
+    t = _transposed(cells)
+    swap = {"dx": "dy", "dy": "dx"}
+    mine, owner = {}, {}  # expr -> U''s shapes, U's in U''s sample order
+    for i in range(3):
+        for lower in (True, False):
+            dx, dy, n2, E = envelope._sample_arrays(su[perm[i]], cells, lower)
+            mdx, mdy, mn2, mE = envelope._sample_arrays(sm[i], cells, lower)
+            assert _bits((mdx, mdy)) == _bits((dy, dx)), (i, lower)
+            assert _bits(mn2) == _bits(_at(n2, t)), (i, lower)
+            assert _bits(mE[0]) == _bits(None if E[0] is None else E[0][t])
+            assert _bits(mE[1]) == _bits(E[1][t]), (i, lower)
+        arrays = envelope._sample_arrays(sm[i], cells, True)
+        owner_arrays = envelope._sample_arrays(su[perm[i]], cells, True)
+        for expr in ("val", "dx", "dy", "eig_abs", "eig_max", "slope"):
+            got = envelope._shape(expr, sm[i], nm[i], arrays, cells)
+            shape = envelope._shape(swap.get(expr, expr), su[perm[i]],
+                                    nu[perm[i]], owner_arrays, cells)
+            assert _bits(got) == _bits(_at(shape, t)), (i, expr)
+            mine.setdefault(expr, []).append(got)
+            owner.setdefault(expr, []).append(shape)
+    for kind, (base, expr, _) in envelope.KIND_INFO.items():
+        if kind in envelope._MIRRORED:
+            continue
+        cs = [v_abs(c) if c is not None and expr == "eig_abs" else c
+              for c in cm[base]]
+        got = envelope._kind_values(expr, cs, mine[expr])
+        want = envelope._kind_values(expr, cs, owner[expr])[t]
+        assert got.tobytes() == want.tobytes(), kind
+
+
+def _every_u_cell(spec):
+    """The bins of the ten built kinds from a sweep of every u-cell of the
+    extended u-box on its own samples, one kind at a time, with the lower
+    end of E, reduced as ``build_envelopes`` reduces them: values of all
+    14 kinds."""
+    half = spec.ures // 2
+    m = 10 * spec.tres
+    j, k = (g.ravel() for g in np.mgrid[1 - half:half + 1, 1 - half:half + 1])
+    coeffs, samples = envelope._u_cells(*zeta_band(spec.k1), j, k, spec.ures)
+    bins = {}
+    for u in range(j.size):
+        s = [(envelope._pick(sx, u), envelope._pick(sy, u))
+             for sx, sy in samples]
+        snorms = [v_sqrt(v_add(v_sqr(x), v_sqr(y)))[1] for x, y in s]
+        for kind, (base, expr, mono) in envelope.KIND_INFO.items():
+            if kind in envelope._MIRRORED or (
+                    min(j[u], k[u]) < 1
+                    and kind not in envelope.EXTENDED_U_KINDS):
+                continue
+            cs = [None if c is None else envelope._pick(
+                v_abs(c) if expr == "eig_abs" else c, u)
+                for c in coeffs[base]]
+            b = bins.setdefault(kind, np.zeros(m) if mono
+                                else np.full(m, -np.inf))
+            for cells in envelope._t_chunks(spec.tres, envelope._CHUNK_CELLS):
+                shapes = [None if c is None else envelope._shape(
+                    expr, x, snorm, envelope._sample_arrays(x, cells, True),
+                    cells) for c, x, snorm in zip(cs, s, snorms)]
+                vals = envelope._kind_values(expr, cs, shapes)
+                if mono:
+                    np.maximum.at(b, cells.bmax_idx, vals)
+                else:
+                    for mask, idx in cells.span_bins:
+                        np.maximum.at(b, idx, vals[mask])
+    out = {}
+    for kind, (_, _, mono) in envelope.KIND_INFO.items():
+        v = bins[envelope._MIRRORED.get(kind, kind)]
+        if mono:
+            v = np.maximum(np.maximum.accumulate(v[::-1])[::-1],
+                           envelope.FLOOR)
+        out[kind] = v
+    return out
+
+
+@pytest.mark.parametrize("k1", [1, 16])
+@pytest.mark.parametrize("tres, ures", [(2, 2), (2, 4), (3, 6)])
+def test_build_matches_every_u_cell_sweep(k1, tres, ures):
+    """Sweeping only the owner u-cells (j <= k) and forming each mirror's
+    kinds from the owner's shapes gives the bits of a sweep of every u-cell
+    on its own samples, in all 14 kinds."""
+    spec = EnvelopeGridSpec(k1=k1, tres=tres, ures=ures)
+    built, oracle = build_envelopes(spec), _every_u_cell(spec)
+    for kind in ALL_KINDS:
+        assert built[kind].values.tobytes() == oracle[kind].tobytes(), kind
 
 
 @pytest.mark.parametrize("k1", [1, 16])
