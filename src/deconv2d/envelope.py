@@ -21,9 +21,10 @@ ops of ``deconv2d.interval``.  One sweep covers the extended u-box
 [-zeta/2, zeta/2]^2 of ``EXTENDED_U_KINDS``.  Its u-cells inside the normal
 box [0, zeta/2]^2 (a quarter of them) evaluate every kind; the others only
 the extended-box kinds.  The closed-form coefficient and sample expressions are
-evaluated for all u-cells of the box in one batched pass.  Then, per owner
-u-cell (below), the t-cells that meet the disc r <= 10 (beyond it the tail
-bounds every kind) are swept in row-major chunks of ``_CHUNK_CELLS`` cells.
+evaluated for all u-cells of the box in one batched pass.  Then the t-cells
+that meet the disc r <= 10 (beyond it the tail bounds every kind) are swept
+in row-major chunks of ``_CHUNK_CELLS`` cells, each chunk for every owner
+u-cell (below) of a task in turn.
 The grid is the product of its x- and y-intervals, so the differences s - t,
 their squares and the products s t of the slope are formed once on the
 tables of x- and y-intervals and gathered to the cells, and the interval |t|
@@ -33,14 +34,15 @@ cell-by-cell evaluation.  The eig_abs kinds, whose factors are >= 0, form
 only upper endpoints, and skip E's lower end where no other kind reads it.
 Each sample's products with its Gaussian (E, dx E, dy E, m E, g E) are
 formed once and shared by every kind that reads them (so in the normal box
-``wave1_eig`` reads the sample arrays and m E that ``bump_eig`` forms), and
-each kind's coefficient sum is max-reduced into radial bins.  The owners are
+``wave1_eig`` reads the sample arrays and m E that ``bump_eig`` forms).  Each
+kind keeps a running per-cell max of its coefficient sums over the task's
+u-cells, which is max-reduced into radial bins once per chunk.  The owners are
 split by a stride, the costlier normal-box pairs first, into a few tasks per
 forked worker process, one worker per CPU this process may use; each task
 evaluates the coefficients of the whole box and sweeps its share, a worker
 takes the next task when it is done, and the parent merges the tasks' bins
 by an elementwise max.  A max is exact and does not depend on order, so the
-bits do not depend on the number of workers or tasks.
+bits do not depend on the chunks or on the number of workers or tasks.
 
 Let M swap x and y.  M preserves |t| and both u-boxes, maps the u-cell
 (j, k) onto (k, j) and the samples s1, s2, s3 of offset u onto the samples
@@ -62,7 +64,11 @@ s1, s3, s2 of offset M u, with their norms.  It is used twice.
   the operands of a commutative add), and np.hypot is symmetric, so a cell
   and its transpose are both kept and feed the same bins.  U''s values are
   binned where they are formed; U' keeps its own coefficients and sums its
-  terms in its own sample order.
+  terms in its own sample order.  A term, coefficient times shape, depends
+  only on the expr, the shape and the coefficient's bits, so U' reads U's
+  term wherever its coefficient has the bits of U's on the same sample: B's
+  c2 and c3 exchange, and W1's -inv eu is symmetric in j and k.  U' forms
+  anew only W1's inv e3 s3 and, where its c1 rounds otherwise, B's c1 s1.
 
 Beyond r = 10 everything is controlled by closed-form tail bounds
 (g(r) = 6 r^2 exp(-r^2/2 + sqrt(2) zeta r), waves carry an extra 1/zeta), so
@@ -104,11 +110,12 @@ FLOOR = 2e-9
 MAX_CELLS = 2 * 10**9
 #: t-cells per kernel pass; the desk grid's 31 812 cells inside the disc are
 #: one pass.  Fewer, larger passes save numpy's per-call overhead until the
-#: working arrays outgrow the cache.  Median of 5 two-worker band-1 builds
-#: (ures = 10) on a 2-vCPU Xeon with 2 MB of L2 per core, at 8 192 /
-#: 16 384 / 24 000 / 40 000 / 80 000 cells: 0.36 / 0.31 / 0.34 / 0.34 /
-#: 0.33 s at tres = 10, 1.39 / 1.15 / 1.10 / 1.15 / 1.23 s at tres = 20
-#: and 5.39 / 4.53 / 4.42 / 4.04 / 4.36 s at tres = 40.
+#: working arrays, ten running maxima among them, outgrow the cache.  Median
+#: of 5 two-worker band-1 builds (ures = 10) on a 2-vCPU Xeon with 2 MB of
+#: L2 per core, at 8 192 / 16 384 / 24 000 / 40 000 / 80 000 cells: 0.47 /
+#: 0.37 / 0.36 / 0.35 / 0.35 s at tres = 10, 1.51 / 1.21 / 1.11 / 1.21 /
+#: 1.20 s at tres = 20 (runs spread 0.90-1.28 s at 24 000 and 1.07-1.27 s
+#: at 40 000) and 5.97 / 4.51 / 4.26 / 3.83 / 4.26 s at tres = 40.
 _CHUNK_CELLS = 40000
 
 #: all fourteen envelope kinds; (base, expr, monotone)
@@ -398,35 +405,64 @@ def _shape(expr, sample, snorm, arrays, cells):
     return v_mul_nonneg(factor, E)
 
 
-def _kind_values(expr, coeffs, shapes) -> np.ndarray:
+def _term(expr, c, shape):
+    """One sample's term of a kind: the coefficient ``c``, one u-cell's
+    scalar interval (|c| for eig_abs), times the sample's shape of
+    ``expr``.  A new array or pair of arrays, read by every sum that needs
+    it and written by none."""
+    if expr == "eig_abs":
+        return up(shape * c[1])
+    # a known sign halves the products, and for a shape E >= 0 c's signs
+    # pick them
+    if expr == "val":
+        return v_mul_nonneg(c, shape)
+    if c[0] >= 0:
+        return v_mul_nonneg(shape, c)
+    if c[1] <= 0:
+        return v_neg(v_mul_nonneg(shape, v_neg(c)))
+    return v_mul(c, shape)
+
+
+def _kind_values(expr, coeffs, shapes, formed=None) -> np.ndarray:
     """Per-t-cell envelope contribution of one kind: the sum of coefficient
-    times shape over the samples with a nonzero coefficient.  For eig_abs
-    every shape and coefficient (|c|) is >= 0, so max(|lo|, |hi|) of the
-    sum is its upper endpoint, and only upper endpoints are formed."""
-    f = None
+    times shape over the samples with a nonzero coefficient, in their
+    order.  For eig_abs every shape and coefficient (|c|) is >= 0, so
+    max(|lo|, |hi|) of the sum is its upper endpoint, and only upper
+    endpoints are formed.
+
+    A term depends on nothing but expr, its shape and its coefficient's
+    bits.  ``formed``, where given, holds terms of this expr by the shape's
+    identity and the coefficient's bits, so it must not outlive the shapes:
+    a term found there is read, and one formed here is stored there
+    read-only, so the kinds that read one list of shapes (an owner u-cell's
+    and its mirror's) form each common term once.  Without it every term is
+    formed here.  Every kind has two or more terms; the sum starts in the
+    new array of its first add and writes no term.
+    """
+    terms = []
     for c, shape in zip(coeffs, shapes):
         if c is None:
             continue
-        if expr == "eig_abs":
-            term = up(shape * c[1])
-            f = term if f is None else up(np.add(f, term, out=f))
+        if formed is None:
+            terms.append(_term(expr, c, shape))
             continue
-        # c is one u-cell's scalar interval: a known sign halves the
-        # products, and for a shape E >= 0 c's signs pick them
-        if expr == "val":
-            term = v_mul_nonneg(c, shape)
-        elif c[0] >= 0:
-            term = v_mul_nonneg(shape, c)
-        elif c[1] <= 0:
-            term = v_neg(v_mul_nonneg(shape, v_neg(c)))
-        else:
-            term = v_mul(c, shape)
-        f = term if f is None else v_add(f, term)
+        key = (id(shape), np.array(c).tobytes())
+        if key not in formed:
+            term = formed[key] = _term(expr, c, shape)
+            for a in (term,) if expr == "eig_abs" else term:
+                a.setflags(write=False)
+        terms.append(formed[key])
     if expr == "eig_abs":
+        f = up(terms[0] + terms[1])
+        for term in terms[2:]:
+            f = up(np.add(f, term, out=f))
         return f
+    f = v_add(terms[0], terms[1])
+    for term in terms[2:]:
+        f = v_add(f, term)
     if expr in ("slope", "eig_max"):
         return f[1]  # signed upper bound
-    lo, hi = f  # arrays of this call's own, so |f| is formed in them
+    lo, hi = f  # the sum's own arrays, so |f| is formed in them
     return np.maximum(np.abs(lo, out=lo), np.abs(hi, out=hi), out=lo)
 
 
@@ -480,6 +516,8 @@ def _workers() -> int:
 #: a strided run of owner u-cells (each swept with its mirror), not one
 #: owner: when a task returns, its temporaries are freed and glibc trims the
 #: heap, so the next task faults its working arrays back in page by page.
+#: Over 12 two-worker desk builds of bands 1 and 13, the workers take about
+#: 34 000 minor faults per build at 4 tasks per worker, 25 000 at 1.
 #: The task count is capped at the owner count, ures (ures + 1) / 2 (3 at
 #: ures 2), so that no task is empty.
 _TASKS_PER_WORKER = 4
@@ -514,7 +552,15 @@ def _accumulate(spec: EnvelopeGridSpec, part: int, parts: int) -> dict:
 
     A mirror U' reads its owner U's shapes (see the module docstring): U''s
     sample i is U's sample (0, 2, 1)[i], and U''s kinds of an expr read U's
-    shapes of the swapped expr.  One expr's shapes are alive at a time.
+    shapes of the swapped expr, and U's terms where the sample and the
+    coefficient's bits match.  One expr's shapes and terms are alive at a
+    time.
+
+    The sweep is chunk by chunk, each chunk for every owner of the task in
+    turn.  Each kind keeps one running per-cell max of its values over the
+    task's u-cells, and that max alone is binned, once per chunk, through
+    ``bmax_idx`` or ``span_bins``; a max is exact and order-free, so the
+    bins have the bits of binning each u-cell's values.
 
     The sweep order puts the costlier owners first: the pairs of the normal
     u-box (j, k >= 1), where every kind is evaluated, then its diagonal,
@@ -556,18 +602,23 @@ def _accumulate(spec: EnvelopeGridSpec, part: int, parts: int) -> dict:
     mirror = np.arange(j.size).reshape(spec.ures, -1).T.ravel()
     owners = np.flatnonzero(j <= k)
     order = owners[np.lexsort((j[owners] == k[owners], ~normal[owners]))]
+    sweeps = []  # what each owner of the task reads in every chunk
     for u in order[part::parts]:
         groups, used, lower = plans[bool(normal[u])]
         # (u-cell, its samples in the owner's order, expr map) per u-cell
         swept = [(u, (0, 1, 2), {})]
         if mirror[u] != u:
             swept.append((mirror[u], (0, 2, 1), _SWAP))
-        cell_samples = [(_pick(sx, u), _pick(sy, u)) for sx, sy in samples]
         cell_coeffs = {(v, kind): [_pick(c, v) for c in kind_coeffs[kind]]
                        for v, _, _ in swept
                        for group in groups.values() for kind in group}
-        need = {perm[i] for _, perm, _ in swept for i in used}
-        for cells in chunks:
+        sweeps.append((u, groups, swept, cell_coeffs,
+                       [(_pick(sx, u), _pick(sy, u)) for sx, sy in samples],
+                       {perm[i] for _, perm, _ in swept for i in used}, lower))
+    for cells in chunks:
+        # each kind's running max over the task's u-cells, cell by cell
+        top = {}
+        for u, groups, swept, cell_coeffs, cell_samples, need, lower in sweeps:
             arrays = {i: _sample_arrays(cell_samples[i], cells, lower)
                       for i in need}
             for expr in groups:
@@ -575,15 +626,22 @@ def _accumulate(spec: EnvelopeGridSpec, part: int, parts: int) -> dict:
                 shapes = [_shape(expr, cell_samples[i], snorms[i][u],
                                  arrays[i], cells) if i in arrays else None
                           for i in range(3)]
+                formed = {}  # and one term per shape and coefficient
                 for v, perm, swap in swept:
                     own = [shapes[i] for i in perm]
                     for kind in groups[swap.get(expr, expr)]:
-                        vals = _kind_values(expr, cell_coeffs[v, kind], own)
-                        if KIND_INFO[kind][2]:
-                            np.maximum.at(bins[kind], cells.bmax_idx, vals)
+                        vals = _kind_values(expr, cell_coeffs[v, kind], own,
+                                            formed)
+                        if kind in top:
+                            np.maximum(top[kind], vals, out=top[kind])
                         else:
-                            for mask, idx in cells.span_bins:
-                                np.maximum.at(bins[kind], idx, vals[mask])
+                            top[kind] = vals
+        for kind, vals in top.items():
+            if KIND_INFO[kind][2]:
+                np.maximum.at(bins[kind], cells.bmax_idx, vals)
+            else:
+                for mask, idx in cells.span_bins:
+                    np.maximum.at(bins[kind], idx, vals[mask])
     return bins
 
 

@@ -180,13 +180,15 @@ def test_w2_kinds_are_own_copies_of_mirrored_w1():
         assert not np.shares_memory(a.values, b.values), w2
 
 
-def test_build_independent_of_chunk_size(monkeypatch):
+@pytest.mark.parametrize("ures", [2, 4])
+def test_build_independent_of_chunk_size(monkeypatch, ures):
     """The t-cells are evaluated in runs of ``_CHUNK_CELLS`` cells; runs of
     7 cells, and of 120 cells (about three x-rows), neither dividing the
     1 332 cells kept at tres 2, cutting rows and the signed kinds' bin spans
     at chunk boundaries, give the same bits as one chunk holding them
-    all."""
-    spec = EnvelopeGridSpec(k1=1, tres=2, ures=2)
+    all.  At ures 4 the normal u-box holds owner/mirror pairs, whose kinds
+    share terms, and each chunk's running maxima span several owners."""
+    spec = EnvelopeGridSpec(k1=1, tres=2, ures=ures)
     n = 20 * spec.tres
     builds = {}
     for size in (7, 3 * n, n * n):
@@ -534,6 +536,45 @@ def test_mirror_u_cell_from_owner_shapes(k1, j, k):
         got = envelope._kind_values(expr, cs, mine[expr])
         want = envelope._kind_values(expr, cs, owner[expr])[t]
         assert got.tobytes() == want.tobytes(), kind
+
+
+@pytest.mark.parametrize("k1", [1, 16])
+@pytest.mark.parametrize("j, k", [(1, 2), (2, 5), (-4, 5)],
+                         ids=["normal-1-2", "normal-2-5", "extended--4-5"])
+def test_owner_and_mirror_share_read_only_terms(k1, j, k):
+    """The kinds of U = (j, k) and of its mirror U' = (k, j) read U's
+    shapes of one expr (U' in its own sample order) and one dict of formed
+    terms, as the sweep does.  Every kind has the bits of its
+    evaluation with terms of its own; U' forms anew only B's c1' s1 (where
+    c1' rounds otherwise) and W1's inv e3 s3; every shared term is
+    read-only, so a write into it raises, and keeps the bits of the term
+    formed alone."""
+    (cu, su, nu), (cm, _, _) = _mirror_pair(k1, j, k, 10)
+    (cells,) = envelope._t_chunks(10, envelope._CHUNK_CELLS)
+    perm = (0, 2, 1)
+    for expr in ("val", "dx", "dy", "eig_abs", "eig_max", "slope"):
+        shapes = [envelope._shape(expr, s, n, envelope._sample_arrays(
+            s, cells, True), cells) for s, n in zip(su, nu)]
+        own = [shapes[i] for i in perm]
+        for base in ("B",) if expr in ("eig_max", "slope") else ("B", "W1"):
+            owner, mirror = ([v_abs(c) if c is not None and expr == "eig_abs"
+                              else c for c in cs[base]] for cs in (cu, cm))
+            formed = {}
+            got = [envelope._kind_values(expr, owner, shapes, formed),
+                   envelope._kind_values(expr, mirror, own, formed)]
+            want = [envelope._kind_values(expr, owner, shapes),
+                    envelope._kind_values(expr, mirror, own)]
+            assert _bits(got) == _bits(want), (expr, base)
+            fresh = _bits(mirror[0]) != _bits(owner[0])
+            assert len(formed) == {"B": 3 + fresh, "W1": 3}[base], (expr, base)
+            alone = {_bits(envelope._term(expr, c, shape))
+                     for cs, ss in ((owner, shapes), (mirror, own))
+                     for c, shape in zip(cs, ss) if c is not None}
+            assert {_bits(term) for term in formed.values()} == alone
+            for term in formed.values():
+                for a in (term,) if expr == "eig_abs" else term:
+                    with pytest.raises(ValueError, match="read-only"):
+                        a += 0.0
 
 
 def _every_u_cell(spec):
