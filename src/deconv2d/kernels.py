@@ -64,11 +64,21 @@ def kernel_eval(model: KernelModel, t):
         return (np.exp(-2.0 * r2 / (_MICRO_W1 ** 2))
                 + _MICRO_A2 * np.exp(-2.0 * (r - _MICRO_R2) ** 2 / (_MICRO_W2 ** 2)))
     if model.kind == "airy":
-        from scipy.special import j1
-
-        z = AIRY_SCALE * r
-        with np.errstate(invalid="ignore", divide="ignore"):
-            amp = np.where(z > 1e-8, 2.0 * j1(np.maximum(z, 1e-300)) / np.maximum(z, 1e-300),
-                           1.0 - z * z / 8.0)  # series limit near 0
+        amp = _airy_amplitude(AIRY_SCALE * r)
         return amp * amp
     raise ValueError(f"unknown kernel kind {model.kind!r}")
+
+
+def _airy_amplitude(z):
+    """2 J1(z) / z as an array, with its series limit 1 - z^2 / 8 where
+    z <= 1e-8.  The series is formed only on those entries; the clamp keeps
+    the quotient finite at z = 0, where the series replaces it."""
+    from scipy.special import j1
+
+    z = np.asarray(z)
+    zc = np.maximum(z, 1e-300)
+    amp = np.asarray(2.0 * j1(zc) / zc)
+    small = z <= 1e-8
+    zs = z[small]
+    amp[small] = 1.0 - zs * zs / 8.0
+    return amp

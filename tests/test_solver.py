@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from conftest import phase_reference
+from deconv2d import solver
+from deconv2d.experiments import phase_diagram
 from deconv2d.kernels import KERNELS, kernel_eval
 from deconv2d.solver import (
     BP_TOL,
+    RECOVERY_TOL,
     BudgetExceeded,
     NotConverged,
     SampleGrid,
@@ -187,8 +191,8 @@ def _wide_system():
 
 
 def _trial_system(kernel, delta):
-    """K and y of the seed-0 ``full_grid`` recovery trial of 25 spikes at
-    separation delta and grid spacing 0.5, in kernel units."""
+    """K, y and a_true of ``recovery_trial(delta, 0.5, 25, "full_grid", 0)``
+    in the units of ``kernel``."""
     model = KERNELS[kernel]
     delta *= model.unit
     pos = hex_arrangement(25, delta)
@@ -197,7 +201,7 @@ def _trial_system(kernel, delta):
     a_true = np.zeros(len(G))
     a_true[:25] = np.random.default_rng(0).standard_normal(25)
     K = assemble_operator(G, grid, model)
-    return K, K @ a_true
+    return K, K @ a_true, a_true
 
 
 def _primal_dual_oracle(K, y, tol, max_iters):
@@ -241,7 +245,7 @@ def _primal_dual_oracle(K, y, tol, max_iters):
 def test_primal_dual_matches_three_product_oracle(system):
     """The two-product loop on the Q-free reduction stops at the oracle's
     iteration, not one sooner, with the oracle's amplitudes."""
-    K, y = system()
+    K, y = system()[:2]
     ref, n = _primal_dual_oracle(K, y, BP_TOL, 10**5)
     a = _primal_dual(K, y, BP_TOL, n)
     with pytest.raises(NotConverged):
@@ -316,6 +320,69 @@ def test_recovery_trial_theorem_regime():
 
 def test_recovery_trial_ill_posed():
     assert not recovery_trial(0.75, 0.5, 25, "full_grid", 0)
+
+
+def _no_solve(K, y):
+    raise AssertionError("basis_pursuit was called")
+
+
+def test_well_posed_trials_are_decided_without_a_solve(monkeypatch):
+    """The uncapped benchmark trials and the high sides of AC-7 and AC-9
+    read recovered from K's singular values, with no basis_pursuit call."""
+    monkeypatch.setattr(solver, "basis_pursuit", _no_solve)
+    for key, ref in phase_reference().items():
+        if not ref["capped"]:
+            kernel, delta, seed = key.rsplit("-", 2)
+            (row,) = phase_diagram(kernel, [float(delta)], [0.5], 1, int(seed))
+            assert (row[5] == 1) == ref["recovered"], key
+    assert all(recovery_trial(2.0, 0.5, 25, "full_grid", s)
+               for s in range(10))
+    for kernel in ("microscopy", "airy"):
+        (row,) = phase_diagram(kernel, [3.0], [0.5], trials=5, seed=909)
+        assert row[-1] == 1.0, kernel
+
+
+@pytest.mark.parametrize("kernel, delta, pattern", [
+    ("gaussian", 0.75, "full_grid"), ("microscopy", 0.75, "full_grid"),
+    ("airy", 0.5, "full_grid"), ("gaussian", 3.0, "three_nearest"),
+    ("airy", 3.0, "three_nearest")])
+def test_ill_conditioned_or_wide_trials_are_solved(kernel, delta, pattern,
+                                                    monkeypatch):
+    """A nearly singular K, or a wide one (three_nearest, however well
+    separated), goes to basis_pursuit, and a capped solve reads not
+    recovered."""
+    shapes = []
+
+    def capped(K, y):
+        shapes.append(K.shape)
+        raise NotConverged("cap")
+
+    monkeypatch.setattr(solver, "basis_pursuit", capped)
+    u = KERNELS[kernel].unit
+    assert not recovery_trial(delta * u, 0.5 * u, 25, pattern, 0,
+                              model=KERNELS[kernel])
+    (shape,) = shapes
+    assert (shape[0] < shape[1]) == (pattern == "three_nearest")
+
+
+@pytest.mark.parametrize("kernel, delta", [
+    ("gaussian", 2.0), ("microscopy", 2.0), ("airy", 0.75)])
+def test_bound_agrees_with_a_converged_solve(kernel, delta, monkeypatch):
+    """Where the bound decides a trial, basis_pursuit converges to within
+    RECOVERY_TOL / 2 of a_true, as the bound's argument says it must."""
+    K, y, a_true = _trial_system(kernel, delta)
+    assert np.linalg.norm(basis_pursuit(K, y) - a_true) < RECOVERY_TOL / 2
+    monkeypatch.setattr(solver, "basis_pursuit", _no_solve)
+    u = KERNELS[kernel].unit
+    assert recovery_trial(delta * u, 0.5 * u, 25, "full_grid", 0,
+                          model=KERNELS[kernel])
+
+
+def test_trial_capped_by_the_solver_reads_recovered():
+    """The Gaussian delta = 1.5, master-seed-0 trial: PDHG hits its cap on
+    it, but K has full column rank and sigma_min clears the bound."""
+    (row,) = phase_diagram("gaussian", [1.5], [0.5], 1, 0)
+    assert row[5] == 1
 
 
 def test_recovery_trial_determinism_and_pattern():
