@@ -31,6 +31,7 @@ from .solver import (
     SampleGrid,
     assemble_operator,
     hex_arrangement,
+    rank_tolerance,
     recovery_trial,
 )
 
@@ -38,7 +39,7 @@ SVD_LATTICE = 8      # conditioning study uses an 8x8 spike lattice
 SVD_MARGIN = 3.0     # sample-grid margin in kernel units
 BANDS = range(1, 17)  # the sixteen zeta bands k1
 PHASE_COLUMNS = ["delta", "zeta", "kernel", "pattern", "trials", "successes",
-                 "rate"]
+                 "rate", "undecided"]
 
 
 def svd_conditioning(dprime_grid, zeta_grid) -> list:
@@ -60,7 +61,7 @@ def svd_conditioning(dprime_grid, zeta_grid) -> list:
             grid = SampleGrid.covering(T, zeta, SVD_MARGIN * model.unit)
             K = assemble_operator(T, grid, model)
             sv = np.linalg.svd(K, compute_uv=False)
-            sv[sv <= sv[0] * max(K.shape) * np.finfo(float).eps] = 0.0
+            sv[sv <= rank_tolerance(sv, K.shape)] = 0.0
             med = sv[math.ceil(len(sv) / 2) - 1]
             rows.append((float(dp), float(zeta), float(sv[-1]), float(med)))
     return rows
@@ -75,8 +76,9 @@ def phase_diagram(kernel: str, delta_grid, zeta_grid, trials: int, seed: int,
                   pattern: str = "full_grid", n_spikes: int = 25) -> list:
     """Recovery rate per (delta, zeta) cell, in kernel units.
 
-    Returns rows (delta, zeta, kernel, pattern, trials, successes, rate);
-    deterministic for a fixed seed.
+    Returns rows (delta, zeta, kernel, pattern, trials, successes, rate,
+    undecided); deterministic for a fixed seed.  A trial that
+    ``recovery_trial`` leaves undecided is no success.
     """
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
@@ -85,12 +87,12 @@ def phase_diagram(kernel: str, delta_grid, zeta_grid, trials: int, seed: int,
     rows = []
     for ci, (delta, zeta) in enumerate(
             (d, z) for d in delta_grid for z in zeta_grid):
-        succ = sum(
-            recovery_trial(delta * u, zeta * u, n_spikes, pattern,
-                           _trial_seed(seed, ci, t), model=model)
-            for t in range(trials))
+        outcomes = [recovery_trial(delta * u, zeta * u, n_spikes, pattern,
+                                   _trial_seed(seed, ci, t), model=model)
+                    for t in range(trials)]
+        succ = sum(out is True for out in outcomes)
         rows.append((float(delta), float(zeta), kernel, pattern, trials,
-                     succ, succ / trials))
+                     succ, succ / trials, outcomes.count(None)))
     return rows
 
 

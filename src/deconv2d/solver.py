@@ -6,26 +6,24 @@ finite set G, recovery is the linear program
 
     minimize ||a||_1  subject to  K a = y,
 
-where K[i, j] = K(s_i - t_j).  It is solved with a first-order primal-dual
-splitting (Chambolle-Pock): no external solver, and accurate enough at this
-scale that recovery outcomes are decided by the geometry, not the optimizer.
-A tall K is first reduced to the triangular factor R of one QR of [K y],
-which also yields Q^T y without forming Q, so each iteration works on n x n
-products however many samples there are.  Each iteration makes two of them,
-K^T z and K a: the extrapolated point a_bar = 2 a_new - a enters only through
-K a_bar = 2 K a_new - K a, and the loop carries K a (as a scaled residual)
-from one iteration to the next.
+where K[i, j] = K(s_i - t_j).  ``basis_pursuit`` solves it with a
+first-order primal-dual splitting (Chambolle-Pock), for callers that want
+the amplitudes.  A tall K is first reduced to the triangular factor R of one
+QR of [K y], which also yields Q^T y without forming Q, so each iteration
+works on n x n products however many samples there are.  Each iteration
+makes two of them, K^T z and K a: the extrapolated point a_bar = 2 a_new - a
+enters only through K a_bar = 2 K a_new - K a, and the loop carries K a (as
+a scaled residual) from one iteration to the next.
 
 ``recovery_trial`` runs one experiment: place spikes on a hexagonal
 arrangement with separation delta, assemble K for samples at grid spacing
 zeta, take the noiseless measurement y = K a_true (the true spikes are the
-first candidates, so K is the only forward model), and report whether basis
-pursuit returns a_true to within RECOVERY_TOL in l2.  A tall K whose
-smallest singular value is large enough settles that without a solve, since
-every converged solve must then return a_true (the bound and its proof are
-in ``recovery_trial``); one SVD replaces thousands of iterations.  Any other
-trial is solved, and a solve that hits the iteration cap counts as not
-recovered.
+first candidates, so K is the only forward model), and decide whether
+a_true is the unique l1 minimizer.  No solve decides that.  A tall K of
+full column rank (one SVD, ``np.linalg.matrix_rank``'s tolerance) has
+a_true as the only solution of K a = y.  Any other K is settled by the dual
+certificate of Fuchs (IEEE Trans. IT 2004): one small linear program in
+``dual_certificate``, which may also answer undecided.
 """
 
 from __future__ import annotations
@@ -40,8 +38,11 @@ from .kernels import KERNELS, KernelModel, kernel_eval
 # dense-matrix entry budget for assemble_operator (about 800 MB of float64)
 MAX_ENTRIES = 10**8
 
-RECOVERY_TOL = 1e-3  # l2 success threshold for exact-recovery trials
-BP_TOL = 1e-9        # relative residual at which basis_pursuit stops
+BP_TOL = 1e-9  # relative residual at which basis_pursuit stops
+# a certificate value t* within this distance of 1 decides nothing; well
+# above the HiGHS feasibility tolerance of 1e-7
+CERT_MARGIN = 1e-6
+CERT_TIME_LIMIT = 10.0  # seconds one certificate LP may take
 
 
 class BudgetExceeded(MemoryError):
@@ -101,15 +102,16 @@ def assemble_operator(G, grid: SampleGrid, model: KernelModel) -> np.ndarray:
     return kernel_eval(model, s[:, None, :] - G[None, :, :])
 
 
+def rank_tolerance(sv, shape) -> float:
+    """Singular values at or below this are round-off: the default
+    tolerance of ``np.linalg.matrix_rank`` for a matrix of ``shape`` with
+    singular values ``sv`` (descending)."""
+    return sv[0] * max(shape) * np.finfo(float).eps
+
+
 def operator_norm(K: np.ndarray) -> float:
     """Spectral norm (largest singular value) of K."""
     return float(np.linalg.norm(K, 2))
-
-
-def _residual_bound(tol, y) -> float:
-    """The residual ||K a - y|| a solve at relative tolerance ``tol`` may
-    leave: tol * max(1, ||y||)."""
-    return tol * max(1.0, math.sqrt(y @ y))
 
 
 def _primal_dual(K, y, tol, max_iters):
@@ -138,7 +140,7 @@ def _primal_dual(K, y, tol, max_iters):
     scaling: ||K a - y|| = ||r|| / tau and K^T z = M^T z / tau.
     """
     K0, y0 = K, y
-    atol = _residual_bound(tol, y)
+    atol = tol * max(1.0, math.sqrt(y @ y))
     n = K.shape[1]
     if K.shape[0] > n:
         Rq = np.linalg.qr(np.column_stack([K, y]), mode="r")
@@ -223,10 +225,46 @@ def _three_nearest_rows(grid: SampleGrid, positions: np.ndarray) -> np.ndarray:
     return np.unique(np.argsort(d, axis=0)[:3])
 
 
+def dual_certificate(K, sign_S, s: int) -> bool | None:
+    """Whether the first ``s`` columns of K carry the unique l1 minimizer.
+
+    With K_S the first s columns and K_off the rest, a_S of signs
+    ``sign_S`` is the unique minimizer of ||a||_1 subject to K a = K_S a_S
+    if K_S has full column rank and some z has K_S^T z = sign_S and
+    ||K_off^T z||_inf < 1; if the least such norm t* exceeds 1, it is not a
+    minimizer at all.  t* is one HiGHS linear program in (z, t).  Returns
+    True or False, or None (undecided) when t* is within CERT_MARGIN of 1
+    or the program stops without an optimum (time limit, numerical
+    trouble).
+    """
+    from scipy.optimize import linprog
+
+    K_S, K_off = K[:, :s], K[:, s:]
+    if np.linalg.matrix_rank(K_S) < s:
+        return False
+    m, n_off = K_off.shape
+    minus_t = -np.ones((n_off, 1))
+    A_ub = np.block([[K_off.T, minus_t], [-K_off.T, minus_t]])
+    A_eq = np.column_stack([K_S.T, np.zeros(s)])
+    c = np.zeros(m + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(2 * n_off), A_eq=A_eq,
+                  b_eq=sign_S, bounds=[(None, None)] * m + [(0.0, None)],
+                  method="highs", options={"time_limit": CERT_TIME_LIMIT})
+    if res.status != 0:
+        return None
+    if res.fun < 1.0 - CERT_MARGIN:
+        return True
+    if res.fun > 1.0 + CERT_MARGIN:
+        return False
+    return None
+
+
 def recovery_trial(delta: float, zeta: float, n_spikes: int, pattern: str,
                    seed: int,
-                   model: KernelModel = KERNELS["gaussian"]) -> bool:
-    """One seeded exact-recovery experiment; true iff ||a_hat - a|| < 1e-3.
+                   model: KernelModel = KERNELS["gaussian"]) -> bool | None:
+    """One seeded exact-recovery experiment: True iff a_true is the unique
+    minimizer of ||a||_1 subject to K a = y, None if undecided.
 
     Spikes sit on a hexagonal arrangement with separation delta and standard
     Gaussian amplitudes; samples cover them with a margin of three kernel
@@ -234,17 +272,12 @@ def recovery_trial(delta: float, zeta: float, n_spikes: int, pattern: str,
     three samples nearest each spike are kept).  An operator over the
     dense-entry budget raises ``BudgetExceeded``, since no trial ran.
 
-    A tall K (m >= n; ``full_grid`` at every setting checked) whose singular
-    values give sigma_min - m eps sigma_max > 2 tau / RECOVERY_TOL, with
-    tau = BP_TOL max(1, ||y||), reads recovered without a solve: any a that
-    ``basis_pursuit`` returns has ||K a - y|| <= tau, K a_true is y up to
-    rounding, and the subtracted term covers the SVD's own error, so
-    ||a - a_true|| <= 2 tau / sigma_min < RECOVERY_TOL.  At zeta = 0.5 this
-    decides the Gaussian trials from delta = 1.5 kernel units, microscopy
-    from 1.25 and Airy from 0.75.  Every other trial (a wide K, as
-    ``three_nearest`` gives, or a nearly singular one) is solved with
-    ``basis_pursuit``, and a solve that hits the iteration cap counts as
-    not recovered.
+    A tall K (m >= n; ``full_grid`` at every setting checked) whose
+    smallest singular value clears ``rank_tolerance`` has full column rank,
+    so a_true is the only solution of K a = y and reads recovered.  Every
+    other trial (a wide K, as ``three_nearest`` gives, or a numerically
+    rank-deficient one) is decided by ``dual_certificate`` on the true
+    support and signs.  No trial runs ``basis_pursuit``.
     """
     if pattern not in ("full_grid", "three_nearest"):
         raise ValueError(f"unknown sampling pattern {pattern!r}")
@@ -252,21 +285,13 @@ def recovery_trial(delta: float, zeta: float, n_spikes: int, pattern: str,
     positions = hex_arrangement(n_spikes, delta)
     grid = SampleGrid.covering(positions, zeta, 3.0 * model.unit)
     G = candidate_grid(positions, delta)
-    a_true = np.zeros(len(G))
-    a_true[:n_spikes] = rng.standard_normal(n_spikes)
+    a_true = rng.standard_normal(n_spikes)
     K = assemble_operator(G, grid, model)
-    y = K @ a_true
     if pattern == "three_nearest":
-        rows = _three_nearest_rows(grid, positions)
-        K, y = K[rows], y[rows]
+        K = K[_three_nearest_rows(grid, positions)]
     m, n = K.shape
     if m >= n:
         sv = np.linalg.svd(K, compute_uv=False)
-        sigma_lo = sv[-1] - m * np.finfo(float).eps * sv[0]
-        if sigma_lo > 2.0 * _residual_bound(BP_TOL, y) / RECOVERY_TOL:
+        if sv[-1] > rank_tolerance(sv, K.shape):
             return True
-    try:
-        a_hat = basis_pursuit(K, y)
-    except NotConverged:
-        return False
-    return float(np.linalg.norm(a_hat - a_true)) < RECOVERY_TOL
+    return dual_certificate(K, np.sign(a_true), n_spikes)

@@ -1,9 +1,8 @@
-"""Smoke test: each fast demo script runs to completion.
+"""Smoke test: each demo script runs to completion.
 
 The demos read the package's public results (for example
 ``CertificateReport.segments``), so an API change that breaks one shows up
-here.  ``recovery_phase.py`` is left out: its solver trials take about
-30 s on two cores, against about 5 s for the four demos here.
+here.
 """
 
 import os
@@ -17,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["certify_band", "conditioning",
-                                  "dual_certificate", "envelope_profiles"])
+                                  "dual_certificate", "envelope_profiles",
+                                  "recovery_phase"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -48,9 +48,9 @@ def test_svd_zeta_insensitive():
 def test_phase_diagram_rates_and_determinism():
     rows = phase_diagram("gaussian", [2.0], [0.5], trials=2, seed=1)
     assert rows == phase_diagram("gaussian", [2.0], [0.5], trials=2, seed=1)
-    (delta, zeta, kernel, pattern, trials, succ, rate), = rows
+    (delta, zeta, kernel, pattern, trials, succ, rate, undecided), = rows
     assert (delta, zeta, kernel, pattern) == (2.0, 0.5, "gaussian", "full_grid")
-    assert succ == trials == 2 and rate == 1.0
+    assert succ == trials == 2 and rate == 1.0 and undecided == 0
 
 
 def test_phase_diagram_benchmark_trials_keep_their_outcomes():
@@ -102,7 +102,7 @@ def test_cli_recover_csv(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["delta", "zeta", "kernel", "pattern", "trials",
-                             "successes", "rate"]
+                             "successes", "rate", "undecided"]
     assert rows[0]["rate"] == "1.0" and rows[0]["kernel"] == "gaussian"
 
 
@@ -284,15 +284,17 @@ def test_cli_certificate_demo_memory(tmp_path):
     """Q is evaluated one grid row at a time, so 40 spikes at the default
     step (110 889 points x 120 samples) stay well under 200 MB; one
     whole-grid call peaked near 570 MB.  The child process reports its own
-    peak RSS (kB on Linux)."""
+    peak RSS: VmHWM, in kB.  Not ``ru_maxrss``, which a child started by
+    (v)fork and exec inherits from the test process at the fork."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    code = ("import resource, sys\n"
+    code = ("import sys\n"
             "from deconv2d.experiments import cli_main\n"
             "rc = cli_main(sys.argv[1:])\n"
-            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "print(rc, *[line.split()[1] for line in open('/proc/self/status')\n"
+            "            if line.startswith('VmHWM:')])\n")
     out = tmp_path / "q.csv"
     proc = subprocess.run([sys.executable, "-c", code, "certificate-demo",
                            "--n-spikes", "40", "--out", str(out)],

@@ -263,21 +263,24 @@ def scipy_loaded():
 
 config = CertifyConfig({5: build_envelopes(EnvelopeGridSpec(5, tres=2, ures=2))})
 certify_cell(5.5, 5, config)
-recovery_trial(2.0, 0.5, 4, "full_grid", 0)  # decided by the SVD bound
-recovery_trial(2.0, 0.5, 4, "three_nearest", 0)  # solved with PDHG
+recovery_trial(2.0, 0.5, 4, "full_grid", 0)  # decided by rank
 assert not scipy_loaded(), scipy_loaded()
 numeric_certificate(hex_arrangement(3, 4.5), [1, -1, 1], 0.5)
 assert "scipy.linalg" in sys.modules, scipy_loaded()
 kernel_eval(KERNELS["airy"], [0.5, 0.0])
 assert "scipy.special" in sys.modules, scipy_loaded()
+assert "scipy.optimize" not in sys.modules, scipy_loaded()
+recovery_trial(2.0, 0.5, 4, "three_nearest", 0)  # decided by the LP
+assert "scipy.optimize" in sys.modules, scipy_loaded()
 """
 
 
 def test_scipy_is_loaded_only_where_it_is_used():
-    """Importing the package and running the certifier and two Gaussian
-    trials, one per route of ``recovery_trial``, load no scipy; only a
-    numeric certificate and the Airy kernel do.  A subprocess, because
-    other test modules import scipy themselves."""
+    """Importing the package and running the certifier and a full_grid
+    Gaussian trial (decided by rank) load no scipy; a numeric certificate
+    loads scipy.linalg, the Airy kernel scipy.special, and only a trial
+    decided by the certificate program (three_nearest) scipy.optimize.  A
+    subprocess, because other test modules import scipy themselves."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,

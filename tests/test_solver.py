@@ -1,7 +1,10 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.spatial.distance import pdist
 
 from conftest import phase_reference
@@ -10,7 +13,7 @@ from deconv2d.experiments import phase_diagram
 from deconv2d.kernels import KERNELS, kernel_eval
 from deconv2d.solver import (
     BP_TOL,
-    RECOVERY_TOL,
+    CERT_MARGIN,
     BudgetExceeded,
     NotConverged,
     SampleGrid,
@@ -19,8 +22,10 @@ from deconv2d.solver import (
     assemble_operator,
     basis_pursuit,
     candidate_grid,
+    dual_certificate,
     hex_arrangement,
     operator_norm,
+    rank_tolerance,
     recovery_trial,
 )
 
@@ -319,27 +324,99 @@ def test_recovery_trial_theorem_regime():
 
 
 def test_recovery_trial_ill_posed():
-    assert not recovery_trial(0.75, 0.5, 25, "full_grid", 0)
+    assert not recovery_trial(0.75, 0.5, 25, "three_nearest", 0)
 
 
-def _no_solve(K, y):
-    raise AssertionError("basis_pursuit was called")
+def _basic_solutions(K, y):
+    """Every basic solution of K a = y: K_B a_B = y on each nonsingular
+    m-column basis B, zero elsewhere."""
+    m, n = K.shape
+    for B in map(list, itertools.combinations(range(n), m)):
+        if np.linalg.matrix_rank(K[:, B]) == m:
+            a = np.zeros(n)
+            a[B] = np.linalg.solve(K[:, B], y)
+            yield a
+
+
+def test_dual_certificate_matches_basic_solutions():
+    """Brute force on small random systems (m = 4, n = 9, s = 2): the l1
+    minimum of K a = y is attained at a basic solution, so t* < 1 means
+    a_true beats every other one, and t* > 1 means some other one does at
+    least as well.  Both verdicts occur."""
+    seen = set()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        K = rng.standard_normal((4, 9))
+        a_true = np.zeros(9)
+        a_true[:2] = rng.standard_normal(2)
+        y = K @ a_true
+        best = np.abs(a_true).sum()
+        others = [np.abs(a).sum() for a in _basic_solutions(K, y)
+                  if np.linalg.norm(a - a_true) > 1e-9]
+        verdict = dual_certificate(K, np.sign(a_true[:2]), 2)
+        if verdict is True:
+            assert min(others) > best, seed
+        else:
+            assert verdict is False, seed
+            assert min(others) <= best, seed
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_dual_certificate_rank_deficient_support():
+    """Two equal support columns: a_S can move along K_S h = 0 without
+    changing K a, so a_true is no unique minimizer."""
+    K = np.random.default_rng(5).standard_normal((6, 9))
+    K[:, 1] = K[:, 0]
+    assert dual_certificate(K, np.array([1.0, 1.0]), 2) is False
+    assert dual_certificate(K, np.array([1.0, -1.0]), 2) is False
+
+
+@pytest.mark.parametrize("status, fun, verdict", [
+    (1, 0.5, None),                       # time limit
+    (4, 0.5, None),                       # numerical difficulties
+    (0, 1.0 - CERT_MARGIN / 2, None),
+    (0, 1.0 + CERT_MARGIN / 2, None),
+    (0, 1.0 - 2 * CERT_MARGIN, True),
+    (0, 1.0 + 2 * CERT_MARGIN, False)])
+def test_dual_certificate_undecided(status, fun, verdict, monkeypatch):
+    """A program that stops without an optimum, or a t* within the margin
+    of 1, decides nothing."""
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *a, **k: SimpleNamespace(status=status, fun=fun))
+    K = np.random.default_rng(3).standard_normal((8, 16))
+    assert dual_certificate(K, np.array([1.0, -1.0]), 2) is verdict
+
+
+def _spy_certificate(monkeypatch, allowed=True):
+    """Record the shape of K at each dual_certificate call of
+    recovery_trial; ``allowed=False`` makes any call fail the test."""
+    shapes = []
+    real = solver.dual_certificate
+
+    def spy(K, sign_S, s):
+        assert allowed, "dual_certificate was called"
+        shapes.append(K.shape)
+        return real(K, sign_S, s)
+
+    monkeypatch.setattr(solver, "dual_certificate", spy)
+    return shapes
 
 
 def test_well_posed_trials_are_decided_without_a_solve(monkeypatch):
-    """The uncapped benchmark trials and the high sides of AC-7 and AC-9
-    read recovered from K's singular values, with no basis_pursuit call."""
-    monkeypatch.setattr(solver, "basis_pursuit", _no_solve)
-    for key, ref in phase_reference().items():
-        if not ref["capped"]:
-            kernel, delta, seed = key.rsplit("-", 2)
-            (row,) = phase_diagram(kernel, [float(delta)], [0.5], 1, int(seed))
-            assert (row[5] == 1) == ref["recovered"], key
+    """Every benchmark trial, the capped one included, and the high sides
+    of AC-7 and AC-9 read recovered from K's rank, with no certificate
+    program."""
+    _spy_certificate(monkeypatch, allowed=False)
+    for key in phase_reference():
+        kernel, delta, seed = key.rsplit("-", 2)
+        (row,) = phase_diagram(kernel, [float(delta)], [0.5], 1, int(seed))
+        assert row[5] == 1, key
     assert all(recovery_trial(2.0, 0.5, 25, "full_grid", s)
                for s in range(10))
     for kernel in ("microscopy", "airy"):
         (row,) = phase_diagram(kernel, [3.0], [0.5], trials=5, seed=909)
-        assert row[-1] == 1.0, kernel
+        assert row[6] == 1.0, kernel
 
 
 @pytest.mark.parametrize("kernel, delta, pattern", [
@@ -348,31 +425,31 @@ def test_well_posed_trials_are_decided_without_a_solve(monkeypatch):
     ("airy", 3.0, "three_nearest")])
 def test_ill_conditioned_or_wide_trials_are_solved(kernel, delta, pattern,
                                                     monkeypatch):
-    """A nearly singular K, or a wide one (three_nearest, however well
-    separated), goes to basis_pursuit, and a capped solve reads not
-    recovered."""
-    shapes = []
-
-    def capped(K, y):
-        shapes.append(K.shape)
-        raise NotConverged("cap")
-
-    monkeypatch.setattr(solver, "basis_pursuit", capped)
+    """The ill-conditioned tall K on which PDHG hits its iteration cap
+    still have full column rank, so the rank rule decides them; a wide K
+    (three_nearest, however well separated) goes to the certificate
+    program.  Each of these trials reads recovered."""
+    shapes = _spy_certificate(monkeypatch)
     u = KERNELS[kernel].unit
-    assert not recovery_trial(delta * u, 0.5 * u, 25, pattern, 0,
-                              model=KERNELS[kernel])
-    (shape,) = shapes
-    assert (shape[0] < shape[1]) == (pattern == "three_nearest")
+    assert recovery_trial(delta * u, 0.5 * u, 25, pattern, 0,
+                          model=KERNELS[kernel]) is True
+    if pattern == "full_grid":
+        assert shapes == []
+    else:
+        (shape,) = shapes
+        assert shape[0] < shape[1]
 
 
 @pytest.mark.parametrize("kernel, delta", [
     ("gaussian", 2.0), ("microscopy", 2.0), ("airy", 0.75)])
 def test_bound_agrees_with_a_converged_solve(kernel, delta, monkeypatch):
-    """Where the bound decides a trial, basis_pursuit converges to within
-    RECOVERY_TOL / 2 of a_true, as the bound's argument says it must."""
+    """Where the rank rule decides a trial, basis_pursuit converges to
+    a_true, the only solution of K a = y."""
     K, y, a_true = _trial_system(kernel, delta)
-    assert np.linalg.norm(basis_pursuit(K, y) - a_true) < RECOVERY_TOL / 2
-    monkeypatch.setattr(solver, "basis_pursuit", _no_solve)
+    sv = np.linalg.svd(K, compute_uv=False)
+    assert sv[-1] > rank_tolerance(sv, K.shape)
+    assert np.linalg.norm(basis_pursuit(K, y) - a_true) < 5e-4
+    _spy_certificate(monkeypatch, allowed=False)
     u = KERNELS[kernel].unit
     assert recovery_trial(delta * u, 0.5 * u, 25, "full_grid", 0,
                           model=KERNELS[kernel])
@@ -380,14 +457,14 @@ def test_bound_agrees_with_a_converged_solve(kernel, delta, monkeypatch):
 
 def test_trial_capped_by_the_solver_reads_recovered():
     """The Gaussian delta = 1.5, master-seed-0 trial: PDHG hits its cap on
-    it, but K has full column rank and sigma_min clears the bound."""
+    it, but K has full column rank."""
     (row,) = phase_diagram("gaussian", [1.5], [0.5], 1, 0)
     assert row[5] == 1
 
 
 def test_recovery_trial_determinism_and_pattern():
-    """A trial that converges gives the same outcome twice, and two solves
-    of one system, tall (the QR route) or wide, return the same amplitudes
+    """A certificate trial gives the same outcome twice, and two solves of
+    one system, tall (the QR route) or wide, return the same amplitudes
     bit for bit."""
     a = recovery_trial(2.0, 0.5, 25, "three_nearest", 0)
     assert a and a == recovery_trial(2.0, 0.5, 25, "three_nearest", 0)
