@@ -11,7 +11,7 @@ hexgeom     hexagonal partition, one segment-to-cell distance (d_U is its
             point case) as array code
 schur       block norm bounds, Schur chain, numeric certificates
 certify     segment-based recovery certifier and parameter sweeps
-solver      basis-pursuit solvers and exact-recovery trials
+solver      exact-recovery trials by rank or dual certificate; basis pursuit
 experiments SVD conditioning, phase diagrams, command line front end
 """
 

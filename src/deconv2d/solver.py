@@ -6,14 +6,8 @@ finite set G, recovery is the linear program
 
     minimize ||a||_1  subject to  K a = y,
 
-where K[i, j] = K(s_i - t_j).  ``basis_pursuit`` solves it with a
-first-order primal-dual splitting (Chambolle-Pock), for callers that want
-the amplitudes.  A tall K is first reduced to the triangular factor R of one
-QR of [K y], which also yields Q^T y without forming Q, so each iteration
-works on n x n products however many samples there are.  Each iteration
-makes two of them, K^T z and K a: the extrapolated point a_bar = 2 a_new - a
-enters only through K a_bar = 2 K a_new - K a, and the loop carries K a (as
-a scaled residual) from one iteration to the next.
+where K[i, j] = K(s_i - t_j).  ``basis_pursuit`` solves it by Chambolle-Pock
+for callers that want the amplitudes.
 
 ``recovery_trial`` runs one experiment: place spikes on a hexagonal
 arrangement with separation delta, assemble K for samples at grid spacing
@@ -109,84 +103,50 @@ def rank_tolerance(sv, shape) -> float:
     return sv[0] * max(shape) * np.finfo(float).eps
 
 
-def operator_norm(K: np.ndarray) -> float:
-    """Spectral norm (largest singular value) of K."""
-    return float(np.linalg.norm(K, 2))
+def basis_pursuit(K, y, max_iters: int = 10**5):
+    """min ||a||_1 subject to K a = y, by the primal-dual algorithm of
+    Chambolle and Pock (J. Math. Imaging Vis. 40, 2011).
 
-
-def _primal_dual(K, y, tol, max_iters):
-    """Chambolle-Pock loop for basis pursuit.
-
-    F is the indicator of {y}, so the prox of sigma F* is a plain shift and
-    the dual objective is -y.z.  Returns the iterate once primal
-    feasibility ||K a - y|| <= atol = tol max(1, ||y||), dual feasibility
-    ||K^T z||_inf <= 1 + 10 tol, and the duality-gap surrogate
-    | ||a||_1 + y.z | <= atol max(1, ||K^T z||_inf) all hold.
-
-    A tall K (m > n) runs on its triangular factor instead.  One QR of
-    [K y] = Q [[R, q], [0, rho]] gives ||K a - y||^2 = ||R a - q||^2 +
-    rho^2, K^T z = R^T (Q^T z) and ||R|| = ||K||, with q = Q^T y, so the
-    loop on (R, q) takes the same steps with n-vectors for z and Q is never
-    formed.  The part of y outside range(K) drops out of that loop, so the
-    residual against the original (K, y) is part of the return test too.
-
-    Each iteration makes two products, M^T z and M a, on preallocated
-    vectors.  The loop runs on M = tau K and c = tau y for step tau, so the
-    dual step is z += M a_bar - c and the primal step soft-thresholds
-    a - M^T z at tau.  It carries the scaled residual r = M a - c: by
-    linearity M a_bar - c = 2 r_new - r for a_bar = 2 a_new - a, so a_bar
-    is never formed.  Summed over the iterations, z = h + r, where h is c
-    plus every residual so far (r = -c at a = 0).  The tests undo the
-    scaling: ||K a - y|| = ||r|| / tau and K^T z = M^T z / tau.
+    Returns a once ||K a - y|| <= atol = BP_TOL max(1, ||y||), ||K^T z||_inf
+    <= 1 + 10 BP_TOL and | ||a||_1 + y.z | <= atol max(1, ||K^T z||_inf).  A
+    tall K runs on the R of its thin QR, with Q^T y for y; the part of y
+    outside range(K) drops out of that loop, so the return test also checks
+    the residual against the original K and y.  A zero K with y != 0 admits
+    no solution and raises ``ValueError``.
     """
-    K0, y0 = K, y
-    atol = tol * max(1.0, math.sqrt(y @ y))
-    n = K.shape[1]
-    if K.shape[0] > n:
-        Rq = np.linalg.qr(np.column_stack([K, y]), mode="r")
-        K, y = Rq[:n, :n], Rq[:n, n]
-    L = operator_norm(K)
+    y = np.asarray(y, dtype=float)
+    norm_y = float(np.linalg.norm(y))
+    if norm_y == 0.0:
+        return np.zeros(K.shape[1])
+    atol = BP_TOL * max(1.0, norm_y)
+    M, c = K, y
+    if K.shape[0] > K.shape[1]:
+        Q, M = np.linalg.qr(K)
+        c = Q.T @ y
+    L = np.linalg.norm(M, 2)
     if L == 0.0:
         raise ValueError("zero operator: K a = y has no solution for y != 0")
     step = 0.99 / L
-    M = step * K
-    c = step * y
-    res_tol = atol * step
-    a = np.zeros(n)
-    g = np.empty(n)  # M^T z
-    w = np.empty(n)  # the clip of a - M^T z to [-step, step]
-    r = -c
-    h = c.copy()
-    z = np.empty_like(c)
+    a = np.zeros(M.shape[1])
+    a_bar = a
+    z = np.zeros(M.shape[0])
     for it in range(max_iters):
-        h += r
-        np.add(h, r, out=z)
-        np.dot(z, M, out=g)
-        a -= g
-        np.maximum(a, -step, out=w)
-        np.minimum(w, step, out=w)
-        a -= w
-        np.dot(M, a, out=r)
-        r -= c
-        res = math.sqrt(r.dot(r))
-        if it % 10 == 0 or res <= res_tol:
-            dual_inf = max(g.max(), -g.min()) / step
-            gap = abs(np.abs(a).sum() + y.dot(z))
-            if (res <= res_tol and dual_inf <= 1.0 + 10.0 * tol
+        z += step * (M @ a_bar - c)
+        g = M.T @ z
+        x = a - step * g
+        a_new = x - np.clip(x, -step, step)
+        a_bar = 2.0 * a_new - a
+        a = a_new
+        res = np.linalg.norm(M @ a - c)
+        if it % 10 == 0 or res <= atol:
+            dual_inf = np.abs(g).max()
+            gap = abs(np.abs(a).sum() + c @ z)
+            if (res <= atol and dual_inf <= 1.0 + 10.0 * BP_TOL
                     and gap <= atol * max(1.0, dual_inf)
-                    and np.linalg.norm(K0 @ a - y0) <= atol):
+                    and np.linalg.norm(K @ a - y) <= atol):
                 return a
     raise NotConverged(f"no convergence in {max_iters} iterations (last "
-                       f"residual {np.linalg.norm(K0 @ a - y0):.3e})")
-
-
-def basis_pursuit(K, y, max_iters: int = 10**5):
-    """min ||a||_1 subject to K a = y (to residual BP_TOL max(1, ||y||));
-    a zero K with y != 0 admits no solution and raises ``ValueError``."""
-    y = np.asarray(y, dtype=float)
-    if float(np.linalg.norm(y)) == 0.0:
-        return np.zeros(K.shape[1])
-    return _primal_dual(K, y, BP_TOL, max_iters)
+                       f"residual {np.linalg.norm(K @ a - y):.3e})")
 
 
 # -- exact-recovery trials ---------------------------------------------------

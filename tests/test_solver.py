@@ -17,14 +17,12 @@ from deconv2d.solver import (
     BudgetExceeded,
     NotConverged,
     SampleGrid,
-    _primal_dual,
     _three_nearest_rows,
     assemble_operator,
     basis_pursuit,
     candidate_grid,
     dual_certificate,
     hex_arrangement,
-    operator_norm,
     rank_tolerance,
     recovery_trial,
 )
@@ -85,17 +83,6 @@ def test_operator_duplicate_columns_and_budget():
     big = SampleGrid((0.0, 0.0), 1.0, (10**5, 10**5))
     with pytest.raises(BudgetExceeded):
         assemble_operator([[0.0, 0.0]] * 20, big, GAUSS)
-
-
-def test_operator_norm_zero_and_rank_one():
-    """||u v^T|| = ||u|| ||v||; the zero matrix (the L == 0 branch of the
-    solver) has norm exactly 0."""
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        u, v = rng.normal(size=12), rng.normal(size=8)
-        assert operator_norm(np.outer(u, v)) == pytest.approx(
-            np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
-    assert operator_norm(np.zeros((4, 3))) == 0.0
 
 
 def _grid_and_operator(positions, zeta=0.5):
@@ -195,9 +182,9 @@ def _wide_system():
     return K, K[:, 5] - 0.5 * K[:, 11]
 
 
-def _trial_system(kernel, delta):
-    """K, y and a_true of ``recovery_trial(delta, 0.5, 25, "full_grid", 0)``
-    in the units of ``kernel``."""
+def _trial_system(kernel, delta, pattern="full_grid"):
+    """K, y and a_true of ``recovery_trial(delta, 0.5, 25, pattern, 0)`` in
+    the units of ``kernel``."""
     model = KERNELS[kernel]
     delta *= model.unit
     pos = hex_arrangement(25, delta)
@@ -206,56 +193,9 @@ def _trial_system(kernel, delta):
     a_true = np.zeros(len(G))
     a_true[:25] = np.random.default_rng(0).standard_normal(25)
     K = assemble_operator(G, grid, model)
+    if pattern == "three_nearest":
+        K = K[_three_nearest_rows(grid, pos)]
     return K, K @ a_true, a_true
-
-
-def _primal_dual_oracle(K, y, tol, max_iters):
-    """The three-product Chambolle-Pock loop: K a_bar is made afresh in
-    every iteration, and a tall K is reduced with Q formed.  Same stopping
-    rule as ``_primal_dual``; returns (a, iterations)."""
-    K0, y0 = K, y
-    scale = max(1.0, math.sqrt(y @ y))
-    if K.shape[0] > K.shape[1]:
-        Q, K = np.linalg.qr(K)
-        y = Q.T @ y
-    step = 0.99 / operator_norm(K)
-    step_y = step * y
-    a = np.zeros(K.shape[1])
-    a_bar = a.copy()
-    z = np.zeros(K.shape[0])
-    for it in range(max_iters):
-        z = z + step * (K @ a_bar) - step_y
-        Ktz = K.T @ z
-        x = a - step * Ktz
-        a_new = x - np.minimum(np.maximum(x, -step), step)
-        a_bar = 2.0 * a_new - a
-        a = a_new
-        r = K @ a - y
-        res = math.sqrt(r @ r)
-        if it % 10 == 0 or res <= tol * scale:
-            dual_inf = float(np.max(np.abs(Ktz)))
-            gap = abs(float(np.sum(np.abs(a)) + float(y @ z)))
-            if (res <= tol * scale and dual_inf <= 1.0 + 10.0 * tol
-                    and gap <= tol * scale * max(1.0, dual_inf)
-                    and np.linalg.norm(K0 @ a - y0) <= tol * scale):
-                return a, it + 1
-    raise NotConverged(f"no convergence in {max_iters} iterations")
-
-
-@pytest.mark.parametrize("system", [
-    _tall_system, _wide_system,
-    lambda: _trial_system("gaussian", 2.0),
-    lambda: _trial_system("airy", 3.0),
-], ids=["tall", "wide", "gaussian-2.0", "airy-3.0"])
-def test_primal_dual_matches_three_product_oracle(system):
-    """The two-product loop on the Q-free reduction stops at the oracle's
-    iteration, not one sooner, with the oracle's amplitudes."""
-    K, y = system()[:2]
-    ref, n = _primal_dual_oracle(K, y, BP_TOL, 10**5)
-    a = _primal_dual(K, y, BP_TOL, n)
-    with pytest.raises(NotConverged):
-        _primal_dual(K, y, BP_TOL, n - 1)
-    assert np.linalg.norm(a - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
 
 
 def test_hex_arrangement_geometry():
@@ -453,6 +393,17 @@ def test_bound_agrees_with_a_converged_solve(kernel, delta, monkeypatch):
     u = KERNELS[kernel].unit
     assert recovery_trial(delta * u, 0.5 * u, 25, "full_grid", 0,
                           model=KERNELS[kernel])
+
+
+@pytest.mark.parametrize("kernel, delta", [
+    ("gaussian", 3.0), ("airy", 3.0), ("microscopy", 2.0)])
+def test_certificate_agrees_with_a_converged_solve(kernel, delta):
+    """On a wide K (three_nearest), where the certificate program decides
+    the trial, basis_pursuit lands on a_true too."""
+    K, y, a_true = _trial_system(kernel, delta, "three_nearest")
+    assert K.shape[0] < K.shape[1]
+    assert dual_certificate(K, np.sign(a_true[:25]), 25) is True
+    assert np.linalg.norm(basis_pursuit(K, y) - a_true) < 1e-6
 
 
 def test_trial_capped_by_the_solver_reads_recovered():
